@@ -128,7 +128,12 @@ def _cmd_certify(args, config: RunConfig) -> tuple[str, int]:
         return _dump_json({"replay_ok": ok}), 0 if ok else 1
     G = _load_graph(args.graph)
     result = certify_elimination(G, K=args.k, budget=config.budget)
-    payload: dict = {"status": result.status, "k": args.k, "n": G.n}
+    payload: dict = {
+        "status": result.status,
+        "states_expanded": result.states_expanded,
+        "k": args.k,
+        "n": G.n,
+    }
     if result.certificate is not None:
         payload["certificate"] = _certificate_payload(result.certificate)
     return _dump_json(payload), 0 if result.certified else 1

@@ -23,8 +23,8 @@ from itertools import permutations as iter_permutations
 import numpy as np
 
 from .spectral import DEFAULT_TOL
-from .tableaux import Partition, content_sum, enumerate_partitions, f_dim, max_corner_content
-from .yor import SignedWeightedGraph, irrep_laplacian, s4_transposition_vectors
+from .tableaux import Partition, content_sum, max_corner_content
+from .yor import SignedWeightedGraph, irrep_laplacian, s4_transposition_vectors, shape_spectra
 
 
 @dataclass(frozen=True)
@@ -148,23 +148,24 @@ def check_conjecture(k: int, gamma, tol: float = DEFAULT_TOL) -> ConjectureRepor
 
     A block passes when its smallest eigenvalue is >= -tol * (1 + norm);
     minima within tolerance of zero are flagged "boundary" (several
-    shapes sit exactly on the boundary), not failed.
+    shapes sit exactly on the boundary), not failed. Blocks come from
+    `shape_spectra`, which solves one shape of each conjugate pair and
+    derives the other.
     """
     g = _as_gamma(gamma)
     if g.k != k:
         raise ValueError(f"gamma has {g.k - 1} entries; expected k - 1 = {k - 1}")
     verdicts = []
-    for lam in enumerate_partitions(k):
-        D = conjecture_matrix(lam, g)
-        min_eig = float(np.linalg.eigvalsh(D)[0])
-        eps = tol * (1.0 + np.abs(D).max())
+    for lam, vals, norm in shape_spectra(comparison_weights(g)):
+        min_eig = float(vals[0])
+        eps = tol * (1.0 + norm)
         if min_eig < -eps:
             status = "negative"
         elif abs(min_eig) <= eps:
             status = "boundary"
         else:
             status = "positive"
-        verdicts.append(ShapeVerdict(lam, f_dim(lam), min_eig, status))
+        verdicts.append(ShapeVerdict(lam, len(vals), min_eig, status))
     return ConjectureReport(
         k=k,
         gamma=g.gamma,

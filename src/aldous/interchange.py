@@ -15,15 +15,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations as iter_permutations
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graphs import WeightedGraph
 from .permutations import Permutation
 from .spectral import DENSE_LIMIT, DEFAULT_TOL, second_smallest_laplacian_eig
-from .tableaux import Partition, enumerate_partitions, f_dim
-from .yor import irrep_laplacian
+from .tableaux import Partition, f_dim
+from .yor import irrep_laplacian, shape_spectra
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "Permutation",
@@ -47,6 +50,8 @@ def interchange_laplacian(G: WeightedGraph, n_cap: int = DEFAULT_N_CAP) -> sp.cs
     the total edge rate; the entry between sigma and (i j) sigma is the
     negated rate of (i, j). Row sums vanish and the matrix is PSD.
     """
+    import scipy.sparse as sp  # only this explicit route needs scipy
+
     n = G.n
     if n > n_cap:
         raise ValueError(f"n={n} exceeds the n! construction cap {n_cap}")
@@ -99,11 +104,7 @@ def gap_rw(G: WeightedGraph) -> float:
 
 def irrep_spectra(G: WeightedGraph) -> list[tuple[Partition, int, np.ndarray]]:
     """(shape, multiplicity, ascending block spectrum) for every shape."""
-    out = []
-    for lam in enumerate_partitions(G.n):
-        vals = np.linalg.eigvalsh(irrep_laplacian(lam, G))
-        out.append((lam, f_dim(lam), vals))
-    return out
+    return [(lam, len(vals), vals) for lam, vals, _ in shape_spectra(G)]
 
 
 def spectrum_via_irreps(G: WeightedGraph) -> np.ndarray:
@@ -117,13 +118,7 @@ def irrep_minima(G: WeightedGraph) -> dict[Partition, float]:
     """Smallest block eigenvalue per shape, excluding the trivial one."""
     if G.n < 2:
         raise ValueError("need at least 2 vertices")
-    minima = {}
-    for lam in enumerate_partitions(G.n):
-        if lam.parts == (G.n,):
-            continue
-        vals = np.linalg.eigvalsh(irrep_laplacian(lam, G))
-        minima[lam] = float(vals[0])
-    return minima
+    return {lam: float(vals[0]) for lam, vals, _ in shape_spectra(G) if lam.parts != (G.n,)}
 
 
 @dataclass(frozen=True)

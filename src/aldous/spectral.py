@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 DENSE_LIMIT = 6000
 DEFAULT_TOL = 1e-9
@@ -126,6 +124,9 @@ def second_smallest_laplacian_eig(
     the operator with the known all-ones kernel direction shifted up out
     of the way, so the smallest remaining eigenvalue is the gap.
     """
+    import scipy.sparse as sp  # deferred: the per-shape route never needs scipy
+    import scipy.sparse.linalg as spla
+
     dim = M.shape[0]
     if dim < 2:
         raise ValueError("need dimension >= 2")

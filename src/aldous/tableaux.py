@@ -212,30 +212,32 @@ def max_corner_content(lam: Partition) -> int:
 
 
 @lru_cache(maxsize=None)
-def _syt_cached(parts: tuple[int, ...]) -> tuple[StandardTableau, ...]:
-    def build(shape: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
-        m = sum(shape)
-        if m == 0:
-            return [()]
-        out = []
-        for j, p in enumerate(shape):
-            below = shape[j + 1] if j + 1 < len(shape) else 0
-            if p > below:
-                smaller = list(shape)
-                smaller[j] -= 1
-                if smaller[-1] == 0:
-                    smaller.pop()
-                for sub in build(tuple(smaller)):
-                    rows = [list(r) for r in sub]
-                    while len(rows) <= j:
-                        rows.append([])
-                    rows[j].append(m)
-                    out.append(tuple(tuple(r) for r in rows))
-        return out
+def syt_rows(parts: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Row tuples of every standard tableau of the shape, in dictionary order.
 
-    tableaux = [StandardTableau(rows) for rows in build(parts)]
-    tableaux.sort(key=lambda t: t.reading_word())
-    return tuple(tableaux)
+    The unvalidated form behind `enumerate_syt`, for hot paths that only
+    need the fillings. Memoized per shape, so the recursion over the
+    shapes one box below is shared across all shapes. Row tuples of one
+    shape compare exactly as their reading words do.
+    """
+    m = sum(parts)
+    if m == 0:
+        return ((),)
+    out = []
+    for j, p in enumerate(parts):
+        below = parts[j + 1] if j + 1 < len(parts) else 0
+        if p > below:
+            smaller = parts[:j] + ((p - 1,) if p > 1 else ()) + parts[j + 1 :]
+            for sub in syt_rows(smaller):
+                rows = sub if j < len(sub) else sub + ((),)
+                out.append(rows[:j] + (rows[j] + (m,),) + rows[j + 1 :])
+    out.sort()
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _syt_cached(parts: tuple[int, ...]) -> tuple[StandardTableau, ...]:
+    return tuple(StandardTableau(rows) for rows in syt_rows(parts))
 
 
 def enumerate_syt(lam: Partition) -> tuple[StandardTableau, ...]:
@@ -245,4 +247,4 @@ def enumerate_syt(lam: Partition) -> tuple[StandardTableau, ...]:
 
 def f_dim(lam: Partition) -> int:
     """Number of standard tableaux of the shape (block dimension)."""
-    return len(enumerate_syt(lam))
+    return len(syt_rows(lam.parts))

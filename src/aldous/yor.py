@@ -11,28 +11,41 @@ transposition (i, i+1) acts on a tableau t by one of three rules:
   r the axial distance (content of i+1 minus content of i), the pair
   {t, s} carries the 2x2 block [[1/r, sqrt(1-1/r^2)], [sqrt(1-1/r^2), -1/r]].
 
-All other entries vanish. General transpositions come from conjugating
-along a chain of adjacent ones, and arbitrary permutations from a
-deterministic bubble-sort factorization, so the map stays a group
-homomorphism (products compose right to left).
+All other entries vanish, so each adjacent transposition is stored per
+shape as integer-indexed arrays (diag, off, partner), one nonzero pair
+per row, built from the raw tableau rows without tableau objects.
+General transpositions come from conjugating along a chain of adjacent
+ones, O(f^2) per step on an f-dimensional block, and are cached per
+(shape, i, j); arbitrary permutations come from a deterministic
+bubble-sort factorization, so the map stays a group homomorphism
+(products compose right to left).
 
 The reflection-difference matrices V_ij = I - rho_ij are positive
 semidefinite with eigenvalues in {0, 2}; weighting them by edge rates
 gives the per-shape Laplacian blocks that the interchange process
-decomposes into.
+decomposes into. The conjugate shape carries the sign twist of the
+same representation, so `shape_spectra` solves one block of each
+conjugate pair and reflects its spectrum for the other.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .permutations import Permutation
-from .tableaux import Partition, content, covers_below, enumerate_syt, f_dim
+from .tableaux import (
+    Partition,
+    covers_below,
+    enumerate_partitions,
+    enumerate_syt,
+    f_dim,
+    syt_rows,
+)
 
-_adjacent_cache: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
 _transposition_cache: dict[tuple[tuple[int, ...], int, int], np.ndarray] = {}
 
 
@@ -67,41 +80,61 @@ class SignedWeightedGraph:
         object.__setattr__(self, "weights", normalized)
 
 
-def _rho_adjacent(parts: tuple[int, ...], i: int) -> np.ndarray:
-    key = (parts, i)
-    cached = _adjacent_cache.get(key)
-    if cached is not None:
-        return cached
-    lam = Partition(parts)
-    n = lam.n
+@lru_cache(maxsize=None)
+def _adjacent_tables(parts: tuple[int, ...]) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Sparse form of every adjacent transposition of the shape.
+
+    Entry i-1 holds arrays (diag, off, partner) with
+    rho_{(i, i+1)} x = diag * x + off * x[partner]. The axial distance r
+    of i and i+1 is +1 in a row and -1 in a column, so diag = 1/r and
+    off = sqrt(1 - 1/r^2) cover all three rules; the partner of a
+    tableau is found through its row-of-value word, with i and i+1
+    exchanged.
+    """
+    tabs = syt_rows(parts)
+    n = sum(parts)
+    rows = np.zeros((len(tabs), n), dtype=np.int8)
+    cols = np.zeros((len(tabs), n), dtype=np.int8)
+    for k, t in enumerate(tabs):
+        for r, row in enumerate(t):
+            for c, v in enumerate(row):
+                rows[k, v - 1] = r
+                cols[k, v - 1] = c
+    index = {rows[k].tobytes(): k for k in range(len(tabs))}
+    content = cols.astype(np.int64) - rows
+    tables = []
+    for i in range(1, n):
+        r = content[:, i] - content[:, i - 1]  # axial distance
+        diag = 1.0 / r
+        off = np.sqrt(1.0 - 1.0 / r**2)
+        partner = np.arange(len(tabs))
+        swapped = rows.copy()
+        swapped[:, [i - 1, i]] = rows[:, [i, i - 1]]
+        for k in np.flatnonzero(np.abs(r) > 1):
+            partner[k] = index[swapped[k].tobytes()]
+        for a in (diag, off, partner):
+            a.flags.writeable = False
+        tables.append((diag, off, partner))
+    return tuple(tables)
+
+
+def _adjacent_table(parts: tuple[int, ...], i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    n = sum(parts)
     if not 1 <= i <= n - 1:
         raise ValueError(f"adjacent index must be in 1..{n - 1}, got {i}")
-    tabs = enumerate_syt(lam)
-    index = {t.rows: k for k, t in enumerate(tabs)}
-    M = np.zeros((len(tabs), len(tabs)))
-    for k, t in enumerate(tabs):
-        row_i, col_i = t.position(i)
-        row_j, col_j = t.position(i + 1)
-        if row_i == row_j:
-            M[k, k] = 1.0
-        elif col_i == col_j:
-            M[k, k] = -1.0
-        else:
-            m = index[t.swap_values(i, i + 1).rows]
-            if m > k:
-                r = (col_j - row_j) - (col_i - row_i)  # axial distance
-                off = math.sqrt(1.0 - 1.0 / r**2)
-                M[k, k] = 1.0 / r
-                M[m, m] = -1.0 / r
-                M[k, m] = M[m, k] = off
-    M.flags.writeable = False
-    _adjacent_cache[key] = M
+    return _adjacent_tables(parts)[i - 1]
+
+
+def _dense(table: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    diag, off, partner = table
+    M = np.diag(diag)
+    M[np.arange(len(diag)), partner] += off
     return M
 
 
 def rho_adjacent(lam: Partition, i: int) -> np.ndarray:
     """Matrix of the adjacent transposition (i, i+1)."""
-    return _rho_adjacent(lam.parts, i).copy()
+    return _dense(_adjacent_table(lam.parts, i))
 
 
 def _rho_transposition(parts: tuple[int, ...], i: int, j: int) -> np.ndarray:
@@ -112,11 +145,19 @@ def _rho_transposition(parts: tuple[int, ...], i: int, j: int) -> np.ndarray:
     n = sum(parts)
     if not 1 <= i < j <= n:
         raise ValueError(f"need 1 <= i < j <= {n}, got ({i}, {j})")
-    M = _rho_adjacent(parts, j - 1)
+    M = _dense(_adjacent_table(parts, j - 1))
     for m in range(j - 2, i - 1, -1):
-        A = _rho_adjacent(parts, m)
-        M = A @ M @ A
-    M = np.ascontiguousarray(M)
+        diag, off, partner = _adjacent_table(parts, m)
+        # A M A for A = rho_{(m, m+1)} in O(f^2): rows, then columns, with
+        # at most two nonzeros in each line of A
+        X = np.take(M, partner, axis=0)
+        X *= off[:, None]
+        M = M * diag[:, None]
+        M += X
+        X = np.take(M, partner, axis=1)
+        X *= off
+        M *= diag
+        M += X
     M.flags.writeable = False
     _transposition_cache[key] = M
     return M
@@ -134,7 +175,8 @@ def rho_sigma(lam: Partition, sigma: Permutation) -> np.ndarray:
         raise ValueError(f"permutation size {sigma.n} != partition size {lam.n}")
     M = np.eye(f_dim(lam))
     for i in sigma.adjacent_factorization():
-        M = M @ _rho_adjacent(lam.parts, i)
+        diag, off, partner = _adjacent_table(lam.parts, i)
+        M = M * diag + np.take(M, partner, axis=1) * off
     return M
 
 
@@ -144,7 +186,8 @@ def transposition_difference(lam: Partition, i: int, j: int) -> np.ndarray:
 
 
 def irrep_laplacian(lam: Partition, graph) -> np.ndarray:
-    """Weighted sum of V_ij over the graph's edges.
+    """Weighted sum of V_ij over the graph's edges: W*I - sum w_ij rho_ij
+    with W the total weight.
 
     Accepts nonnegative or signed weights (anything with `.n` and a
     `.weights` dict keyed on pairs). PSD whenever all weights are >= 0.
@@ -153,11 +196,46 @@ def irrep_laplacian(lam: Partition, graph) -> np.ndarray:
         raise ValueError(f"partition of {lam.n} does not match graph on {graph.n} vertices")
     f = f_dim(lam)
     L = np.zeros((f, f))
-    eye = np.eye(f)
+    term = np.empty((f, f))
+    total = 0.0
     for (i, j), w in graph.weights.items():
         if w != 0.0:
-            L += w * (eye - _rho_transposition(lam.parts, i, j))
+            np.multiply(_rho_transposition(lam.parts, i, j), w, out=term)
+            L -= term
+            total += w
+    L.flat[:: f + 1] += total
     return L
+
+
+def shape_spectra(graph) -> list[tuple[Partition, np.ndarray, float]]:
+    """(shape, ascending block spectrum, largest |entry| of the block) for
+    every shape of `graph.n` boxes, in `enumerate_partitions` order.
+
+    Only the shape of each conjugate pair that comes first is built and
+    solved. Since rho^{lam'} is sgn (x) rho^{lam} up to a signed
+    permutation of the tableaux, L^{lam'} is that signed permutation of
+    2W*I - L^{lam} (W the total weight, signs allowed): its spectrum is
+    2W minus the reversed spectrum of L^{lam}, with the same largest
+    entry.
+    """
+    total = sum(graph.weights.values())
+    solved: dict[tuple[int, ...], tuple[np.ndarray, float, np.ndarray]] = {}
+    out = []
+    for lam in enumerate_partitions(graph.n):
+        conj = lam.conjugate().parts
+        if conj in solved:
+            vals, off_max, diag = solved[conj]
+            vals = 2.0 * total - vals[::-1]
+            diag = 2.0 * total - diag
+        else:
+            L = irrep_laplacian(lam, graph)
+            vals = np.linalg.eigvalsh(L)
+            diag = L.diagonal().copy()
+            np.fill_diagonal(L, 0.0)
+            off_max = float(np.abs(L).max())
+            solved[lam.parts] = (vals, off_max, diag)
+        out.append((lam, vals, max(off_max, float(np.abs(diag).max()))))
+    return out
 
 
 def jucys_murphy(lam: Partition, j: int) -> np.ndarray:

@@ -3,7 +3,6 @@ seeded graph suites. Kept independent of the library's graph machinery
 where they serve as oracles."""
 
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -11,27 +10,6 @@ from aldous.graphs import WeightedGraph, random_connected_graph
 
 # unlabeled trees on 1..8 vertices (classic counts)
 TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23}
-
-
-def prufer_to_edges(seq, n):
-    """Decode a Prufer sequence over 1..n into the tree's edge list."""
-    degree = [1] * (n + 1)
-    for v in seq:
-        degree[v] += 1
-    edges = []
-    leaves = sorted(v for v in range(1, n + 1) if degree[v] == 1)
-    import heapq
-
-    heapq.heapify(leaves)
-    for v in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((min(leaf, v), max(leaf, v)))
-        degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(leaves, v)
-    u, v = heapq.heappop(leaves), heapq.heappop(leaves)
-    edges.append((min(u, v), max(u, v)))
-    return edges
 
 
 def tree_canonical(n, edges):
@@ -68,18 +46,71 @@ def tree_canonical(n, edges):
     return min(encode(root) for root in remaining)
 
 
+def _next_rooted(levels, p=None):
+    """Beyer-Hedetniemi successor of a canonical level sequence (root at
+    level 0, preorder), or None after the last one. By default the
+    sequence is advanced at its last vertex above level 1; `p` overrides
+    that position."""
+    if p is None:
+        p = len(levels) - 1
+        while levels[p] == 1:
+            p -= 1
+    if p == 0:
+        return None
+    q = p - 1
+    while levels[q] != levels[p] - 1:
+        q -= 1
+    out = list(levels)
+    for i in range(p, len(out)):
+        out[i] = out[i - p + q]
+    return out
+
+
+def _split(levels):
+    """Level sequences of the root's first subtree (rooted at its own top
+    vertex) and of the tree with that subtree removed."""
+    m = next((i for i in range(2, len(levels)) if levels[i] == 1), len(levels))
+    return [h - 1 for h in levels[1:m]], [0] + levels[m:]
+
+
+def _level_edges(levels):
+    """Edges of a level sequence, vertices labeled 1..n in preorder."""
+    last = {}
+    edges = []
+    for v, h in enumerate(levels, start=1):
+        if h:
+            edges.append((last[h - 1], v))
+        last[h] = v
+    return edges
+
+
 @lru_cache(maxsize=None)
 def all_trees(n):
-    """Edge lists of every unlabeled tree on n vertices (2 <= n <= 8)."""
-    if n == 2:
-        return [[(1, 2)]]
-    seen = {}
-    for seq in product(range(1, n + 1), repeat=n - 2):
-        edges = prufer_to_edges(seq, n)
-        key = tree_canonical(n, edges)
-        if key not in seen:
-            seen[key] = edges
-    return list(seen.values())
+    """Edge lists of every unlabeled tree on n vertices (n >= 2), one each.
+
+    Wright-Richmond-Odlyzko-McKay (1986): walk the canonical level
+    sequences of trees rooted at a center in Beyer-Hedetniemi order,
+    keep those whose first root subtree is lower than the rest (or as
+    high and no larger, in size then sequence order), and jump over runs
+    that cannot qualify. Starts from the path rooted at its center.
+    """
+    trees = []
+    levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while levels is not None:
+        left, rest = _split(levels)
+        if max(rest) > max(left) or (
+            max(rest) == max(left) and (len(left), left) <= (len(rest), rest)
+        ):
+            trees.append(_level_edges(levels))
+            levels = _next_rooted(levels)
+            continue
+        p = len(left)
+        jumped = _next_rooted(levels, p)
+        if levels[p] > 2:
+            height = max(_split(jumped)[0])
+            jumped[-(height + 1) :] = range(1, height + 2)
+        levels = jumped
+    return trees
 
 
 def tree_graph(n, edges, weights=None):

@@ -90,6 +90,7 @@ class TestCertify:
         assert code == 0
         payload = json.loads(out)
         assert payload["status"] == "certified"
+        assert payload["states_expanded"] == 2
         cert_path = tmp_path / "cert.json"
         cert_path.write_text(json.dumps(payload["certificate"]))
         code, out, _ = run_cli(capsys, "certify", "--replay", str(cert_path))
@@ -101,7 +102,20 @@ class TestCertify:
         path = write_graph(tmp_path, {"n": 5, "edges": edges})
         code, out, _ = run_cli(capsys, "certify", path, "--k", "4")
         assert code == 1
-        assert json.loads(out)["status"] == "no_certificate"
+        payload = json.loads(out)
+        assert payload["status"] == "no_certificate"
+        # every vertex of K5 has positive degree 4 > K - 1: only the root is expanded
+        assert payload["states_expanded"] == 1
+
+    def test_exhausted_search_reports_state_count(self, capsys, tmp_path):
+        # K5 plus three leaves on vertex 1: no K = 4 order exists, and the
+        # search visits every ordering of the leaves, 1 + 3 + 6 + 6 states
+        edges = [[i, j, 1.0] for i in range(1, 6) for j in range(i + 1, 6)]
+        edges += [[1, leaf, 1.0] for leaf in (6, 7, 8)]
+        path = write_graph(tmp_path, {"n": 8, "edges": edges})
+        code, out, _ = run_cli(capsys, "certify", path, "--k", "4")
+        assert code == 1
+        assert json.loads(out) == {"k": 4, "n": 8, "states_expanded": 16, "status": "no_certificate"}
 
     def test_replay_rejects_malformed(self, capsys, tmp_path):
         cert_path = tmp_path / "cert.json"

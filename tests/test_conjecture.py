@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aldous.conjecture import (
     GammaVector,
@@ -165,6 +167,28 @@ class TestCheckConjecture:
     def test_gamma_length_mismatch(self):
         with pytest.raises(ValueError):
             check_conjecture(4, (1.0, 1.0))
+
+
+class TestConjugateTwist:
+    @given(
+        gamma=st.integers(min_value=3, max_value=7).flatmap(
+            lambda k: st.lists(st.floats(min_value=0.05, max_value=3.0), min_size=k - 1, max_size=k - 1)
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_direct_per_shape_solves(self, gamma):
+        k = len(gamma) + 1
+        report = check_conjecture(k, gamma)
+        assert [v.partition for v in report.per_shape] == enumerate_partitions(k)
+        for v in report.per_shape:
+            D = conjecture_matrix(v.partition, gamma)
+            min_eig = float(np.linalg.eigvalsh(D)[0])
+            scale = 1.0 + np.abs(D).max()
+            assert abs(v.min_eig - min_eig) <= 1e-12 * scale, v.partition
+            assert v.dim == D.shape[0]
+            if abs(abs(min_eig) - 1e-9 * scale) > 1e-12 * scale:  # clear of the status threshold
+                expected = "boundary" if abs(min_eig) <= 1e-9 * scale else "positive"
+                assert v.status == expected, v.partition
 
 
 class TestEqualGamma:

@@ -1,7 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import aldous
 
 from aldous.graphs import (
     WeightedGraph,
@@ -20,7 +28,8 @@ from aldous.interchange import (
     spectrum_via_irreps,
 )
 from aldous.spectral import multiset_equal
-from aldous.tableaux import Partition
+from aldous.tableaux import Partition, enumerate_partitions
+from aldous.yor import irrep_laplacian
 
 
 class TestInterchangeLaplacian:
@@ -179,3 +188,38 @@ class TestAldousCheck:
             count = np.sum(np.abs(values - report.gap_interchange) <= 1e-8 * (1 + values.max()))
             assert count >= report.gap_multiplicity_lower_bound == G.n - 1
         assert checked >= 3  # generic weighted graphs attain the minimum at (n-1, 1)
+
+
+class TestConjugateTwist:
+    @given(
+        n=st.integers(min_value=2, max_value=7),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        extra=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_minima_match_direct_solves(self, n, seed, extra):
+        G = random_connected_graph(n, np.random.default_rng(seed), extra_edge_prob=extra)
+        minima = irrep_minima(G)
+        direct = {
+            lam: float(np.linalg.eigvalsh(irrep_laplacian(lam, G))[0])
+            for lam in enumerate_partitions(n)
+            if lam.parts != (n,)
+        }
+        assert list(minima) == list(direct)
+        scale = 1.0 + max(abs(v) for v in direct.values())
+        for lam, value in direct.items():
+            assert abs(minima[lam] - value) <= 1e-12 * scale, lam
+
+    def test_spectra_match_direct_solves(self):
+        G = wheel_graph(7)
+        for lam, mult, vals in irrep_spectra(G):
+            direct = np.linalg.eigvalsh(irrep_laplacian(lam, G))
+            assert mult == len(direct)
+            assert np.abs(vals - direct).max() <= 1e-12 * (1.0 + np.abs(direct).max())
+
+
+def test_per_shape_route_imports_no_scipy():
+    src = str(Path(aldous.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import aldous, aldous.cli, sys; assert not any(m.startswith('scipy') for m in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -5,6 +5,7 @@ from aldous.graphs import (
     WeightedGraph,
     complete_graph,
     cycle_graph,
+    is_connected,
     nested_triangulation,
     path_graph,
     wheel_graph,
@@ -235,6 +236,15 @@ class TestTreeEnumeration:
     def test_counts_match_known_sequence(self):
         for n in range(2, 9):
             assert len(all_trees(n)) == TREE_COUNTS[n]
+
+    def test_generated_trees_are_distinct_spanning_trees(self):
+        # with the counts above, distinctness makes the list complete
+        for n in range(2, 9):
+            trees = all_trees(n)
+            for edges in trees:
+                assert len(edges) == n - 1 and all(i < j for i, j in edges)
+                assert is_connected(tree_graph(n, edges))
+            assert len({tree_canonical(n, edges) for edges in trees}) == len(trees)
 
     def test_canonical_invariant_under_relabeling(self):
         edges = [(1, 2), (2, 3), (2, 4), (4, 5)]

@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aldous.graphs import complete_graph, random_connected_graph, rw_laplacian
+from aldous import tableaux, yor
+from aldous.graphs import WeightedGraph, complete_graph, random_connected_graph, rw_laplacian
 from aldous.permutations import Permutation
 from aldous.spectral import is_psd, multiset_equal
 from aldous.tableaux import Partition, content, enumerate_partitions, enumerate_syt, f_dim
@@ -15,8 +20,39 @@ from aldous.yor import (
     rho_transposition,
     s4_transposition_matrix,
     s4_transposition_vectors,
+    shape_spectra,
     transposition_difference,
 )
+
+
+def dense_adjacent_oracle(lam, i):
+    """Young's orthogonal form of (i, i+1), built entry by entry from the
+    validated tableau objects (the three rules of the `aldous.yor` docstring)."""
+    tabs = enumerate_syt(lam)
+    index = {t.rows: k for k, t in enumerate(tabs)}
+    M = np.zeros((len(tabs), len(tabs)))
+    for k, t in enumerate(tabs):
+        row_i, col_i = t.position(i)
+        row_j, col_j = t.position(i + 1)
+        if row_i == row_j:
+            M[k, k] = 1.0
+        elif col_i == col_j:
+            M[k, k] = -1.0
+        else:
+            m = index[t.swap_values(i, i + 1).rows]
+            r = (col_j - row_j) - (col_i - row_i)
+            M[k, k] = 1.0 / r
+            M[k, m] = math.sqrt(1.0 - 1.0 / r**2)
+    return M
+
+
+def dense_transposition_oracle(lam, i, j):
+    """rho_ij by dense conjugation A @ M @ A down the adjacent chain."""
+    M = dense_adjacent_oracle(lam, j - 1)
+    for m in range(j - 2, i - 1, -1):
+        A = dense_adjacent_oracle(lam, m)
+        M = A @ M @ A
+    return M
 
 
 def random_partition(rng, n):
@@ -316,3 +352,82 @@ class TestS4ReferenceData:
             s4_transposition_matrix(Partition((3, 2)), 1, 2)
         with pytest.raises(ValueError):
             s4_transposition_matrix(Partition((3, 1)), 2, 2)
+
+
+class TestSparseKernel:
+    def test_adjacent_matches_dense_oracle_exactly(self):
+        for n in range(2, 8):
+            for lam in enumerate_partitions(n):
+                for i in range(1, n):
+                    assert np.array_equal(rho_adjacent(lam, i), dense_adjacent_oracle(lam, i))
+
+    def test_transposition_matches_dense_chain(self):
+        for n in range(2, 8):
+            for lam in enumerate_partitions(n):
+                for i in range(1, n):
+                    for j in range(i + 1, n + 1):
+                        oracle = dense_transposition_oracle(lam, i, j)
+                        assert np.abs(rho_transposition(lam, i, j) - oracle).max() <= 1e-14
+
+    def test_tables_build_no_tableau_objects(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("StandardTableau constructed on the kernel path")
+
+        monkeypatch.setattr(tableaux.StandardTableau, "__post_init__", refuse)
+        tables = yor._adjacent_tables.__wrapped__((4, 3, 2))
+        assert len(tables) == 8
+        assert f_dim(Partition((4, 3, 2))) == len(tables[0][0])
+
+    def test_rho_sigma_matches_dense_product(self):
+        lam = Partition((3, 2, 1))
+        sigma = Permutation.from_rank(6, 417)
+        M = np.eye(f_dim(lam))
+        for i in sigma.adjacent_factorization():
+            M = M @ dense_adjacent_oracle(lam, i)
+        assert np.abs(rho_sigma(lam, sigma) - M).max() <= 1e-14
+
+
+def _graph_from_draw(n, weights, signed):
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    chosen = {pair: w for pair, w in zip(pairs, weights) if w != 0.0}
+    return SignedWeightedGraph(n, chosen) if signed else WeightedGraph(n, chosen)
+
+
+@st.composite
+def shape_and_graph(draw, signed):
+    n = draw(st.integers(min_value=3, max_value=7))
+    lam = draw(st.sampled_from(enumerate_partitions(n)))
+    low = -2.0 if signed else 0.0
+    weight = st.one_of(st.just(0.0), st.floats(min_value=low, max_value=2.0))
+    weights = draw(st.lists(weight, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    return lam, _graph_from_draw(n, weights, signed)
+
+
+class TestConjugateTwist:
+    @pytest.mark.parametrize("signed", [False, True])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_conjugate_spectrum_is_reflected(self, signed, data):
+        lam, G = data.draw(shape_and_graph(signed))
+        total = sum(G.weights.values())
+        direct = np.linalg.eigvalsh(irrep_laplacian(lam.conjugate(), G))
+        twisted = 2.0 * total - np.linalg.eigvalsh(irrep_laplacian(lam, G))[::-1]
+        scale = 1.0 + sum(abs(w) for w in G.weights.values())
+        assert np.abs(direct - twisted).max() <= 1e-12 * scale
+
+    def test_shape_spectra_matches_direct_solves(self):
+        rng = np.random.default_rng(21)
+        for n in range(2, 8):
+            G = random_connected_graph(n, rng)
+            spectra = shape_spectra(G)
+            assert [lam for lam, _, _ in spectra] == enumerate_partitions(n)
+            for lam, vals, norm in spectra:
+                L = irrep_laplacian(lam, G)
+                scale = 1.0 + np.abs(L).max()
+                assert np.abs(vals - np.linalg.eigvalsh(L)).max() <= 1e-12 * scale
+                assert norm == pytest.approx(np.abs(L).max(), rel=1e-12, abs=1e-12)
+
+    def test_signed_weights_norm_uses_reflected_diagonal(self):
+        H = SignedWeightedGraph(4, {(1, 4): 1.0, (2, 4): 2.0, (3, 4): 0.5, (1, 2): -0.9})
+        for lam, _, norm in shape_spectra(H):
+            assert norm == pytest.approx(np.abs(irrep_laplacian(lam, H)).max(), rel=1e-12)
