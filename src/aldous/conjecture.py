@@ -6,7 +6,9 @@ the complete graph on 1..k-1 weighted by gamma_i gamma_j / sum(gamma).
 Three independent routes verify it:
 
 * `dirichlet_gap_matrix` builds the k! x k! quadratic form of the
-  difference directly from the left action sigma -> (i k) sigma;
+  difference as twice the explicit interchange Laplacian
+  (`interchange_laplacian`, the left action sigma -> (i j) sigma) on
+  the signed comparison weights, independent of the per-shape blocks;
 * `conjecture_matrix` builds, per shape, the signed-weight comparison
   block whose positive semidefiniteness is equivalent;
 * closed forms: `k4_closed_forms` checks the exact rank-one /
@@ -18,13 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations as iter_permutations
 
 import numpy as np
 
+from .graphs import SignedWeightedGraph
+from .interchange import interchange_laplacian
 from .spectral import DEFAULT_TOL
 from .tableaux import Partition, content_sum, max_corner_content
-from .yor import SignedWeightedGraph, irrep_laplacian, s4_transposition_vectors, shape_spectra
+from .yor import irrep_laplacian, s4_transposition_vectors, shape_spectra
 
 
 @dataclass(frozen=True)
@@ -54,52 +57,25 @@ def _as_gamma(gamma) -> GammaVector:
     return gamma if isinstance(gamma, GammaVector) else GammaVector(tuple(gamma))
 
 
-def _require_divisible(g: GammaVector) -> None:
-    if g.k >= 3 and g.total <= 0:
-        raise ValueError("all-zero rates are only allowed for k = 2")
-
-
 def dirichlet_gap_matrix(gamma) -> np.ndarray:
     """Quadratic form of (star form) - (weighted clique form) on R^{k!}.
 
     g^T Q g expands to
       2 * [ sum_i gamma_i <g, (I - P_{(ik)}) g>
             - sum_{i<j} gamma_i gamma_j / total <g, (I - P_{(ij)}) g> ]
-    with P the left-translation action. The inequality for these rates
-    holds iff Q is PSD. For k = 2 the clique sum is empty.
+    with P the left-translation action, so Q is twice the interchange
+    Laplacian on the signed comparison weights. The inequality for these
+    rates holds iff Q is PSD. For k = 2 the clique sum is empty.
     """
-    g = _as_gamma(gamma)
-    _require_divisible(g)
-    k = g.k
-    words = list(iter_permutations(range(1, k + 1)))
-    rank_of = {w: r for r, w in enumerate(words)}
-    size = len(words)
-    Q = np.zeros((size, size))
-
-    def add_term(a: int, b: int, coeff: float) -> None:
-        # coeff * 2 * (I - P_{(ab)})
-        for r, word in enumerate(words):
-            swapped = tuple(b if v == a else a if v == b else v for v in word)
-            Q[r, r] += 2.0 * coeff
-            Q[r, rank_of[swapped]] -= 2.0 * coeff
-
-    for i in range(1, k):
-        if g.gamma[i - 1]:
-            add_term(i, k, g.gamma[i - 1])
-    if k >= 3 and g.total > 0:
-        for i in range(1, k):
-            for j in range(i + 1, k):
-                c = g.gamma[i - 1] * g.gamma[j - 1] / g.total
-                if c:
-                    add_term(i, j, -c)
-    return Q
+    return 2.0 * interchange_laplacian(comparison_weights(gamma)).toarray()
 
 
 def comparison_weights(gamma) -> SignedWeightedGraph:
     """Signed edge weights of the star-minus-clique comparison graph:
     gamma_i on (i, k), minus gamma_i gamma_j / total inside 1..k-1."""
     g = _as_gamma(gamma)
-    _require_divisible(g)
+    if g.k >= 3 and g.total <= 0:
+        raise ValueError("all-zero rates are only allowed for k = 2")
     k = g.k
     weights: dict[tuple[int, int], float] = {}
     for i in range(1, k):

@@ -9,6 +9,7 @@ original by a rank-one term, which is what makes the spectra interlace.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -17,6 +18,31 @@ import numpy as np
 
 def _edge_key(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
+
+
+def _normalized_weights(n: int, weights, signed: bool) -> dict[tuple[int, int], float]:
+    """Validate edge weights on vertices 1..n and key them as (i, j), i < j.
+
+    Weights must be finite, and also nonnegative unless `signed`.
+    """
+    if n < 1:
+        raise ValueError(f"vertex count must be >= 1, got {n}")
+    normalized: dict[tuple[int, int], float] = {}
+    for (i, j), w in weights.items():
+        i, j = int(i), int(j)
+        if i == j:
+            raise ValueError(f"self-loop on vertex {i}")
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ValueError(f"edge ({i},{j}) out of range for n={n}")
+        key = _edge_key(i, j)
+        if key in normalized:
+            raise ValueError(f"duplicate edge {key}")
+        w = float(w)
+        if not math.isfinite(w) or (w < 0 and not signed):
+            bound = "finite" if signed else "finite and >= 0"
+            raise ValueError(f"weight for edge {key} must be {bound}, got {w}")
+        normalized[key] = w
+    return normalized
 
 
 @dataclass(frozen=True)
@@ -33,23 +59,7 @@ class WeightedGraph:
     labels: tuple[int, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"vertex count must be >= 1, got {self.n}")
-        normalized: dict[tuple[int, int], float] = {}
-        for (i, j), w in self.weights.items():
-            i, j = int(i), int(j)
-            if i == j:
-                raise ValueError(f"self-loop on vertex {i}")
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise ValueError(f"edge ({i},{j}) out of range for n={self.n}")
-            key = _edge_key(i, j)
-            if key in normalized:
-                raise ValueError(f"duplicate edge {key}")
-            w = float(w)
-            if not math.isfinite(w) or w < 0:
-                raise ValueError(f"weight for edge {key} must be finite and >= 0, got {w}")
-            normalized[key] = w
-        object.__setattr__(self, "weights", normalized)
+        object.__setattr__(self, "weights", _normalized_weights(self.n, self.weights, signed=False))
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(int(v) for v in self.labels))
 
@@ -74,6 +84,21 @@ class WeightedGraph:
         return WeightedGraph(
             self.n, {_edge_key(mapped[i], mapped[j]): w for (i, j), w in self.weights.items()}
         )
+
+
+@dataclass(frozen=True)
+class SignedWeightedGraph:
+    """Edge weights keyed on unordered pairs, signs unrestricted.
+
+    Carrier for comparison matrices whose edge coefficients may be
+    negative; weights need only be finite.
+    """
+
+    n: int
+    weights: dict[tuple[int, int], float]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "weights", _normalized_weights(self.n, self.weights, signed=True))
 
 
 def rw_laplacian(G: WeightedGraph) -> np.ndarray:
@@ -137,9 +162,9 @@ def rank1_identity_check(G: WeightedGraph, tol: float = 1e-9) -> bool:
     return bool(np.abs(lhs - rhs).max() <= tol * scale)
 
 
-def is_connected(G: WeightedGraph) -> bool:
-    """Connectivity of the graph spanned by strictly positive edges."""
-    parent = list(range(G.n + 1))
+def _component_count(vertices, edges) -> int:
+    """Connected components of the graph on `vertices` with edge pairs `edges`."""
+    parent = {v: v for v in vertices}
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -147,25 +172,19 @@ def is_connected(G: WeightedGraph) -> bool:
             x = parent[x]
         return x
 
-    for (i, j), w in G.weights.items():
-        if w > 0:
-            parent[find(i)] = find(j)
-    return len({find(v) for v in range(1, G.n + 1)}) == 1
+    for i, j in edges:
+        parent[find(i)] = find(j)
+    return len({find(v) for v in parent})
 
 
 def positive_component_count(G: WeightedGraph) -> int:
-    parent = list(range(G.n + 1))
+    """Connected components of the graph spanned by strictly positive edges."""
+    return _component_count(range(1, G.n + 1), (k for k, w in G.weights.items() if w > 0))
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for (i, j), w in G.weights.items():
-        if w > 0:
-            parent[find(i)] = find(j)
-    return len({find(v) for v in range(1, G.n + 1)})
+def is_connected(G: WeightedGraph) -> bool:
+    """Connectivity of the graph spanned by strictly positive edges."""
+    return positive_component_count(G) == 1
 
 
 def gt_pattern(G: WeightedGraph) -> list[list[float]]:
@@ -283,11 +302,14 @@ _GENERATORS = {
 
 
 def generate(kind: str, *params: int, weights=None, seed: int | None = None) -> WeightedGraph:
-    """Dispatch to a named generator; see the individual functions."""
+    """Dispatch to a named generator; `params` fill its parameters without defaults."""
     try:
         fn = _GENERATORS[kind]
     except KeyError:
         raise ValueError(f"unknown graph kind {kind!r}; choose from {sorted(_GENERATORS)}")
+    required = [p for p in inspect.signature(fn).parameters.values() if p.default is p.empty]
+    if len(params) != len(required):
+        raise ValueError(f"{kind} takes {len(required)} parameter(s), got {len(params)}")
     return fn(*params, weights=weights, seed=seed)
 
 
@@ -337,18 +359,16 @@ def graph_from_json_dict(data) -> WeightedGraph:
         if not isinstance(entry, list) or len(entry) != 3:
             raise ValueError(f"edge entry must be [i, j, weight], got {entry!r}")
         i, j, w = entry
-        if not isinstance(i, int) or not isinstance(j, int) or isinstance(w, (str, bool)):
+        if any(isinstance(x, bool) for x in entry) or not (
+            isinstance(i, int) and isinstance(j, int) and isinstance(w, (int, float))
+        ):
             raise ValueError(f"edge entry must be [int, int, number], got {entry!r}")
         if i >= j:
             raise ValueError(f"edges must satisfy i < j, got ({i}, {j})")
         if (i, j) in weights:
             raise ValueError(f"duplicate edge ({i}, {j})")
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ValueError(f"edge ({i}, {j}) out of range")
-        w = float(w)
-        if not math.isfinite(w) or w < 0:
-            raise ValueError(f"edge ({i}, {j}) has invalid weight {w}")
         weights[(i, j)] = w
+    # range, finiteness and sign are WeightedGraph's checks
     return WeightedGraph(n, weights)
 
 

@@ -48,7 +48,9 @@ def interchange_laplacian(G: WeightedGraph, n_cap: int = DEFAULT_N_CAP) -> sp.cs
 
     Row and column indices are permutation ranks. Every diagonal entry is
     the total edge rate; the entry between sigma and (i j) sigma is the
-    negated rate of (i, j). Row sums vanish and the matrix is PSD.
+    negated rate of (i, j). Row sums vanish. Signed weights (a
+    `SignedWeightedGraph`) are allowed; the matrix is PSD when all
+    weights are nonnegative.
     """
     import scipy.sparse as sp  # only this explicit route needs scipy
 
@@ -56,7 +58,7 @@ def interchange_laplacian(G: WeightedGraph, n_cap: int = DEFAULT_N_CAP) -> sp.cs
     if n > n_cap:
         raise ValueError(f"n={n} exceeds the n! construction cap {n_cap}")
     size = math.factorial(n)
-    edges = [(i, j, w) for (i, j), w in sorted(G.weights.items()) if w > 0]
+    edges = [(i, j, w) for (i, j), w in sorted(G.weights.items()) if w != 0]
     total = sum(w for (i, j), w in G.weights.items())
     words = list(iter_permutations(range(1, n + 1)))  # lexicographic = rank order
     rank_of = {word: r for r, word in enumerate(words)}

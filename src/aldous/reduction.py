@@ -17,15 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .graphs import WeightedGraph, collapse_last_vertex
+from .graphs import WeightedGraph, _component_count, _edge_key, collapse_last_vertex
 
 
 class InapplicableRule(ValueError):
     """The requested step's preconditions do not hold."""
-
-
-def _key(i: int, j: int) -> tuple[int, int]:
-    return (i, j) if i < j else (j, i)
 
 
 class Skeleton:
@@ -49,7 +45,7 @@ class Skeleton:
                 raise ValueError(f"edge ({i},{j}) uses unknown vertex")
             if mult < 1:
                 raise ValueError(f"multiplicity must be >= 1, got {mult}")
-            counts[_key(i, j)] = counts.get(_key(i, j), 0) + int(mult)
+            counts[_edge_key(i, j)] = counts.get(_edge_key(i, j), 0) + int(mult)
         self._edges = counts
 
     @classmethod
@@ -61,7 +57,7 @@ class Skeleton:
         return dict(self._edges)
 
     def multiplicity(self, i: int, j: int) -> int:
-        return self._edges.get(_key(i, j), 0)
+        return self._edges.get(_edge_key(i, j), 0)
 
     def degree(self, v: int) -> int:
         return sum(m for (i, j), m in self._edges.items() if v in (i, j))
@@ -82,21 +78,7 @@ class Skeleton:
         return len(self.vertices) == 2 and self.edge_count() == 1
 
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return False
-        adjacency: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for i, j in self._edges:
-            adjacency[i].add(j)
-            adjacency[j].add(i)
-        start = next(iter(self.vertices))
-        seen = {start}
-        stack = [start]
-        while stack:
-            for w in adjacency[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen == self.vertices
+        return _component_count(self.vertices, self._edges) == 1
 
     def _replace(self, drop_vertex=None, remove=(), add=()) -> Skeleton:
         counts = dict(self._edges)
@@ -161,19 +143,21 @@ def apply_rule(S: Skeleton, step: Step) -> Skeleton:
         if v not in S.vertices or S.degree(v) != 1:
             raise InapplicableRule(f"vertex {v} does not have degree 1")
         (u,) = S.neighbors(v)
-        return S._replace(drop_vertex=v, remove=[_key(v, u)])
+        return S._replace(drop_vertex=v, remove=[_edge_key(v, u)])
     if isinstance(step, Series):
         v, i, j = step.v, step.i, step.j
         if v not in S.vertices or S.degree(v) != 2:
             raise InapplicableRule(f"vertex {v} does not have degree 2")
         if i == j or S.multiplicity(v, i) != 1 or S.multiplicity(v, j) != 1:
             raise InapplicableRule(f"series step needs single edges to distinct {i}, {j}")
-        return S._replace(drop_vertex=v, remove=[_key(v, i), _key(v, j)], add=[_key(i, j)])
+        return S._replace(
+            drop_vertex=v, remove=[_edge_key(v, i), _edge_key(v, j)], add=[_edge_key(i, j)]
+        )
     if isinstance(step, Parallel):
         i, j = step.i, step.j
         if S.multiplicity(i, j) < 2:
             raise InapplicableRule(f"no parallel pair between {i} and {j}")
-        return S._replace(remove=[_key(i, j)])
+        return S._replace(remove=[_edge_key(i, j)])
     if isinstance(step, YDelta):
         v, ends = step.v, (step.i, step.j, step.l)
         if v not in S.vertices or S.degree(v) != 3:
@@ -183,8 +167,8 @@ def apply_rule(S: Skeleton, step: Step) -> Skeleton:
         i, j, l = ends
         return S._replace(
             drop_vertex=v,
-            remove=[_key(v, i), _key(v, j), _key(v, l)],
-            add=[_key(i, j), _key(i, l), _key(j, l)],
+            remove=[_edge_key(v, i), _edge_key(v, j), _edge_key(v, l)],
+            add=[_edge_key(i, j), _edge_key(i, l), _edge_key(j, l)],
         )
     raise InapplicableRule(f"unknown step {step!r}")
 

@@ -31,7 +31,6 @@ conjugate pair and reflects its spectrum for the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -47,37 +46,6 @@ from .tableaux import (
 )
 
 _transposition_cache: dict[tuple[tuple[int, ...], int, int], np.ndarray] = {}
-
-
-@dataclass(frozen=True)
-class SignedWeightedGraph:
-    """Edge weights keyed on unordered pairs, signs unrestricted.
-
-    Carrier for comparison matrices whose edge coefficients may be
-    negative; only symmetry of the keying is enforced.
-    """
-
-    n: int
-    weights: dict[tuple[int, int], float]
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"vertex count must be >= 1, got {self.n}")
-        normalized: dict[tuple[int, int], float] = {}
-        for (i, j), w in self.weights.items():
-            i, j = int(i), int(j)
-            if i == j:
-                raise ValueError(f"self-loop on vertex {i}")
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise ValueError(f"edge ({i},{j}) out of range for n={self.n}")
-            key = (i, j) if i < j else (j, i)
-            if key in normalized:
-                raise ValueError(f"duplicate edge {key}")
-            w = float(w)
-            if not math.isfinite(w):
-                raise ValueError(f"weight for edge {key} must be finite, got {w}")
-            normalized[key] = w
-        object.__setattr__(self, "weights", normalized)
 
 
 @lru_cache(maxsize=None)

@@ -1,8 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from aldous.cli import main
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -48,8 +52,19 @@ class TestGap:
         assert out == ""  # no partial output
         assert "error:" in err
 
-    def test_invalid_graph_exits_2(self, capsys, tmp_path):
-        path = write_graph(tmp_path, {"n": 3, "edges": [[1, 2, -1.0]]})
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [[1, 2, -1.0]],
+            [[1, 2, None]],
+            [[1, 2, [1]]],
+            [[1, 2, {}]],
+            [[True, 2, 1.0], [2, 3, 1.0]],
+        ],
+        ids=["negative_weight", "null_weight", "list_weight", "object_weight", "bool_vertex"],
+    )
+    def test_invalid_graph_exits_2(self, capsys, tmp_path, edges):
+        path = write_graph(tmp_path, {"n": 3, "edges": edges})
         code, out, err = run_cli(capsys, "gap", path)
         assert code == 2 and out == ""
 
@@ -219,3 +234,33 @@ class TestRep:
     def test_bad_sigma_exits_2(self, capsys):
         code, *_ = run_cli(capsys, "rep", "3,1", "(1 9)")
         assert code == 2
+
+
+class TestGoldenStdout:
+    """Stdout recorded once to tests/golden and compared byte for byte.
+
+    Unit weights only, so no RNG stream and no LAPACK result enters the
+    recorded files.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (["generate", "wheel", "7"], "generate_wheel_7.json"),
+            (
+                ["generate", "nested_triangulation", "2", "1"],
+                "generate_nested_triangulation_2_1.json",
+            ),
+            (["certify", str(GOLDEN / "generate_wheel_7.json")], "certify_wheel_7.json"),
+            (
+                ["certify", str(GOLDEN / "generate_nested_triangulation_2_1.json")],
+                "certify_nested_triangulation_2_1.json",
+            ),
+            (["--format", "json", "rep", "3,2,1", "(1 4)(2 6)"], "rep_3_2_1.json"),
+            (["--format", "csv", "rep", "3,2,1", "(1 4)(2 6)"], "rep_3_2_1.csv"),
+        ],
+    )
+    def test_matches_recorded_stdout(self, capsys, argv, golden):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / golden).read_text(encoding="utf-8")

@@ -187,6 +187,10 @@ class TestGenerators:
             generate("wheel", 3)
         with pytest.raises(ValueError):
             generate("cycle", 2)
+        with pytest.raises(ValueError):
+            generate("wheel")
+        with pytest.raises(ValueError):
+            generate("nested_triangulation", 2)
 
     def test_explicit_weights_and_seeded(self):
         G = path_graph(3, weights=[2.0, 5.0])

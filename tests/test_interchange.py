@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import aldous
 
 from aldous.graphs import (
+    SignedWeightedGraph,
     WeightedGraph,
     complete_graph,
     random_connected_graph,
@@ -127,9 +128,17 @@ class TestSpectrumViaIrreps:
         values = spectrum_via_irreps(WeightedGraph(2, {(1, 2): a}))
         assert np.allclose(values, [0.0, 2 * a], atol=1e-12)
 
-    def test_matches_direct_n4(self):
-        rng = np.random.default_rng(13)
-        G = random_connected_graph(4, rng)
+    @pytest.mark.parametrize(
+        "G",
+        [
+            random_connected_graph(4, np.random.default_rng(13)),
+            SignedWeightedGraph(
+                4, {(1, 2): 1.3, (1, 3): -0.4, (2, 4): 0.7, (3, 4): -1.1, (1, 4): 0.2}
+            ),
+        ],
+        ids=["random", "signed"],
+    )
+    def test_matches_direct_n4(self, G):
         direct = np.linalg.eigvalsh(interchange_laplacian(G).toarray())
         assert multiset_equal(direct, spectrum_via_irreps(G), tol=1e-8)
 

@@ -6,12 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aldous import tableaux, yor
-from aldous.graphs import WeightedGraph, complete_graph, random_connected_graph, rw_laplacian
+from aldous.graphs import (
+    SignedWeightedGraph,
+    WeightedGraph,
+    complete_graph,
+    random_connected_graph,
+    rw_laplacian,
+)
 from aldous.permutations import Permutation
 from aldous.spectral import is_psd, multiset_equal
 from aldous.tableaux import Partition, content, enumerate_partitions, enumerate_syt, f_dim
 from aldous.yor import (
-    SignedWeightedGraph,
     branching_check,
     irrep_laplacian,
     jucys_murphy,
