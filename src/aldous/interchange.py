@@ -8,21 +8,36 @@ appears with multiplicity equal to its dimension. The walk of a single
 label embeds as the two-row-shape block, which is what the gap
 comparison (`aldous_check`) exploits: the conjecture holds for a graph
 exactly when no other shape's smallest eigenvalue undercuts it.
+
+The explicit Laplacian is built with numpy, one array operation per
+edge: the words are numbers in base n, so a binary search over their
+sorted numbers ranks (i j) sigma (0.06 s for the 40320 states of n = 8,
+against 1.1-1.4 s for a loop over words and edges). `gap_interchange`
+then solves it iteratively above `spectral.DENSE_CROSSOVER` states,
+which covers n >= 6. `aldous decompose` still computes the full dense
+spectrum up to `spectral.DENSE_LIMIT` states (n <= 7), because its
+direct check compares every eigenvalue with the per-shape blocks, not
+only the gap.
+
+`aldous_check` and `irrep_spectra` first estimate the memory the
+per-shape route will hold and raise ValueError when this process
+cannot get it, instead of failing part way through an allocation.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
-from itertools import permutations as iter_permutations
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .graphs import WeightedGraph
 from .permutations import Permutation
-from .spectral import DENSE_LIMIT, DEFAULT_TOL, second_smallest_laplacian_eig
-from .tableaux import Partition, f_dim
+from .spectral import DENSE_CROSSOVER, DEFAULT_TOL, second_smallest_laplacian_eig
+from .tableaux import Partition, enumerate_partitions, f_dim
 from .yor import irrep_laplacian, shape_spectra
 
 if TYPE_CHECKING:
@@ -43,14 +58,34 @@ __all__ = [
 DEFAULT_N_CAP = 8
 
 
+def _lex_words(n: int) -> np.ndarray:
+    """Every word on the letters 0..n-1, one per row, in lexicographic
+    order: the words starting with v are v followed by the words on the
+    other letters, which are the words on 0..n-2 with each letter >= v
+    raised by one."""
+    words = np.zeros((1, 0), dtype=np.int64)
+    for m in range(1, n + 1):
+        words = np.vstack(
+            [np.hstack([np.full((len(words), 1), v), words + (words >= v)]) for v in range(m)]
+        )
+    return words
+
+
 def interchange_laplacian(G: WeightedGraph, n_cap: int = DEFAULT_N_CAP) -> sp.csr_matrix:
     """Sparse n! x n! Laplacian of the interchange process.
 
     Row and column indices are permutation ranks. Every diagonal entry is
-    the total edge rate; the entry between sigma and (i j) sigma is the
-    negated rate of (i, j). Row sums vanish. Signed weights (a
+    the total edge rate (left out when that total is 0); the entry
+    between sigma and (i j) sigma is the negated rate of (i, j), for
+    every edge with a nonzero rate. Row sums vanish. Signed weights (a
     `SignedWeightedGraph`) are allowed; the matrix is PSD when all
     weights are nonnegative.
+
+    Each word is read as an n-digit number in base n, so lexicographic
+    rank order is numeric order. (i j) sigma exchanges the letters i and
+    j of the word, which adds (j - i)(n^a - n^b) to its number, with a
+    and b the place values of the positions holding i and j; a binary
+    search of the sorted numbers gives its rank.
     """
     import scipy.sparse as sp  # only this explicit route needs scipy
 
@@ -59,30 +94,26 @@ def interchange_laplacian(G: WeightedGraph, n_cap: int = DEFAULT_N_CAP) -> sp.cs
         raise ValueError(f"n={n} exceeds the n! construction cap {n_cap}")
     size = math.factorial(n)
     edges = [(i, j, w) for (i, j), w in sorted(G.weights.items()) if w != 0]
-    total = sum(w for (i, j), w in G.weights.items())
-    words = list(iter_permutations(range(1, n + 1)))  # lexicographic = rank order
-    rank_of = {word: r for r, word in enumerate(words)}
-    rows, cols, vals = [], [], []
-    for r, word in enumerate(words):
-        if total:
-            rows.append(r)
-            cols.append(r)
-            vals.append(total)
-        for i, j, w in edges:
-            swapped = tuple(j if v == i else i if v == j else v for v in word)
-            r2 = rank_of[swapped]
-            if r < r2:
-                rows.append(r)
-                cols.append(r2)
-                vals.append(-w)
-                rows.append(r2)
-                cols.append(r)
-                vals.append(-w)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
+    total = sum(G.weights.values())
+    words = _lex_words(n)
+    place = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    codes = words @ place  # ascending
+    letter_place = np.empty_like(words)  # [r, v]: place value of the letter v in word r
+    letter_place[np.arange(size)[:, None], words] = place
+    cols = [np.arange(size)] if total else []
+    vals = [total] if total else []
+    for i, j, w in edges:
+        moved = codes + (j - i) * (letter_place[:, i - 1] - letter_place[:, j - 1])
+        cols.append(np.searchsorted(codes, moved))
+        vals.append(-w)
+    cols = np.array(cols, dtype=np.int64).reshape(-1, size).T  # row r: its entries' columns
+    rows = np.repeat(np.arange(size), len(vals))
+    data = np.tile(np.array(vals, dtype=float), size)
+    return sp.coo_matrix((data, (rows, cols.ravel())), shape=(size, size)).tocsr()
 
 
 def gap_interchange(
-    G: WeightedGraph, n_cap: int = DEFAULT_N_CAP, dense_limit: int = DENSE_LIMIT
+    G: WeightedGraph, n_cap: int = DEFAULT_N_CAP, dense_limit: int = DENSE_CROSSOVER
 ) -> float:
     """Second-smallest eigenvalue of the explicit interchange Laplacian.
 
@@ -104,8 +135,65 @@ def gap_rw(G: WeightedGraph) -> float:
     return float(np.linalg.eigvalsh(block)[0])
 
 
+def _hook_dim(lam: Partition) -> int:
+    """Number of standard tableaux of the shape by the hook length
+    formula, without enumerating them."""
+    conj = lam.conjugate().parts
+    hooks = math.prod(
+        row - c + conj[c] - r - 1 for r, row in enumerate(lam.parts) for c in range(row)
+    )
+    return math.factorial(lam.n) // hooks
+
+
+def _available_bytes() -> int:
+    """Memory this process can still get: the physical memory, capped by
+    the soft address-space limit less the address space already mapped."""
+    import resource
+
+    page = os.sysconf("SC_PAGE_SIZE")
+    available = os.sysconf("SC_PHYS_PAGES") * page
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if soft != resource.RLIM_INFINITY:
+        try:
+            with open("/proc/self/statm") as fh:
+                mapped = int(fh.read().split()[0]) * page
+        except OSError:  # no procfs: count nothing as mapped
+            mapped = 0
+        available = min(available, soft - mapped)
+    return available
+
+
+@lru_cache(maxsize=None)
+def _solved_squares(n: int) -> int:
+    """Sum of f^2 over the shapes `shape_spectra` solves, one of each
+    conjugate pair. Conjugate shapes have equal dimension and f^2 sums
+    to n! over all shapes, so this is (n! + the sum of f^2 over the
+    self-conjugate shapes) / 2."""
+    self_conjugate = sum(
+        _hook_dim(lam) ** 2 for lam in enumerate_partitions(n) if lam.conjugate() == lam
+    )
+    return (math.factorial(n) + self_conjugate) // 2
+
+
+def _require_memory(G: WeightedGraph) -> None:
+    """Refuse, before allocating, a graph whose per-shape blocks would not
+    fit in memory: each solved shape keeps one cached f x f matrix per
+    nonzero edge, and its block and the eigensolver's copy take two more.
+    """
+    edges = sum(1 for w in G.weights.values() if w != 0)
+    need = (edges + 2) * _solved_squares(G.n) * 8
+    available = _available_bytes()
+    if need > available:
+        raise ValueError(
+            f"the per-shape blocks of a {G.n}-vertex graph with {edges} edges need about "
+            f"{need / 2**30:.3g} GiB, but this process can get {max(available, 0) / 2**30:.3g} GiB"
+        )
+
+
 def irrep_spectra(G: WeightedGraph) -> list[tuple[Partition, int, np.ndarray]]:
-    """(shape, multiplicity, ascending block spectrum) for every shape."""
+    """(shape, multiplicity, ascending block spectrum) for every shape.
+    Raises ValueError when the blocks would not fit in memory."""
+    _require_memory(G)
     return [(lam, len(vals), vals) for lam, vals, _ in shape_spectra(G)]
 
 
@@ -117,9 +205,11 @@ def spectrum_via_irreps(G: WeightedGraph) -> np.ndarray:
 
 
 def irrep_minima(G: WeightedGraph) -> dict[Partition, float]:
-    """Smallest block eigenvalue per shape, excluding the trivial one."""
+    """Smallest block eigenvalue per shape, excluding the trivial one.
+    Raises ValueError when the blocks would not fit in memory."""
     if G.n < 2:
         raise ValueError("need at least 2 vertices")
+    _require_memory(G)
     return {lam: float(vals[0]) for lam, vals, _ in shape_spectra(G) if lam.parts != (G.n,)}
 
 

@@ -2,9 +2,12 @@
 seeded graph suites. Kept independent of the library's graph machinery
 where they serve as oracles."""
 
+import math
 from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
+import scipy.sparse as sp
 
 from aldous.graphs import WeightedGraph, random_connected_graph
 
@@ -127,3 +130,33 @@ def seeded_graph_stream(seed, count, n_low, n_high, extra_edge_prob=0.3):
         n = int(rng.integers(n_low, n_high + 1))
         out.append(random_connected_graph(n, rng, extra_edge_prob=extra_edge_prob))
     return out
+
+
+def loop_interchange_laplacian(G):
+    """Reference n! x n! interchange Laplacian, built one word and one edge
+    at a time: a dict from word to lexicographic rank, the diagonal set to
+    the total weight when that is nonzero, and -w between sigma and
+    (i j) sigma for every edge with w != 0."""
+    n = G.n
+    size = math.factorial(n)
+    edges = [(i, j, w) for (i, j), w in sorted(G.weights.items()) if w != 0]
+    total = sum(w for (i, j), w in G.weights.items())
+    words = list(permutations(range(1, n + 1)))  # lexicographic = rank order
+    rank_of = {word: r for r, word in enumerate(words)}
+    rows, cols, vals = [], [], []
+    for r, word in enumerate(words):
+        if total:
+            rows.append(r)
+            cols.append(r)
+            vals.append(total)
+        for i, j, w in edges:
+            swapped = tuple(j if v == i else i if v == j else v for v in word)
+            r2 = rank_of[swapped]
+            if r < r2:
+                rows.append(r)
+                cols.append(r2)
+                vals.append(-w)
+                rows.append(r2)
+                cols.append(r)
+                vals.append(-w)
+    return sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()

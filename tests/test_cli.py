@@ -195,6 +195,15 @@ class TestDecompose:
         assert code == 0
         assert json.loads(out)["direct_check"]["performed"] is False
 
+    @pytest.mark.parametrize("n, performed", [(4, True), (8, False)])
+    def test_direct_check_up_to_dense_limit(self, capsys, tmp_path, n, performed):
+        edges = [[i, i + 1, 1.0] for i in range(1, n)] + [[1, n, 0.5]]
+        path = write_graph(tmp_path, {"n": n, "edges": edges})
+        code, out, _ = run_cli(capsys, "decompose", path)
+        assert code == 0
+        expected = {"performed": True, "matches": True} if performed else {"performed": False, "matches": None}
+        assert json.loads(out)["direct_check"] == expected
+
     def test_csv_merged_spectrum(self, capsys, tmp_path):
         path = write_graph(tmp_path, {"n": 3, "edges": [[1, 2, 1.0], [1, 3, 1.0], [2, 3, 1.0]]})
         code, out, _ = run_cli(capsys, "--format", "csv", "decompose", path)

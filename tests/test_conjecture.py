@@ -15,6 +15,7 @@ from aldous.conjecture import (
 )
 from aldous.spectral import is_psd, multiset_equal
 from aldous.tableaux import Partition, content, enumerate_partitions, enumerate_syt
+from helpers import loop_interchange_laplacian
 
 
 class TestGammaVector:
@@ -48,6 +49,16 @@ class TestDirichletGapMatrix:
         Q = dirichlet_gap_matrix(GammaVector((1.0, 1.0)))
         assert Q.shape == (6, 6)
         assert is_psd(Q, tol=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(0.1, 3.0, allow_nan=False)), min_size=1, max_size=5
+        ).filter(lambda g: len(g) == 1 or sum(g) > 0)
+    )
+    def test_equals_loop_built_matrix(self, gamma):
+        expected = 2.0 * loop_interchange_laplacian(comparison_weights(GammaVector(gamma))).toarray()
+        assert np.array_equal(dirichlet_gap_matrix(GammaVector(gamma)), expected)
 
     def test_k4_seeded_is_psd(self):
         Q = dirichlet_gap_matrix(GammaVector((1.0, 2.0, 3.0)))

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -28,9 +29,22 @@ from aldous.interchange import (
     irrep_spectra,
     spectrum_via_irreps,
 )
+import aldous.interchange as interchange
 from aldous.spectral import multiset_equal
-from aldous.tableaux import Partition, enumerate_partitions
+from aldous.tableaux import Partition, enumerate_partitions, f_dim
 from aldous.yor import irrep_laplacian
+from helpers import loop_interchange_laplacian
+
+
+@st.composite
+def signed_graphs(draw):
+    """Graphs on 1..6 vertices whose weights may be negative, zero or all
+    zero, so the diagonal total can vanish while edges remain."""
+    n = draw(st.integers(1, 6))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    weight = st.one_of(st.just(0.0), st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return SignedWeightedGraph(n, {e: draw(weight) for e in chosen})
 
 
 class TestInterchangeLaplacian:
@@ -67,6 +81,21 @@ class TestInterchangeLaplacian:
         G = complete_graph(3)
         L = interchange_laplacian(G)
         assert L.nnz == math.factorial(3) * (1 + len(G.positive_edges()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(signed_graphs())
+    def test_matches_loop_oracle(self, G):
+        A = interchange_laplacian(G)
+        B = loop_interchange_laplacian(G)
+        assert A.shape == B.shape and A.nnz == B.nnz
+        assert (A != B).nnz == 0
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_matches_loop_oracle_large(self, n):
+        G = random_connected_graph(n, np.random.default_rng(n), extra_edge_prob=0.3)
+        A = interchange_laplacian(G)
+        B = loop_interchange_laplacian(G)
+        assert A.nnz == B.nnz and (A != B).nnz == 0
 
 
 class TestGaps:
@@ -111,9 +140,20 @@ class TestGaps:
     def test_iterative_solver_matches_dense_on_interchange_matrix(self):
         rng = np.random.default_rng(55)
         G = random_connected_graph(5, rng)
-        dense = gap_interchange(G)
+        dense = gap_interchange(G, dense_limit=10**6)
         iterative = gap_interchange(G, dense_limit=50)  # forces the deflated solver
         assert iterative == pytest.approx(dense, rel=1e-7, abs=1e-8)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_default_solve_matches_dense(self, n):
+        G = random_connected_graph(n, np.random.default_rng(60 + n), extra_edge_prob=0.3)
+        dense = gap_interchange(G, dense_limit=10**6)
+        assert gap_interchange(G) == pytest.approx(dense, rel=1e-12)
+
+    def test_iterative_solve_is_repeatable(self):
+        G = random_connected_graph(6, np.random.default_rng(7), extra_edge_prob=0.3)
+        first, second = gap_interchange(G, dense_limit=0), gap_interchange(G, dense_limit=0)
+        assert first.hex() == second.hex()
 
     def test_n8_gap_via_iterative_path(self):
         # 40320 states: above the dense limit, solved with kernel deflation
@@ -232,3 +272,44 @@ def test_per_shape_route_imports_no_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import aldous, aldous.cli, sys; assert not any(m.startswith('scipy') for m in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+class TestMemoryGuard:
+    @staticmethod
+    def solved_squares(n):
+        """Sum of f^2 over the shapes `shape_spectra` solves: the first of
+        each conjugate pair in `enumerate_partitions` order."""
+        seen, total = set(), 0
+        for lam in enumerate_partitions(n):
+            if lam.conjugate().parts not in seen:
+                seen.add(lam.parts)
+                total += f_dim(lam) ** 2
+        return total
+
+    def test_hook_dim_matches_tableau_count(self):
+        for n in range(1, 9):
+            for lam in enumerate_partitions(n):
+                assert interchange._hook_dim(lam) == f_dim(lam)
+
+    @pytest.mark.parametrize("check", [aldous_check, irrep_spectra, irrep_minima])
+    def test_refuses_exactly_above_the_estimate(self, monkeypatch, check):
+        G = wheel_graph(6)
+        need = (len(G.positive_edges()) + 2) * self.solved_squares(6) * 8
+        monkeypatch.setattr(interchange, "_available_bytes", lambda: need)
+        check(G)
+        monkeypatch.setattr(interchange, "_available_bytes", lambda: need - 1)
+        with pytest.raises(ValueError, match="6-vertex graph"):
+            check(G)
+
+    def test_cli_gap_exits_2(self, monkeypatch, capsys, tmp_path):
+        from aldous.cli import main
+
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"n": 6, "edges": [[1, i, 1.0] for i in range(2, 7)]}))
+        monkeypatch.setattr(interchange, "_available_bytes", lambda: 0)
+        assert main(["gap", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "per-shape blocks" in captured.err
+
+    def test_reader_reports_positive_memory(self):
+        assert interchange._available_bytes() > 0

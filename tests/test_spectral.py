@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from aldous.graphs import WeightedGraph, complete_graph, random_connected_graph, rw_laplacian
 from aldous.spectral import (
+    DENSE_LIMIT,
     SpectrumReport,
     eigenvalues,
     interlace_check,
@@ -136,7 +138,7 @@ class TestSecondSmallest:
         rng = np.random.default_rng(9)
         G = random_connected_graph(30, rng, extra_edge_prob=0.1)
         L = sp.csr_matrix(rw_laplacian(G))
-        dense = second_smallest_laplacian_eig(L)
+        dense = second_smallest_laplacian_eig(L, dense_limit=10**6)
         iterative = second_smallest_laplacian_eig(L, dense_limit=5)
         assert iterative == pytest.approx(dense, abs=1e-7)
 
@@ -144,3 +146,35 @@ class TestSecondSmallest:
         G = WeightedGraph(12, {(i, i + 1): 1.0 for i in range(1, 6)})
         L = sp.csr_matrix(rw_laplacian(G))
         assert second_smallest_laplacian_eig(L, dense_limit=5) == pytest.approx(0.0, abs=1e-8)
+
+
+def path_laplacian(n):
+    G = WeightedGraph(n, {(i, i + 1): 1.0 for i in range(1, n)})
+    return sp.csr_matrix(rw_laplacian(G))
+
+
+def wrong_eigenpair(A, k, **kwargs):
+    """Stands in for eigsh: a unit vector that is no eigenvector."""
+    v = np.zeros((A.shape[0], 1))
+    v[0, 0] = 1.0
+    return np.array([0.5]), v
+
+
+def no_convergence(A, k, **kwargs):
+    raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((A.shape[0], 0)))
+
+
+class TestIterativeFallback:
+    @pytest.mark.parametrize("fake", [wrong_eigenpair, no_convergence])
+    def test_falls_back_to_dense(self, monkeypatch, fake):
+        L = path_laplacian(40)
+        dense = second_smallest_laplacian_eig(L, dense_limit=10**6)
+        monkeypatch.setattr(spla, "eigsh", fake)
+        assert second_smallest_laplacian_eig(L, dense_limit=5) == dense
+
+    @pytest.mark.parametrize("fake", [wrong_eigenpair, no_convergence])
+    def test_raises_above_dense_limit(self, monkeypatch, fake):
+        L = path_laplacian(DENSE_LIMIT + 1)
+        monkeypatch.setattr(spla, "eigsh", fake)
+        with pytest.raises(ValueError, match=f"dimension {DENSE_LIMIT + 1}.*residual"):
+            second_smallest_laplacian_eig(L)
