@@ -48,14 +48,7 @@ from .reduction import (
     replay_elimination,
     replay_reduction,
 )
-from .spectral import (
-    SpectrumReport,
-    eigenvalues,
-    interlace_check,
-    is_psd,
-    multiset_equal,
-    shift_bound_check,
-)
+from .spectral import interlace_check, is_psd, multiset_equal, shift_bound_check
 from .tableaux import (
     Partition,
     StandardTableau,

@@ -19,12 +19,12 @@ from dataclasses import dataclass
 
 from .conjecture import check_conjecture
 from .graphs import _GENERATORS, WeightedGraph, generate, graph_from_json_dict, graph_to_json_dict
-from .interchange import DEFAULT_N_CAP, aldous_check, interchange_laplacian, irrep_spectra
+from .interchange import DEFAULT_N_CAP, aldous_check, interchange_laplacian
 from .permutations import parse_permutation
 from .reduction import EliminationCertificate, certify_elimination, replay_elimination
 from .spectral import DEFAULT_TOL, DENSE_LIMIT, multiset_equal
 from .tableaux import Partition, enumerate_syt, parse_partition
-from .yor import rho_sigma
+from .yor import rho_sigma, shape_spectra
 
 
 @dataclass(frozen=True)
@@ -136,11 +136,9 @@ def _cmd_generate(args, config: RunConfig) -> tuple[str, int]:
 
 def _cmd_decompose(args, config: RunConfig) -> tuple[str, int]:
     G = _load_graph(args.graph)
-    spectra = irrep_spectra(G)
+    spectra = shape_spectra(G)
+    merged = sorted(v for _, vals, _ in spectra for v in vals.tolist() * len(vals))
     if config.format == "csv":
-        merged = sorted(
-            float(v) for lam, mult, vals in spectra for v in vals.tolist() * mult
-        )
         return "".join(f"{v:.17g}\n" for v in merged), 0
     payload = {
         "n": G.n,
@@ -148,10 +146,10 @@ def _cmd_decompose(args, config: RunConfig) -> tuple[str, int]:
         "per_lambda": [
             {
                 "lambda": _partition_text(lam),
-                "dim": mult,
+                "dim": len(vals),
                 "eigenvalues": [float(v) for v in vals],
             }
-            for lam, mult, vals in spectra
+            for lam, vals, _ in spectra
         ],
     }
     # cross-check against the explicit factorial-size matrix when it is
@@ -160,9 +158,6 @@ def _cmd_decompose(args, config: RunConfig) -> tuple[str, int]:
         import numpy as np
 
         direct = np.linalg.eigvalsh(interchange_laplacian(G, n_cap=config.n_cap).toarray())
-        merged = np.sort(
-            np.concatenate([np.tile(vals, mult) for _, mult, vals in spectra])
-        )
         payload["direct_check"] = {
             "performed": True,
             "matches": multiset_equal(direct, merged, tol=1e-8),

@@ -19,25 +19,23 @@ spectrum up to `spectral.DENSE_LIMIT` states (n <= 7), because its
 direct check compares every eigenvalue with the per-shape blocks, not
 only the gap.
 
-`aldous_check` and `irrep_spectra` first estimate the memory the
-per-shape route will hold and raise ValueError when this process
-cannot get it, instead of failing part way through an allocation.
+The per-shape route (`spectrum_via_irreps`, `aldous_check`) makes one
+`yor.shape_spectra` pass, which refuses with ValueError a graph whose
+blocks would not fit in memory.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .graphs import WeightedGraph
 from .permutations import Permutation
-from .spectral import DENSE_CROSSOVER, DEFAULT_TOL, second_smallest_laplacian_eig
-from .tableaux import Partition, enumerate_partitions, f_dim
+from .spectral import DEFAULT_TOL, second_smallest_laplacian_eig
+from .tableaux import Partition, f_dim
 from .yor import irrep_laplacian, shape_spectra
 
 if TYPE_CHECKING:
@@ -48,9 +46,7 @@ __all__ = [
     "interchange_laplacian",
     "gap_interchange",
     "gap_rw",
-    "irrep_minima",
     "spectrum_via_irreps",
-    "irrep_spectra",
     "AldousReport",
     "aldous_check",
 ]
@@ -112,9 +108,7 @@ def interchange_laplacian(G: WeightedGraph, n_cap: int = DEFAULT_N_CAP) -> sp.cs
     return sp.coo_matrix((data, (rows, cols.ravel())), shape=(size, size)).tocsr()
 
 
-def gap_interchange(
-    G: WeightedGraph, n_cap: int = DEFAULT_N_CAP, dense_limit: int = DENSE_CROSSOVER
-) -> float:
+def gap_interchange(G: WeightedGraph, n_cap: int = DEFAULT_N_CAP) -> float:
     """Second-smallest eigenvalue of the explicit interchange Laplacian.
 
     Zero exactly when the chain is reducible (the zero eigenvalue then
@@ -122,8 +116,7 @@ def gap_interchange(
     """
     if G.n < 2:
         raise ValueError("need at least 2 vertices")
-    L = interchange_laplacian(G, n_cap=n_cap)
-    return second_smallest_laplacian_eig(L, dense_limit=dense_limit)
+    return second_smallest_laplacian_eig(interchange_laplacian(G, n_cap=n_cap))
 
 
 def gap_rw(G: WeightedGraph) -> float:
@@ -135,82 +128,11 @@ def gap_rw(G: WeightedGraph) -> float:
     return float(np.linalg.eigvalsh(block)[0])
 
 
-def _hook_dim(lam: Partition) -> int:
-    """Number of standard tableaux of the shape by the hook length
-    formula, without enumerating them."""
-    conj = lam.conjugate().parts
-    hooks = math.prod(
-        row - c + conj[c] - r - 1 for r, row in enumerate(lam.parts) for c in range(row)
-    )
-    return math.factorial(lam.n) // hooks
-
-
-def _available_bytes() -> int:
-    """Memory this process can still get: the physical memory, capped by
-    the soft address-space limit less the address space already mapped."""
-    import resource
-
-    page = os.sysconf("SC_PAGE_SIZE")
-    available = os.sysconf("SC_PHYS_PAGES") * page
-    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
-    if soft != resource.RLIM_INFINITY:
-        try:
-            with open("/proc/self/statm") as fh:
-                mapped = int(fh.read().split()[0]) * page
-        except OSError:  # no procfs: count nothing as mapped
-            mapped = 0
-        available = min(available, soft - mapped)
-    return available
-
-
-@lru_cache(maxsize=None)
-def _solved_squares(n: int) -> int:
-    """Sum of f^2 over the shapes `shape_spectra` solves, one of each
-    conjugate pair. Conjugate shapes have equal dimension and f^2 sums
-    to n! over all shapes, so this is (n! + the sum of f^2 over the
-    self-conjugate shapes) / 2."""
-    self_conjugate = sum(
-        _hook_dim(lam) ** 2 for lam in enumerate_partitions(n) if lam.conjugate() == lam
-    )
-    return (math.factorial(n) + self_conjugate) // 2
-
-
-def _require_memory(G: WeightedGraph) -> None:
-    """Refuse, before allocating, a graph whose per-shape blocks would not
-    fit in memory: each solved shape keeps one cached f x f matrix per
-    nonzero edge, and its block and the eigensolver's copy take two more.
-    """
-    edges = sum(1 for w in G.weights.values() if w != 0)
-    need = (edges + 2) * _solved_squares(G.n) * 8
-    available = _available_bytes()
-    if need > available:
-        raise ValueError(
-            f"the per-shape blocks of a {G.n}-vertex graph with {edges} edges need about "
-            f"{need / 2**30:.3g} GiB, but this process can get {max(available, 0) / 2**30:.3g} GiB"
-        )
-
-
-def irrep_spectra(G: WeightedGraph) -> list[tuple[Partition, int, np.ndarray]]:
-    """(shape, multiplicity, ascending block spectrum) for every shape.
-    Raises ValueError when the blocks would not fit in memory."""
-    _require_memory(G)
-    return [(lam, len(vals), vals) for lam, vals, _ in shape_spectra(G)]
-
-
 def spectrum_via_irreps(G: WeightedGraph) -> np.ndarray:
     """The full n!-point spectrum assembled from the per-shape blocks,
-    each repeated as many times as its dimension. Sorted ascending."""
-    parts = [np.tile(vals, mult) for _, mult, vals in irrep_spectra(G)]
-    return np.sort(np.concatenate(parts))
-
-
-def irrep_minima(G: WeightedGraph) -> dict[Partition, float]:
-    """Smallest block eigenvalue per shape, excluding the trivial one.
+    each repeated as many times as its dimension. Sorted ascending.
     Raises ValueError when the blocks would not fit in memory."""
-    if G.n < 2:
-        raise ValueError("need at least 2 vertices")
-    _require_memory(G)
-    return {lam: float(vals[0]) for lam, vals, _ in shape_spectra(G) if lam.parts != (G.n,)}
+    return np.sort(np.concatenate([np.tile(vals, len(vals)) for _, vals, _ in shape_spectra(G)]))
 
 
 @dataclass(frozen=True)
@@ -237,9 +159,12 @@ def aldous_check(G: WeightedGraph, tol: float = DEFAULT_TOL) -> AldousReport:
     smallest block eigenvalue over all nontrivial shapes), which scales
     far beyond the explicit n! construction. Passes when that minimum is
     attained, within tolerance, at the two-row shape (n-1, 1); a
-    disconnected graph passes with both gaps zero.
+    disconnected graph passes with both gaps zero. Raises ValueError
+    when the blocks would not fit in memory.
     """
-    minima = irrep_minima(G)
+    if G.n < 2:
+        raise ValueError("need at least 2 vertices")
+    minima = {lam: float(vals[0]) for lam, vals, _ in shape_spectra(G) if lam.parts != (G.n,)}
     rw_shape = Partition((G.n - 1, 1))
     rw_gap = minima[rw_shape]
     gap = min(minima.values())
@@ -255,6 +180,6 @@ def aldous_check(G: WeightedGraph, tol: float = DEFAULT_TOL) -> AldousReport:
         gap_rw=rw_gap,
         argmin_partition=argmin,
         passed=passed,
-        minima={lam: v for lam, v in minima.items()},
+        minima=minima,
         tied_partitions=tied,
     )

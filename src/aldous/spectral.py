@@ -28,38 +28,13 @@ residual check falls back to solving densely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 DENSE_LIMIT = 6000
 DENSE_CROSSOVER = 300
 DEFAULT_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Ascending eigenvalues of a symmetric matrix plus a residual bound."""
-
-    values: tuple[float, ...]
-    residual: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if any(self.values[i] > self.values[i + 1] for i in range(len(self.values) - 1)):
-            raise ValueError("eigenvalues must be ascending")
-        if self.residual < 0:
-            raise ValueError("residual must be nonnegative")
-
-    @property
-    def dim(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
+SOLVER_TOL = 1e-10  # ARPACK tolerance and residual bound of the iterative gap solve
 
 
 def _require_symmetric(M: np.ndarray) -> np.ndarray:
@@ -72,24 +47,10 @@ def _require_symmetric(M: np.ndarray) -> np.ndarray:
     return M
 
 
-def eigenvalues(M: np.ndarray) -> SpectrumReport:
-    """Full ascending spectrum with the max per-pair residual ||Mv - mu v||."""
-    M = _require_symmetric(M)
-    vals, vecs = np.linalg.eigh(M)
-    residual = float(np.linalg.norm(M @ vecs - vecs * vals, axis=0).max()) if M.size else 0.0
-    return SpectrumReport(tuple(vals.tolist()), residual)
-
-
 def is_psd(M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     M = _require_symmetric(M)
     scale = 1.0 + (np.abs(M).max() if M.size else 0.0)
     return bool(np.linalg.eigvalsh(M).min() >= -tol * scale)
-
-
-def _values(spectrum) -> np.ndarray:
-    if isinstance(spectrum, SpectrumReport):
-        return np.asarray(spectrum.values)
-    return np.asarray(spectrum, dtype=float)
 
 
 def interlace_check(a, b, tol: float = DEFAULT_TOL) -> bool:
@@ -97,7 +58,7 @@ def interlace_check(a, b, tol: float = DEFAULT_TOL) -> bool:
 
     Both inputs must have equal length and be ascending.
     """
-    va, vb = _values(a), _values(b)
+    va, vb = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if va.shape != vb.shape:
         raise ValueError("spectra must have equal length")
     eps = tol * (1.0 + max(np.abs(va).max(), np.abs(vb).max(), 0.0))
@@ -108,7 +69,7 @@ def interlace_check(a, b, tol: float = DEFAULT_TOL) -> bool:
 
 def multiset_equal(a, b, tol: float = DEFAULT_TOL) -> bool:
     """Sorted pairwise comparison with relative tolerance."""
-    va, vb = np.sort(_values(a)), np.sort(_values(b))
+    va, vb = np.sort(np.asarray(a, dtype=float)), np.sort(np.asarray(b, dtype=float))
     if va.shape != vb.shape:
         return False
     if va.size == 0:
@@ -144,9 +105,7 @@ def _dense_second_smallest(M) -> float:
     return float(np.linalg.eigvalsh(dense)[1])
 
 
-def second_smallest_laplacian_eig(
-    M, dense_limit: int = DENSE_CROSSOVER, solver_tol: float = 1e-10
-) -> float:
+def second_smallest_laplacian_eig(M, dense_limit: int = DENSE_CROSSOVER) -> float:
     """Second-smallest eigenvalue of a (possibly sparse) graph Laplacian.
 
     Dense solve up to `dense_limit`; beyond that, an iterative solve on
@@ -155,7 +114,7 @@ def second_smallest_laplacian_eig(
     iterative solve starts from a fixed vector, so repeated calls give
     the same bits, and its answer mu is accepted only when the residual
     ||Mv - mu v|| / ||v||, which bounds the distance from mu to the
-    spectrum, is at most solver_tol * (1 + max |diagonal|). Otherwise,
+    spectrum, is at most SOLVER_TOL * (1 + max |diagonal|). Otherwise,
     or when ARPACK does not converge, a matrix of at most DENSE_LIMIT
     rows is solved densely and a larger one raises ValueError.
     """
@@ -177,14 +136,14 @@ def second_smallest_laplacian_eig(
     # Krylov space is one-dimensional
     v0 = np.random.default_rng(0).standard_normal(dim)
     try:
-        vals, vecs = spla.eigsh(op, k=1, which="SA", tol=solver_tol, maxiter=20000, v0=v0)
+        vals, vecs = spla.eigsh(op, k=1, which="SA", tol=SOLVER_TOL, maxiter=20000, v0=v0)
     except spla.ArpackNoConvergence as exc:
         vals, vecs = exc.eigenvalues, exc.eigenvectors
     residual = math.inf
     if len(vals):
         v = vecs[:, 0]
         residual = float(np.linalg.norm(op.matvec(v) - vals[0] * v) / np.linalg.norm(v))
-    if residual <= solver_tol * (1.0 + float(np.abs(diag).max())):
+    if residual <= SOLVER_TOL * (1.0 + float(np.abs(diag).max())):
         return float(vals[0])
     if dim <= DENSE_LIMIT:
         return _dense_second_smallest(M)

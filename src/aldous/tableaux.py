@@ -11,6 +11,7 @@ this order, and every matrix in `aldous.yor` uses it as the basis order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -246,5 +247,11 @@ def enumerate_syt(lam: Partition) -> tuple[StandardTableau, ...]:
 
 
 def f_dim(lam: Partition) -> int:
-    """Number of standard tableaux of the shape (block dimension)."""
-    return len(syt_rows(lam.parts))
+    """Number of standard tableaux of the shape (block dimension), by the
+    hook length formula: n! over the product of the hook lengths, with
+    no tableau enumerated."""
+    conj = lam.conjugate().parts
+    hooks = math.prod(
+        row - c + conj[c] - r - 1 for r, row in enumerate(lam.parts) for c in range(row)
+    )
+    return math.factorial(lam.n) // hooks

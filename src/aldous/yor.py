@@ -26,11 +26,19 @@ gives the per-shape Laplacian blocks that the interchange process
 decomposes into. The conjugate shape carries the sign twist of the
 same representation, so `shape_spectra` solves one block of each
 conjugate pair and reflects its spectrum for the other.
+
+`shape_spectra` is the one pass over the blocks behind `aldous gap`,
+`aldous decompose` and `aldous check-conjecture`. Before it builds
+anything it estimates what the transposition cache and the blocks will
+hold, from the hook length formula, and raises ValueError when this
+process cannot get that much memory, instead of failing part way
+through an allocation.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from functools import lru_cache
 
 import numpy as np
@@ -175,9 +183,57 @@ def irrep_laplacian(lam: Partition, graph) -> np.ndarray:
     return L
 
 
+def _available_bytes() -> int:
+    """Memory this process can still get: the physical memory, capped by
+    the soft address-space limit less the address space already mapped."""
+    import resource
+
+    page = os.sysconf("SC_PAGE_SIZE")
+    available = os.sysconf("SC_PHYS_PAGES") * page
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if soft != resource.RLIM_INFINITY:
+        try:
+            with open("/proc/self/statm") as fh:
+                mapped = int(fh.read().split()[0]) * page
+        except OSError:  # no procfs: count nothing as mapped
+            mapped = 0
+        available = min(available, soft - mapped)
+    return available
+
+
+@lru_cache(maxsize=None)
+def _solved_squares(n: int) -> int:
+    """Sum of f^2 over the shapes `shape_spectra` solves, one of each
+    conjugate pair. Conjugate shapes have equal dimension and f^2 sums
+    to n! over all shapes, so this is (n! + the sum of f^2 over the
+    self-conjugate shapes) / 2."""
+    self_conjugate = sum(
+        f_dim(lam) ** 2 for lam in enumerate_partitions(n) if lam.conjugate() == lam
+    )
+    return (math.factorial(n) + self_conjugate) // 2
+
+
+def _require_memory(graph) -> None:
+    """Refuse, before allocating, a graph whose per-shape blocks would not
+    fit in memory: each solved shape keeps one cached f x f matrix per
+    nonzero edge in `_transposition_cache`, and its block and the
+    eigensolver's copy take two more.
+    """
+    edges = sum(1 for w in graph.weights.values() if w != 0)
+    need = (edges + 2) * _solved_squares(graph.n) * 8
+    available = _available_bytes()
+    if need > available:
+        raise ValueError(
+            f"the per-shape blocks of a {graph.n}-vertex graph with {edges} edges need about "
+            f"{need / 2**30:.3g} GiB, but this process can get {max(available, 0) / 2**30:.3g} GiB"
+        )
+
+
 def shape_spectra(graph) -> list[tuple[Partition, np.ndarray, float]]:
     """(shape, ascending block spectrum, largest |entry| of the block) for
-    every shape of `graph.n` boxes, in `enumerate_partitions` order.
+    every shape of `graph.n` boxes, in `enumerate_partitions` order; the
+    length of a spectrum is the shape's dimension and multiplicity.
+    Raises ValueError when the blocks would not fit in memory.
 
     Only the shape of each conjugate pair that comes first is built and
     solved. Since rho^{lam'} is sgn (x) rho^{lam} up to a signed
@@ -186,6 +242,7 @@ def shape_spectra(graph) -> list[tuple[Partition, np.ndarray, float]]:
     2W minus the reversed spectrum of L^{lam}, with the same largest
     entry.
     """
+    _require_memory(graph)
     total = sum(graph.weights.values())
     solved: dict[tuple[int, ...], tuple[np.ndarray, float, np.ndarray]] = {}
     out = []

@@ -214,6 +214,31 @@ class TestDecompose:
         # K3 interchange spectrum: {0, 3, 3, 3, 3, 6}
         assert values == pytest.approx([0.0, 3.0, 3.0, 3.0, 3.0, 6.0], abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"n": 5, "edges": [[1, 2, 1.5], [2, 3, 0.0], [3, 4, 0.75], [1, 5, 2.0], [4, 5, 1.0]]},
+            {"n": 4, "edges": [[1, 2, 0.0], [2, 3, 0.0], [3, 4, 0.0]]},
+        ],
+        ids=["zero_weight_edge", "all_zero"],
+    )
+    def test_matches_library_spectrum_and_dimensions(self, capsys, tmp_path, payload):
+        from aldous.graphs import graph_from_json_dict
+        from aldous.interchange import spectrum_via_irreps
+        from aldous.tableaux import f_dim, parse_partition
+
+        path = write_graph(tmp_path, payload)
+        code, out, err = run_cli(capsys, "--format", "csv", "decompose", path)
+        assert code == 0 and err == ""
+        spectrum = spectrum_via_irreps(graph_from_json_dict(payload))
+        assert out == "".join(f"{v:.17g}\n" for v in spectrum)
+        code, out, _ = run_cli(capsys, "decompose", path)
+        assert code == 0
+        per_lambda = json.loads(out)["per_lambda"]
+        assert [entry["dim"] for entry in per_lambda] == [
+            f_dim(parse_partition(entry["lambda"])) for entry in per_lambda
+        ]
+
 
 class TestRep:
     def test_csv_matches_reference_matrix(self, capsys):

@@ -25,22 +25,21 @@ from aldous.interchange import (
     gap_interchange,
     gap_rw,
     interchange_laplacian,
-    irrep_minima,
-    irrep_spectra,
     spectrum_via_irreps,
 )
-import aldous.interchange as interchange
-from aldous.spectral import multiset_equal
+import aldous.yor as yor
+from aldous.conjecture import check_conjecture, comparison_weights
+from aldous.spectral import multiset_equal, second_smallest_laplacian_eig
 from aldous.tableaux import Partition, enumerate_partitions, f_dim
-from aldous.yor import irrep_laplacian
+from aldous.yor import irrep_laplacian, shape_spectra
 from helpers import loop_interchange_laplacian
 
 
 @st.composite
-def signed_graphs(draw):
-    """Graphs on 1..6 vertices whose weights may be negative, zero or all
-    zero, so the diagonal total can vanish while edges remain."""
-    n = draw(st.integers(1, 6))
+def signed_graphs(draw, max_n=6):
+    """Graphs on 1..max_n vertices whose weights may be negative, zero or
+    all zero, so the diagonal total can vanish while edges remain."""
+    n = draw(st.integers(1, max_n))
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     weight = st.one_of(st.just(0.0), st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False))
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
@@ -139,20 +138,22 @@ class TestGaps:
 
     def test_iterative_solver_matches_dense_on_interchange_matrix(self):
         rng = np.random.default_rng(55)
-        G = random_connected_graph(5, rng)
-        dense = gap_interchange(G, dense_limit=10**6)
-        iterative = gap_interchange(G, dense_limit=50)  # forces the deflated solver
+        L = interchange_laplacian(random_connected_graph(5, rng))
+        dense = second_smallest_laplacian_eig(L, dense_limit=10**6)
+        iterative = second_smallest_laplacian_eig(L, dense_limit=50)  # forces the deflated solver
         assert iterative == pytest.approx(dense, rel=1e-7, abs=1e-8)
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_default_solve_matches_dense(self, n):
         G = random_connected_graph(n, np.random.default_rng(60 + n), extra_edge_prob=0.3)
-        dense = gap_interchange(G, dense_limit=10**6)
+        dense = second_smallest_laplacian_eig(interchange_laplacian(G), dense_limit=10**6)
         assert gap_interchange(G) == pytest.approx(dense, rel=1e-12)
 
     def test_iterative_solve_is_repeatable(self):
         G = random_connected_graph(6, np.random.default_rng(7), extra_edge_prob=0.3)
-        first, second = gap_interchange(G, dense_limit=0), gap_interchange(G, dense_limit=0)
+        L = interchange_laplacian(G)
+        first = second_smallest_laplacian_eig(L, dense_limit=0)
+        second = second_smallest_laplacian_eig(L, dense_limit=0)
         assert first.hex() == second.hex()
 
     def test_n8_gap_via_iterative_path(self):
@@ -182,12 +183,20 @@ class TestSpectrumViaIrreps:
         direct = np.linalg.eigvalsh(interchange_laplacian(G).toarray())
         assert multiset_equal(direct, spectrum_via_irreps(G), tol=1e-8)
 
+    @settings(max_examples=60, deadline=None)
+    @given(signed_graphs(max_n=5))
+    def test_matches_explicit_route_on_signed_weights(self, G):
+        # negative weights exercise the signed conjugate twist that
+        # check_conjecture relies on
+        direct = np.linalg.eigvalsh(interchange_laplacian(G).toarray())
+        assert multiset_equal(direct, spectrum_via_irreps(G), tol=1e-8)
+
     def test_counts(self):
         rng = np.random.default_rng(14)
         for n in range(2, 6):
             G = random_connected_graph(n, rng)
             assert len(spectrum_via_irreps(G)) == math.factorial(n)
-            assert sum(m * len(v) for _, m, v in irrep_spectra(G)) == math.factorial(n)
+            assert sum(len(v) ** 2 for _, v, _ in shape_spectra(G)) == math.factorial(n)
 
 
 class TestAldousCheck:
@@ -248,7 +257,7 @@ class TestConjugateTwist:
     @settings(max_examples=40, deadline=None)
     def test_minima_match_direct_solves(self, n, seed, extra):
         G = random_connected_graph(n, np.random.default_rng(seed), extra_edge_prob=extra)
-        minima = irrep_minima(G)
+        minima = aldous_check(G).minima
         direct = {
             lam: float(np.linalg.eigvalsh(irrep_laplacian(lam, G))[0])
             for lam in enumerate_partitions(n)
@@ -261,9 +270,9 @@ class TestConjugateTwist:
 
     def test_spectra_match_direct_solves(self):
         G = wheel_graph(7)
-        for lam, mult, vals in irrep_spectra(G):
+        for lam, vals, _ in shape_spectra(G):
             direct = np.linalg.eigvalsh(irrep_laplacian(lam, G))
-            assert mult == len(direct)
+            assert len(vals) == len(direct)
             assert np.abs(vals - direct).max() <= 1e-12 * (1.0 + np.abs(direct).max())
 
 
@@ -286,30 +295,50 @@ class TestMemoryGuard:
                 total += f_dim(lam) ** 2
         return total
 
-    def test_hook_dim_matches_tableau_count(self):
-        for n in range(1, 9):
-            for lam in enumerate_partitions(n):
-                assert interchange._hook_dim(lam) == f_dim(lam)
+    def need(self, G):
+        edges = sum(1 for w in G.weights.values() if w != 0)
+        return (edges + 2) * self.solved_squares(G.n) * 8
 
-    @pytest.mark.parametrize("check", [aldous_check, irrep_spectra, irrep_minima])
+    @pytest.mark.parametrize("check", [aldous_check, spectrum_via_irreps, shape_spectra])
     def test_refuses_exactly_above_the_estimate(self, monkeypatch, check):
         G = wheel_graph(6)
-        need = (len(G.positive_edges()) + 2) * self.solved_squares(6) * 8
-        monkeypatch.setattr(interchange, "_available_bytes", lambda: need)
+        monkeypatch.setattr(yor, "_available_bytes", lambda: self.need(G))
         check(G)
-        monkeypatch.setattr(interchange, "_available_bytes", lambda: need - 1)
+        monkeypatch.setattr(yor, "_available_bytes", lambda: self.need(G) - 1)
         with pytest.raises(ValueError, match="6-vertex graph"):
             check(G)
+
+    def test_check_conjecture_refuses_exactly_above_the_estimate(self, monkeypatch):
+        gamma = (1.0, 2.0, 3.0, 4.0, 5.0)
+        need = self.need(comparison_weights(gamma))
+        monkeypatch.setattr(yor, "_available_bytes", lambda: need)
+        assert check_conjecture(6, gamma).passed
+        monkeypatch.setattr(yor, "_available_bytes", lambda: need - 1)
+        with pytest.raises(ValueError, match="6-vertex graph with 15 edges"):
+            check_conjecture(6, gamma)
 
     def test_cli_gap_exits_2(self, monkeypatch, capsys, tmp_path):
         from aldous.cli import main
 
         path = tmp_path / "w.json"
         path.write_text(json.dumps({"n": 6, "edges": [[1, i, 1.0] for i in range(2, 7)]}))
-        monkeypatch.setattr(interchange, "_available_bytes", lambda: 0)
+        monkeypatch.setattr(yor, "_available_bytes", lambda: 0)
         assert main(["gap", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "per-shape blocks" in captured.err
 
+    def test_cli_check_conjecture_exits_2_one_byte_short(self, monkeypatch, capsys):
+        from aldous.cli import main
+
+        argv = ["check-conjecture", "--k", "6", "--gamma", "1,2,3,4,5"]
+        need = self.need(comparison_weights((1.0, 2.0, 3.0, 4.0, 5.0)))
+        monkeypatch.setattr(yor, "_available_bytes", lambda: need)
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+        monkeypatch.setattr(yor, "_available_bytes", lambda: need - 1)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "per-shape blocks" in captured.err
+
     def test_reader_reports_positive_memory(self):
-        assert interchange._available_bytes() > 0
+        assert yor._available_bytes() > 0

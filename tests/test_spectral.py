@@ -6,48 +6,12 @@ import scipy.sparse.linalg as spla
 from aldous.graphs import WeightedGraph, complete_graph, random_connected_graph, rw_laplacian
 from aldous.spectral import (
     DENSE_LIMIT,
-    SpectrumReport,
-    eigenvalues,
     interlace_check,
     is_psd,
     multiset_equal,
     second_smallest_laplacian_eig,
     shift_bound_check,
 )
-
-
-class TestEigenvalues:
-    def test_zero_matrix(self):
-        rep = eigenvalues(np.zeros((4, 4)))
-        assert rep.values == (0.0,) * 4
-        assert rep.dim == 4
-
-    def test_diagonal(self):
-        rep = eigenvalues(np.diag([3.0, 1.0, 2.0]))
-        assert rep.values == pytest.approx((1.0, 2.0, 3.0))
-
-    def test_k3_laplacian(self):
-        rep = eigenvalues(rw_laplacian(complete_graph(3)))
-        assert rep.values == pytest.approx((0.0, 3.0, 3.0), abs=1e-12)
-
-    def test_residual_small(self):
-        rng = np.random.default_rng(0)
-        A = rng.normal(size=(40, 40))
-        M = (A + A.T) / 2
-        rep = eigenvalues(M)
-        assert rep.residual <= 1e-8 * (1.0 + np.abs(M).max())
-
-    def test_rejects_nonsymmetric(self):
-        with pytest.raises(ValueError):
-            eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(ValueError):
-            eigenvalues(np.zeros((2, 3)))
-
-    def test_report_validation(self):
-        with pytest.raises(ValueError):
-            SpectrumReport((1.0, 0.0), 0.0)
-        with pytest.raises(ValueError):
-            SpectrumReport((0.0,), -1.0)
 
 
 class TestIsPsd:
@@ -59,6 +23,12 @@ class TestIsPsd:
 
     def test_tiny_negative_within_tol(self):
         assert is_psd(np.diag([1.0, -1e-12]), tol=1e-9)
+
+    def test_rejects_nonsymmetric(self):
+        with pytest.raises(ValueError):
+            is_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError):
+            is_psd(np.zeros((2, 3)))
 
 
 class TestInterlace:
@@ -77,7 +47,7 @@ class TestInterlace:
 
         rng = np.random.default_rng(12)
         G = random_connected_graph(6, rng)
-        before = eigenvalues(rw_laplacian(G))
+        before = np.linalg.eigvalsh(rw_laplacian(G))
         H = collapse_last_vertex(G, 6)
         padded = np.sort(np.concatenate([np.linalg.eigvalsh(rw_laplacian(H)), [0.0]]))
         assert interlace_check(padded, before, tol=1e-9)

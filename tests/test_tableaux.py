@@ -159,6 +159,12 @@ class TestFDim:
             for lam in enumerate_partitions(n):
                 assert f_dim(lam) == hook_count(lam.parts)
 
+    def test_matches_tableau_count(self):
+        # enumeration stays the reference for the hook length formula
+        for n in range(1, 10):
+            for lam in enumerate_partitions(n):
+                assert f_dim(lam) == len(enumerate_syt(lam))
+
     def test_square_sum_is_factorial(self):
         for n in range(1, 9):
             assert sum(f_dim(lam) ** 2 for lam in enumerate_partitions(n)) == math.factorial(n)
