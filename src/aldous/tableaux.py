@@ -6,7 +6,10 @@ convention that matters globally is the *dictionary order* on standard
 tableaux: read each tableau row by row, top row first, and compare the
 resulting words; the tableau whose word is larger at the first
 disagreement is the larger tableau. `enumerate_syt` returns tableaux in
-this order, and every matrix in `aldous.yor` uses it as the basis order.
+this order, and every matrix that `aldous.yor` returns uses it as the
+basis order; inside, `aldous.yor` builds on Young's last-letter order
+(`last_letter_rows`), where the tableaux with n in one corner are
+contiguous.
 """
 
 from __future__ import annotations
@@ -213,13 +216,15 @@ def max_corner_content(lam: Partition) -> int:
 
 
 @lru_cache(maxsize=None)
-def syt_rows(parts: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Row tuples of every standard tableau of the shape, in dictionary order.
+def last_letter_rows(parts: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Row tuples of every standard tableau of the shape, in Young's
+    last-letter order: grouped by the corner holding n, corner rows
+    ascending (the `covers_below` order), and each group in the
+    last-letter order of the shape one box below. Equivalently, sorted by
+    the row of n, then the row of n - 1, and so on down to 1.
 
-    The unvalidated form behind `enumerate_syt`, for hot paths that only
-    need the fillings. Memoized per shape, so the recursion over the
-    shapes one box below is shared across all shapes. Row tuples of one
-    shape compare exactly as their reading words do.
+    Memoized per shape, so the recursion over the shapes one box below
+    is shared across all shapes.
     """
     m = sum(parts)
     if m == 0:
@@ -229,11 +234,21 @@ def syt_rows(parts: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
         below = parts[j + 1] if j + 1 < len(parts) else 0
         if p > below:
             smaller = parts[:j] + ((p - 1,) if p > 1 else ()) + parts[j + 1 :]
-            for sub in syt_rows(smaller):
+            for sub in last_letter_rows(smaller):
                 rows = sub if j < len(sub) else sub + ((),)
                 out.append(rows[:j] + (rows[j] + (m,),) + rows[j + 1 :])
-    out.sort()
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def syt_rows(parts: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Row tuples of every standard tableau of the shape, in dictionary order.
+
+    The unvalidated form behind `enumerate_syt`, for hot paths that only
+    need the fillings. Row tuples of one shape compare exactly as their
+    reading words do.
+    """
+    return tuple(sorted(last_letter_rows(parts)))
 
 
 @lru_cache(maxsize=None)

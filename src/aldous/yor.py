@@ -2,8 +2,10 @@
 
 For each partition shape, transpositions act by explicit orthogonal,
 symmetric, involutive matrices on the span of the standard tableaux of
-that shape (in dictionary order, see `aldous.tableaux`). The adjacent
-transposition (i, i+1) acts on a tableau t by one of three rules:
+that shape. Every public matrix is indexed in dictionary order (see
+`aldous.tableaux`); internally the basis is Young's last-letter order.
+The adjacent transposition (i, i+1) acts on a tableau t by one of three
+rules:
 
 * i and i+1 in the same row of t: diagonal entry +1;
 * same column: diagonal entry -1;
@@ -14,11 +16,22 @@ transposition (i, i+1) acts on a tableau t by one of three rules:
 All other entries vanish, so each adjacent transposition is stored per
 shape as integer-indexed arrays (diag, off, partner), one nonzero pair
 per row, built from the raw tableau rows without tableau objects.
-General transpositions come from conjugating along a chain of adjacent
-ones, O(f^2) per step on an f-dimensional block, and are cached per
-(shape, i, j); arbitrary permutations come from a deterministic
-bubble-sort factorization, so the map stays a group homomorphism
-(products compose right to left).
+Arbitrary permutations come from a deterministic bubble-sort
+factorization, so the map stays a group homomorphism (products compose
+right to left).
+
+Every weighted sum of transpositions, sum w_ij rho_ij (one rho_ij, a
+Jucys-Murphy element, a per-shape Laplacian block), comes from one
+builder, `_rho_sums`, which follows the branching rule: in last-letter
+order the tableaux of lam with n in one corner are contiguous, and on
+them rho_ij for j < n is the rho_ij of the shape one box below. The
+builder walks the levels k = 1..n. At level k each shape holds a stack:
+slot 0 is the sum over the edges inside 1..k, and one slot per later
+column m holds sum_{i<k} w_im rho_{i,k}. A shape of level k+1 places the
+stacks of the shapes one box below on its corner groups, conjugates each
+column by (k, k+1) in O(f^2) and adds w_{k,m} (k, k+1); column k+1 then
+joins slot 0. Only the stacks of one level and the top block being built
+are held, and nothing outlives the call.
 
 The reflection-difference matrices V_ij = I - rho_ij are positive
 semidefinite with eigenvalues in {0, 2}; weighting them by edge rates
@@ -29,8 +42,8 @@ conjugate pair and reflects its spectrum for the other.
 
 `shape_spectra` is the one pass over the blocks behind `aldous gap`,
 `aldous decompose` and `aldous check-conjecture`. Before it builds
-anything it estimates what the transposition cache and the blocks will
-hold, from the hook length formula, and raises ValueError when this
+anything it estimates what the builder and the eigensolver will hold,
+from (n-1)! and the hook length formula, and raises ValueError when this
 process cannot get that much memory, instead of failing part way
 through an allocation.
 """
@@ -39,6 +52,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterator
 from functools import lru_cache
 
 import numpy as np
@@ -48,17 +62,16 @@ from .tableaux import (
     Partition,
     covers_below,
     enumerate_partitions,
-    enumerate_syt,
     f_dim,
+    last_letter_rows,
     syt_rows,
 )
-
-_transposition_cache: dict[tuple[tuple[int, ...], int, int], np.ndarray] = {}
 
 
 @lru_cache(maxsize=None)
 def _adjacent_tables(parts: tuple[int, ...]) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Sparse form of every adjacent transposition of the shape.
+    """Sparse form of every adjacent transposition of the shape, on the
+    last-letter basis.
 
     Entry i-1 holds arrays (diag, off, partner) with
     rho_{(i, i+1)} x = diag * x + off * x[partner]. The axial distance r
@@ -67,7 +80,7 @@ def _adjacent_tables(parts: tuple[int, ...]) -> tuple[tuple[np.ndarray, np.ndarr
     tableau is found through its row-of-value word, with i and i+1
     exchanged.
     """
-    tabs = syt_rows(parts)
+    tabs = last_letter_rows(parts)
     n = sum(parts)
     rows = np.zeros((len(tabs), n), dtype=np.int8)
     cols = np.zeros((len(tabs), n), dtype=np.int8)
@@ -101,48 +114,123 @@ def _adjacent_table(parts: tuple[int, ...], i: int) -> tuple[np.ndarray, np.ndar
     return _adjacent_tables(parts)[i - 1]
 
 
-def _dense(table: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _dictionary_positions(parts: tuple[int, ...]) -> np.ndarray:
+    """Last-letter position of each tableau of the shape, tableaux taken
+    in dictionary order."""
+    position = {t: q for q, t in enumerate(last_letter_rows(parts))}
+    return np.array([position[t] for t in syt_rows(parts)])
+
+
+def _in_dictionary_order(parts: tuple[int, ...], M: np.ndarray) -> np.ndarray:
+    p = _dictionary_positions(parts)
+    return M[np.ix_(p, p)]
+
+
+@lru_cache(maxsize=None)
+def _corner_groups(parts: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], slice], ...]:
+    """(shape one box below, its rows of the last-letter basis) for each
+    removable corner, in `covers_below` order."""
+    groups, start = [], 0
+    for mu in covers_below(Partition(parts)):
+        groups.append((mu.parts, slice(start, start + f_dim(mu))))
+        start += f_dim(mu)
+    return tuple(groups)
+
+
+def _conjugate(M: np.ndarray, table: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
+    """M <- A M A in place for the adjacent transposition A = `table`, in
+    O(f^2): rows, then columns, with at most two nonzeros in each line
+    of A."""
     diag, off, partner = table
-    M = np.diag(diag)
-    M[np.arange(len(diag)), partner] += off
-    return M
+    X = np.take(M, partner, axis=0)
+    X *= off[:, None]
+    M *= diag[:, None]
+    M += X
+    np.take(M, partner, axis=1, out=X, mode="clip")  # "raise" would buffer `out`
+    X *= off
+    M *= diag
+    M += X
+
+
+def _grow(lam: tuple[int, ...], below: dict, weights: dict, n: int) -> list:
+    """The stack of shape `lam` (k boxes) from the stacks `below` of level
+    k - 1: [slot 0, column k+1, ..., column n], None for a zero slot."""
+    k = sum(lam)
+    diag, off, partner = table = _adjacent_tables(lam)[k - 2]  # (k-1, k)
+    f = len(diag)
+    groups = [(below[mu], rows) for mu, rows in _corner_groups(lam)]
+
+    def direct_sum(slot):
+        if groups[0][0][slot] is None:  # zero in every shape of the level
+            return None
+        M = np.zeros((f, f))
+        for stack, rows in groups:
+            M[rows, rows] = stack[slot]
+        return M
+
+    columns = []
+    for slot, m in enumerate(range(k, n + 1), start=1):
+        M = direct_sum(slot)
+        if M is not None:
+            _conjugate(M, table)
+        w = weights.get((k - 1, m))
+        if w:
+            if M is None:
+                M = np.zeros((f, f))
+            M.flat[:: f + 1] += w * diag
+            M[np.arange(f), partner] += w * off
+        columns.append(M)
+    inside = columns[0]  # column k joins the edges inside 1..k-1
+    if groups[0][0][0] is not None:
+        if inside is None:
+            inside = np.zeros((f, f))
+        for stack, rows in groups:
+            inside[rows, rows] += stack[0]
+    return [inside] + columns[1:]
+
+
+def _rho_sums(
+    n: int, weights: dict, shapes: list[tuple[int, ...]]
+) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """Yield (parts, sum of w_ij rho_ij) for each shape of n boxes in
+    `shapes`, in that order, on the last-letter basis; `weights` maps
+    pairs (i, j), i < j, to rates. The stacks of the shapes under the
+    requested ones are built one level at a time, and each top block only
+    when it is asked for."""
+    weights = {pair: w for pair, w in weights.items() if w != 0}
+    levels = [list(shapes)]
+    for _ in range(n - 2):
+        below = (mu for lam in levels[-1] for mu, _ in _corner_groups(lam))
+        levels.append(list(dict.fromkeys(below)))
+    stacks = {(1,): [None] * n}  # one box, no edge yet: slot 0 and columns 2..n
+    for level in reversed(levels[1:]):
+        stacks = {lam: _grow(lam, stacks, weights, n) for lam in level}
+    for lam in shapes:
+        S = _grow(lam, stacks, weights, n)[0] if n > 1 else None
+        yield lam, np.zeros((f_dim(Partition(lam)),) * 2) if S is None else S
+
+
+def _rho_sum(lam: Partition, weights: dict) -> np.ndarray:
+    """sum of w_ij rho_ij for one shape, in dictionary order."""
+    ((_, S),) = _rho_sums(lam.n, weights, [lam.parts])
+    return _in_dictionary_order(lam.parts, S)
 
 
 def rho_adjacent(lam: Partition, i: int) -> np.ndarray:
     """Matrix of the adjacent transposition (i, i+1)."""
-    return _dense(_adjacent_table(lam.parts, i))
-
-
-def _rho_transposition(parts: tuple[int, ...], i: int, j: int) -> np.ndarray:
-    key = (parts, i, j)
-    cached = _transposition_cache.get(key)
-    if cached is not None:
-        return cached
-    n = sum(parts)
-    if not 1 <= i < j <= n:
-        raise ValueError(f"need 1 <= i < j <= {n}, got ({i}, {j})")
-    M = _dense(_adjacent_table(parts, j - 1))
-    for m in range(j - 2, i - 1, -1):
-        diag, off, partner = _adjacent_table(parts, m)
-        # A M A for A = rho_{(m, m+1)} in O(f^2): rows, then columns, with
-        # at most two nonzeros in each line of A
-        X = np.take(M, partner, axis=0)
-        X *= off[:, None]
-        M = M * diag[:, None]
-        M += X
-        X = np.take(M, partner, axis=1)
-        X *= off
-        M *= diag
-        M += X
-    M.flags.writeable = False
-    _transposition_cache[key] = M
-    return M
+    diag, off, partner = _adjacent_table(lam.parts, i)
+    M = np.diag(diag)
+    M[np.arange(len(diag)), partner] += off
+    return _in_dictionary_order(lam.parts, M)
 
 
 def rho_transposition(lam: Partition, i: int, j: int) -> np.ndarray:
-    """Matrix of the transposition (i, j), built by conjugating (j-1, j)
-    down the chain of adjacent transpositions."""
-    return _rho_transposition(lam.parts, i, j).copy()
+    """Matrix of the transposition (i, j): (i, i+1) conjugated up the
+    chain of adjacent transpositions to j."""
+    if not 1 <= i < j <= lam.n:
+        raise ValueError(f"need 1 <= i < j <= {lam.n}, got ({i}, {j})")
+    return _rho_sum(lam, {(i, j): 1.0})
 
 
 def rho_sigma(lam: Partition, sigma: Permutation) -> np.ndarray:
@@ -153,33 +241,28 @@ def rho_sigma(lam: Partition, sigma: Permutation) -> np.ndarray:
     for i in sigma.adjacent_factorization():
         diag, off, partner = _adjacent_table(lam.parts, i)
         M = M * diag + np.take(M, partner, axis=1) * off
-    return M
+    return _in_dictionary_order(lam.parts, M)
 
 
 def transposition_difference(lam: Partition, i: int, j: int) -> np.ndarray:
     """V_ij = I - rho_ij; PSD with eigenvalues in {0, 2}."""
-    return np.eye(f_dim(lam)) - _rho_transposition(lam.parts, i, j)
+    return np.eye(f_dim(lam)) - rho_transposition(lam, i, j)
 
 
 def irrep_laplacian(lam: Partition, graph) -> np.ndarray:
     """Weighted sum of V_ij over the graph's edges: W*I - sum w_ij rho_ij
-    with W the total weight.
+    with W the total weight, summed as the one-row shape's block sums it,
+    so that block is exactly zero.
 
     Accepts nonnegative or signed weights (anything with `.n` and a
     `.weights` dict keyed on pairs). PSD whenever all weights are >= 0.
     """
     if lam.n != graph.n:
         raise ValueError(f"partition of {lam.n} does not match graph on {graph.n} vertices")
-    f = f_dim(lam)
-    L = np.zeros((f, f))
-    term = np.empty((f, f))
-    total = 0.0
-    for (i, j), w in graph.weights.items():
-        if w != 0.0:
-            np.multiply(_rho_transposition(lam.parts, i, j), w, out=term)
-            L -= term
-            total += w
-    L.flat[:: f + 1] += total
+    (_, trivial), (_, S) = _rho_sums(graph.n, graph.weights, [(graph.n,), lam.parts])
+    L = _in_dictionary_order(lam.parts, S)
+    np.negative(L, out=L)
+    L.flat[:: len(L) + 1] += trivial[0, 0]
     return L
 
 
@@ -201,31 +284,28 @@ def _available_bytes() -> int:
     return available
 
 
-@lru_cache(maxsize=None)
-def _solved_squares(n: int) -> int:
-    """Sum of f^2 over the shapes `shape_spectra` solves, one of each
-    conjugate pair. Conjugate shapes have equal dimension and f^2 sums
-    to n! over all shapes, so this is (n! + the sum of f^2 over the
-    self-conjugate shapes) / 2."""
-    self_conjugate = sum(
-        f_dim(lam) ** 2 for lam in enumerate_partitions(n) if lam.conjugate() == lam
-    )
-    return (math.factorial(n) + self_conjugate) // 2
-
-
 def _require_memory(graph) -> None:
     """Refuse, before allocating, a graph whose per-shape blocks would not
-    fit in memory: each solved shape keeps one cached f x f matrix per
-    nonzero edge in `_transposition_cache`, and its block and the
-    eigensolver's copy take two more.
+    fit in memory. While `_rho_sums` builds the top blocks it holds two
+    f x f stack slots for each shape of n - 1 boxes, at most 2 (n-1)!
+    entries since f^2 sums to (n-1)!, and beside them two arrays of the
+    largest top dimension squared: the block being built and the
+    conjugation's scratch array, then the block and the eigensolver's
+    copy of it.
+
+    The stacks alone are checked first: finding the largest dimension
+    enumerates the partitions of n, which takes minutes at n = 70.
     """
-    edges = sum(1 for w in graph.weights.values() if w != 0)
-    need = (edges + 2) * _solved_squares(graph.n) * 8
+    need = 2 * math.factorial(graph.n - 1) * 8
     available = _available_bytes()
+    if need <= available:
+        need += 2 * max(f_dim(lam) for lam in enumerate_partitions(graph.n)) ** 2 * 8
     if need > available:
+        edges = sum(1 for w in graph.weights.values() if w != 0)
+        gib = need / 2**30 if need < 2**1000 else math.inf  # a float overflows from n = 172
         raise ValueError(
             f"the per-shape blocks of a {graph.n}-vertex graph with {edges} edges need about "
-            f"{need / 2**30:.3g} GiB, but this process can get {max(available, 0) / 2**30:.3g} GiB"
+            f"{gib:.3g} GiB, but this process can get {max(available, 0) / 2**30:.3g} GiB"
         )
 
 
@@ -243,22 +323,30 @@ def shape_spectra(graph) -> list[tuple[Partition, np.ndarray, float]]:
     entry.
     """
     _require_memory(graph)
-    total = sum(graph.weights.values())
-    solved: dict[tuple[int, ...], tuple[np.ndarray, float, np.ndarray]] = {}
+    shapes = enumerate_partitions(graph.n)
+    solve: list[tuple[int, ...]] = []
+    for lam in shapes:
+        if lam.conjugate().parts not in solve:
+            solve.append(lam.parts)
+    solved = {}
+    for parts, L in _rho_sums(graph.n, graph.weights, solve):
+        if parts == solve[0]:  # the one-row shape comes first: its sum is W
+            total = L[0, 0]
+        np.negative(L, out=L)
+        L.flat[:: len(L) + 1] += total
+        vals = np.linalg.eigvalsh(L)
+        diag = L.diagonal().copy()
+        np.fill_diagonal(L, 0.0)
+        solved[parts] = (vals, float(np.abs(L).max()), diag)
+        del L  # not held while the next block is built
     out = []
-    for lam in enumerate_partitions(graph.n):
-        conj = lam.conjugate().parts
-        if conj in solved:
-            vals, off_max, diag = solved[conj]
+    for lam in shapes:
+        if lam.parts in solved:
+            vals, off_max, diag = solved[lam.parts]
+        else:
+            vals, off_max, diag = solved[lam.conjugate().parts]
             vals = 2.0 * total - vals[::-1]
             diag = 2.0 * total - diag
-        else:
-            L = irrep_laplacian(lam, graph)
-            vals = np.linalg.eigvalsh(L)
-            diag = L.diagonal().copy()
-            np.fill_diagonal(L, 0.0)
-            off_max = float(np.abs(L).max())
-            solved[lam.parts] = (vals, off_max, diag)
         out.append((lam, vals, max(off_max, float(np.abs(diag).max()))))
     return out
 
@@ -267,11 +355,7 @@ def jucys_murphy(lam: Partition, j: int) -> np.ndarray:
     """Sum of rho_ij over i < j; diagonal with the content of j's box."""
     if not 2 <= j <= lam.n:
         raise ValueError(f"need 2 <= j <= {lam.n}, got {j}")
-    f = f_dim(lam)
-    X = np.zeros((f, f))
-    for i in range(1, j):
-        X += _rho_transposition(lam.parts, i, j)
-    return X
+    return _rho_sum(lam, {(i, j): 1.0 for i in range(1, j)})
 
 
 def branching_check(
@@ -282,36 +366,24 @@ def branching_check(
 
     Tableaux are regrouped by the corner holding n (groups in
     `covers_below` order, members in the dictionary order of their
-    restrictions); the returned witness lists, for each regrouped
-    position, the original tableau index. Requires i < j < n so the
-    transposition also acts on every smaller shape.
+    restrictions), the corner groups of the last-letter basis; the
+    returned witness lists, for each regrouped position, the original
+    tableau index. Requires i < j < n so the transposition also acts on
+    every smaller shape.
     """
     n = lam.n
     if not 1 <= i < j < n:
         raise ValueError(f"need 1 <= i < j < {n}, got ({i}, {j})")
-    tabs = enumerate_syt(lam)
-    below = covers_below(lam)
-    shape_position = {}
-    for g, mu in enumerate(below):
-        for k, t in enumerate(enumerate_syt(mu)):
-            shape_position[(mu.parts, t.rows)] = (g, k)
-    order = sorted(
-        range(len(tabs)),
-        key=lambda k: shape_position[
-            (tabs[k].restricted().shape.parts, tabs[k].restricted().rows)
-        ],
-    )
-    M = _rho_transposition(lam.parts, i, j)
-    regrouped = M[np.ix_(order, order)]
-    blocks = [_rho_transposition(mu.parts, i, j) for mu in below]
+    groups = _corner_groups(lam.parts)
+    # the dictionary index of each last-letter position
+    order = np.argsort(_dictionary_positions(lam.parts))
+    witness = tuple(int(k) for mu, rows in groups for k in order[rows][_dictionary_positions(mu)])
+    regrouped = rho_transposition(lam, i, j)[np.ix_(witness, witness)]
     direct_sum = np.zeros_like(regrouped)
-    offset = 0
-    for block in blocks:
-        d = block.shape[0]
-        direct_sum[offset : offset + d, offset : offset + d] = block
-        offset += d
+    for mu, rows in groups:
+        direct_sum[rows, rows] = rho_transposition(Partition(mu), i, j)
     ok = bool(np.abs(regrouped - direct_sum).max() <= tol)
-    return ok, tuple(order)
+    return ok, witness
 
 
 # ---------------------------------------------------------------------------

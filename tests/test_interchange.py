@@ -30,7 +30,7 @@ from aldous.interchange import (
 import aldous.yor as yor
 from aldous.conjecture import check_conjecture, comparison_weights
 from aldous.spectral import multiset_equal, second_smallest_laplacian_eig
-from aldous.tableaux import Partition, enumerate_partitions, f_dim
+from aldous.tableaux import Partition, enumerate_partitions, enumerate_syt
 from aldous.yor import irrep_laplacian, shape_spectra
 from helpers import loop_interchange_laplacian
 
@@ -285,19 +285,13 @@ def test_per_shape_route_imports_no_scipy():
 
 class TestMemoryGuard:
     @staticmethod
-    def solved_squares(n):
-        """Sum of f^2 over the shapes `shape_spectra` solves: the first of
-        each conjugate pair in `enumerate_partitions` order."""
-        seen, total = set(), 0
-        for lam in enumerate_partitions(n):
-            if lam.conjugate().parts not in seen:
-                seen.add(lam.parts)
-                total += f_dim(lam) ** 2
-        return total
-
-    def need(self, G):
-        edges = sum(1 for w in G.weights.values() if w != 0)
-        return (edges + 2) * self.solved_squares(G.n) * 8
+    def need(G):
+        """Two stack slots per shape of n - 1 boxes, plus two arrays the
+        size of the largest block of n boxes, counted by enumerating the
+        tableaux."""
+        below = sum(len(enumerate_syt(mu)) ** 2 for mu in enumerate_partitions(G.n - 1))
+        largest = max(len(enumerate_syt(lam)) for lam in enumerate_partitions(G.n))
+        return (2 * below + 2 * largest**2) * 8
 
     @pytest.mark.parametrize("check", [aldous_check, spectrum_via_irreps, shape_spectra])
     def test_refuses_exactly_above_the_estimate(self, monkeypatch, check):
@@ -340,5 +334,25 @@ class TestMemoryGuard:
         captured = capsys.readouterr()
         assert captured.out == "" and "per-shape blocks" in captured.err
 
+    def test_cli_refuses_large_n_before_enumerating_partitions(self, monkeypatch, capsys, tmp_path):
+        from aldous.cli import main
+
+        def refuse(n):
+            raise AssertionError(f"enumerated the partitions of {n}")
+
+        monkeypatch.setattr(yor, "enumerate_partitions", refuse)
+        path = tmp_path / "n80.json"
+        path.write_text(json.dumps({"n": 80, "edges": [[1, 2, 1.0]]}))
+        assert main(["gap", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "80-vertex graph" in captured.err
+
     def test_reader_reports_positive_memory(self):
         assert yor._available_bytes() > 0
+
+
+def test_ten_vertices():
+    assert aldous_check(complete_graph(10)).passed
+    assert check_conjecture(10, tuple(float(g) for g in range(1, 10))).passed
+    G = random_connected_graph(10, np.random.default_rng(10))
+    assert gap_rw(G) == pytest.approx(np.linalg.eigvalsh(rw_laplacian(G))[1], rel=1e-12)

@@ -408,6 +408,27 @@ def shape_and_graph(draw, signed):
     return lam, _graph_from_draw(n, weights, signed)
 
 
+class TestBlockOracle:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_block_is_dense_sum_of_transpositions(self, data):
+        # every edge at once, so a slot or corner-group placement error in
+        # the level-by-level builder shows even where single edges agree
+        n = data.draw(st.integers(min_value=2, max_value=6))
+        lam = data.draw(st.sampled_from(enumerate_partitions(n)))
+        weight = st.one_of(st.just(0.0), st.floats(min_value=-2.0, max_value=2.0))
+        weights = data.draw(st.lists(weight, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+        if data.draw(st.booleans()):
+            weights = [0.0] * len(weights)
+        G = _graph_from_draw(n, weights, signed=True)
+        f = f_dim(lam)
+        expected = sum(G.weights.values()) * np.eye(f)
+        for (i, j), w in G.weights.items():
+            expected -= w * dense_transposition_oracle(lam, i, j)
+        scale = 1.0 + sum(abs(w) for w in G.weights.values())
+        assert np.abs(irrep_laplacian(lam, G) - expected).max() <= 1e-13 * scale
+
+
 class TestConjugateTwist:
     @pytest.mark.parametrize("signed", [False, True])
     @given(data=st.data())
