@@ -15,34 +15,22 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+
+import numpy as np
 
 from .conjecture import check_conjecture
 from .graphs import _GENERATORS, WeightedGraph, generate, graph_from_json_dict, graph_to_json_dict
-from .interchange import DEFAULT_N_CAP, aldous_check, interchange_laplacian
+from .interchange import aldous_check, interchange_laplacian
 from .permutations import parse_permutation
 from .reduction import EliminationCertificate, certify_elimination, replay_elimination
 from .spectral import DEFAULT_TOL, DENSE_LIMIT, multiset_equal
 from .tableaux import Partition, enumerate_syt, parse_partition
-from .yor import rho_sigma, shape_spectra
+from .yor import _require_bytes, rho_sigma, shape_spectra
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    tolerance: float
-    n_cap: int
-    format: str
-    budget: int
-
-    def __post_init__(self) -> None:
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
-        if self.n_cap < 2:
-            raise ValueError("n-cap must be at least 2")
-        if self.format not in ("json", "csv"):
-            raise ValueError(f"unknown format {self.format!r}")
-        if self.budget < 0:
-            raise ValueError("budget must be nonnegative")
+# Peak bytes per (zero, nonzero) matrix entry while `rep` makes its text:
+# the matrix, the JSON's Python floats and chunks, and the text. Measured
+# at f = 1430 (shape 8,8) as 137 and 171 for JSON, 11 and 63 for CSV.
+_REP_BYTES = {"json": (150, 185), "csv": (16, 72)}
 
 
 def _dump_json(obj) -> str:
@@ -59,9 +47,9 @@ def _load_graph(path: str) -> WeightedGraph:
     return graph_from_json_dict(data)
 
 
-def _cmd_gap(args, config: RunConfig) -> tuple[str, int]:
+def _cmd_gap(args) -> tuple[str, int]:
     G = _load_graph(args.graph)
-    report = aldous_check(G, tol=config.tolerance)
+    report = aldous_check(G, tol=args.tol)
     payload = {
         "gap_interchange": report.gap_interchange,
         "gap_rw": report.gap_rw,
@@ -74,9 +62,9 @@ def _cmd_gap(args, config: RunConfig) -> tuple[str, int]:
     return _dump_json(payload), 0 if report.passed else 1
 
 
-def _cmd_check_conjecture(args, config: RunConfig) -> tuple[str, int]:
+def _cmd_check_conjecture(args) -> tuple[str, int]:
     gamma = tuple(float(tok) for tok in args.gamma.split(","))
-    report = check_conjecture(args.k, gamma, tol=config.tolerance)
+    report = check_conjecture(args.k, gamma, tol=args.tol)
     payload = {
         "k": report.k,
         "gamma": list(report.gamma),
@@ -102,7 +90,7 @@ def _certificate_payload(cert: EliminationCertificate) -> dict:
     }
 
 
-def _cmd_certify(args, config: RunConfig) -> tuple[str, int]:
+def _cmd_certify(args) -> tuple[str, int]:
     if args.replay:
         with open(args.graph, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -117,7 +105,7 @@ def _cmd_certify(args, config: RunConfig) -> tuple[str, int]:
         ok = replay_elimination(cert)
         return _dump_json({"replay_ok": ok}), 0 if ok else 1
     G = _load_graph(args.graph)
-    result = certify_elimination(G, K=args.k, budget=config.budget)
+    result = certify_elimination(G, K=args.k, budget=args.budget)
     payload: dict = {
         "status": result.status,
         "states_expanded": result.states_expanded,
@@ -129,16 +117,16 @@ def _cmd_certify(args, config: RunConfig) -> tuple[str, int]:
     return _dump_json(payload), 0 if result.certified else 1
 
 
-def _cmd_generate(args, config: RunConfig) -> tuple[str, int]:
+def _cmd_generate(args) -> tuple[str, int]:
     G = generate(args.kind, *args.params, seed=args.seed)
     return _dump_json(graph_to_json_dict(G)), 0
 
 
-def _cmd_decompose(args, config: RunConfig) -> tuple[str, int]:
+def _cmd_decompose(args) -> tuple[str, int]:
     G = _load_graph(args.graph)
     spectra = shape_spectra(G)
     merged = sorted(v for _, vals, _ in spectra for v in vals.tolist() * len(vals))
-    if config.format == "csv":
+    if args.format == "csv":
         return "".join(f"{v:.17g}\n" for v in merged), 0
     payload = {
         "n": G.n,
@@ -153,11 +141,14 @@ def _cmd_decompose(args, config: RunConfig) -> tuple[str, int]:
         ],
     }
     # cross-check against the explicit factorial-size matrix when it is
-    # small enough to solve densely and within the configured cap
-    if G.n <= config.n_cap and math.factorial(G.n) <= DENSE_LIMIT:
-        import numpy as np
-
-        direct = np.linalg.eigvalsh(interchange_laplacian(G, n_cap=config.n_cap).toarray())
+    # small enough to solve densely and within the configured cap; the
+    # dense matrix and the eigensolver's copy of it must fit
+    size = math.factorial(G.n)
+    if G.n <= args.n_cap and size <= DENSE_LIMIT:
+        _require_bytes(
+            2 * size * size * 8, f"the two dense {G.n}! x {G.n}! arrays of the direct check"
+        )
+        direct = np.linalg.eigvalsh(interchange_laplacian(G).toarray())
         payload["direct_check"] = {
             "performed": True,
             "matches": multiset_equal(direct, merged, tol=1e-8),
@@ -167,11 +158,19 @@ def _cmd_decompose(args, config: RunConfig) -> tuple[str, int]:
     return _dump_json(payload), 0
 
 
-def _cmd_rep(args, config: RunConfig) -> tuple[str, int]:
+def _cmd_rep(args) -> tuple[str, int]:
     lam = parse_partition(args.partition)
     sigma = parse_permutation(args.sigma, lam.n)
     M = rho_sigma(lam, sigma)
-    if config.format == "json":
+    # a zero entry prints short, so the text is estimated from the count
+    # of nonzero entries before any of it is made
+    zero, nonzero = _REP_BYTES[args.format]
+    _require_bytes(
+        M.size * zero + int(np.count_nonzero(M)) * (nonzero - zero),
+        f"the {args.format} text of the {len(M)} x {len(M)} matrix "
+        f"of shape ({_partition_text(lam)})",
+    )
+    if args.format == "json":
         payload = {
             "lambda": _partition_text(lam),
             "sigma": list(sigma.images),
@@ -189,7 +188,8 @@ def _cmd_rep(args, config: RunConfig) -> tuple[str, int]:
         lines.append(f"#   {idx}: {t}")
     for row in M:
         lines.append(",".join(f"{x:.17g}" for x in row))
-    return "\n".join(lines) + "\n", 0
+    lines.append("")  # the closing newline, without a copy of the text
+    return "\n".join(lines), 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,8 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="draw Uniform(0.5, 1.5) generator weights instead of unit weights")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--n-cap", type=int, default=DEFAULT_N_CAP, dest="n_cap",
-                        help="largest n for n!-state constructions")
+    parser.add_argument("--n-cap", type=int, default=8, dest="n_cap",
+                        help="largest n for the direct check of decompose")
     parser.add_argument("--budget", type=int, default=100_000, help="search budget")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -249,13 +249,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = RunConfig(
-            tolerance=args.tol,
-            n_cap=args.n_cap,
-            format=args.format,
-            budget=args.budget,
-        )
-        output, code = _HANDLERS[args.command](args, config)
+        if not args.tol > 0:
+            raise ValueError("tolerance must be positive")
+        if not math.isfinite(args.tol):
+            raise ValueError("tolerance must be finite")
+        if args.n_cap < 2:
+            raise ValueError("n-cap must be at least 2")
+        if args.budget < 0:
+            raise ValueError("budget must be nonnegative")
+        output, code = _HANDLERS[args.command](args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

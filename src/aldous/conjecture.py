@@ -27,7 +27,7 @@ from .graphs import SignedWeightedGraph
 from .interchange import interchange_laplacian
 from .spectral import DEFAULT_TOL
 from .tableaux import Partition, content_sum, max_corner_content
-from .yor import irrep_laplacian, s4_transposition_vectors, shape_spectra
+from .yor import _require_bytes, irrep_laplacian, s4_transposition_vectors, shape_spectra
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,16 @@ def dirichlet_gap_matrix(gamma) -> np.ndarray:
             - sum_{i<j} gamma_i gamma_j / total <g, (I - P_{(ij)}) g> ]
     with P the left-translation action, so Q is twice the interchange
     Laplacian on the signed comparison weights. The inequality for these
-    rates holds iff Q is PSD. For k = 2 the clique sum is empty.
+    rates holds iff Q is PSD. For k = 2 the clique sum is empty. Raises
+    ValueError, before building anything, when the dense array and its
+    scaled copy would not fit in memory.
     """
-    return 2.0 * interchange_laplacian(comparison_weights(gamma)).toarray()
+    G = comparison_weights(gamma)
+    size = math.factorial(G.n)
+    _require_bytes(
+        2 * size * size * 8, f"the two dense {G.n}! x {G.n}! arrays of the Dirichlet form"
+    )
+    return 2.0 * interchange_laplacian(G).toarray()
 
 
 def comparison_weights(gamma) -> SignedWeightedGraph:

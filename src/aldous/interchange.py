@@ -19,9 +19,12 @@ spectrum up to `spectral.DENSE_LIMIT` states (n <= 7), because its
 direct check compares every eigenvalue with the per-shape blocks, not
 only the gap.
 
-The per-shape route (`spectrum_via_irreps`, `aldous_check`) makes one
-`yor.shape_spectra` pass, which refuses with ValueError a graph whose
-blocks would not fit in memory.
+There is no fixed cap on n. The builder passes its memory estimate to
+`yor._require_bytes`, so n = 9 (362880 states) builds and solves in a
+few seconds, and a graph whose matrix would not fit is refused with
+ValueError before anything is allocated. The per-shape route
+(`spectrum_via_irreps`, `aldous_check`) makes one `yor.shape_spectra`
+pass, which refuses the same way a graph whose blocks would not fit.
 """
 
 from __future__ import annotations
@@ -33,16 +36,14 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .graphs import WeightedGraph
-from .permutations import Permutation
 from .spectral import DEFAULT_TOL, second_smallest_laplacian_eig
 from .tableaux import Partition, f_dim
-from .yor import irrep_laplacian, shape_spectra
+from .yor import _require_bytes, irrep_laplacian, shape_spectra
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
 __all__ = [
-    "Permutation",
     "interchange_laplacian",
     "gap_interchange",
     "gap_rw",
@@ -50,8 +51,6 @@ __all__ = [
     "AldousReport",
     "aldous_check",
 ]
-
-DEFAULT_N_CAP = 8
 
 
 def _lex_words(n: int) -> np.ndarray:
@@ -67,7 +66,7 @@ def _lex_words(n: int) -> np.ndarray:
     return words
 
 
-def interchange_laplacian(G: WeightedGraph, n_cap: int = DEFAULT_N_CAP) -> sp.csr_matrix:
+def interchange_laplacian(G: WeightedGraph) -> sp.csr_matrix:
     """Sparse n! x n! Laplacian of the interchange process.
 
     Row and column indices are permutation ranks. Every diagonal entry is
@@ -82,14 +81,23 @@ def interchange_laplacian(G: WeightedGraph, n_cap: int = DEFAULT_N_CAP) -> sp.cs
     j of the word, which adds (j - i)(n^a - n^b) to its number, with a
     and b the place values of the positions holding i and j; a binary
     search of the sorted numbers gives its rank.
+
+    Raises ValueError, before enumerating any word, when the build would
+    not fit in memory. It holds about 56 bytes per stored entry (the
+    column lists, their stacked and transposed copies, the row and value
+    arrays, and scipy's COO and CSR copies) and 16 n bytes per state (the
+    words while they are stacked, then the words and their place values).
     """
     import scipy.sparse as sp  # only this explicit route needs scipy
 
     n = G.n
-    if n > n_cap:
-        raise ValueError(f"n={n} exceeds the n! construction cap {n_cap}")
     size = math.factorial(n)
     edges = [(i, j, w) for (i, j), w in sorted(G.weights.items()) if w != 0]
+    _require_bytes(
+        size * (56 * (len(edges) + 1) + 16 * n),
+        f"the {n}! states of the interchange Laplacian of a {n}-vertex graph "
+        f"with {len(edges)} edges",
+    )
     total = sum(G.weights.values())
     words = _lex_words(n)
     place = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
@@ -108,15 +116,16 @@ def interchange_laplacian(G: WeightedGraph, n_cap: int = DEFAULT_N_CAP) -> sp.cs
     return sp.coo_matrix((data, (rows, cols.ravel())), shape=(size, size)).tocsr()
 
 
-def gap_interchange(G: WeightedGraph, n_cap: int = DEFAULT_N_CAP) -> float:
+def gap_interchange(G: WeightedGraph) -> float:
     """Second-smallest eigenvalue of the explicit interchange Laplacian.
 
     Zero exactly when the chain is reducible (the zero eigenvalue then
-    has multiplicity above one).
+    has multiplicity above one). Raises ValueError when the n!-state
+    matrix would not fit in memory.
     """
     if G.n < 2:
         raise ValueError("need at least 2 vertices")
-    return second_smallest_laplacian_eig(interchange_laplacian(G, n_cap=n_cap))
+    return second_smallest_laplacian_eig(interchange_laplacian(G))
 
 
 def gap_rw(G: WeightedGraph) -> float:

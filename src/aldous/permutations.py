@@ -136,18 +136,17 @@ def parse_permutation(text: str, n: int) -> Permutation:
     """Parse cycle notation or a one-line word.
 
     Accepts ``"(1 4)(2 3)"``, ``"(1,4)"``, the single-digit shorthand
-    ``"(14)"``, and the one-line form ``"2,1,4,3"``. Entries must lie in
-    1..n; unmentioned points are fixed.
+    ``"(14)"``, and the one-line form ``"2,1,4,3"``. Cycle notation must
+    be parenthesised groups and nothing else, optionally separated by
+    spaces. Entries must lie in 1..n; unmentioned points are fixed.
     """
     text = text.strip()
     if not text:
         raise ValueError("empty permutation text")
     if text.startswith("("):
-        chunks = re.findall(r"\(([^()]*)\)", text)
-        if "".join("(" + c + ")" for c in chunks) != text.replace(" ", "") and not all(
-            ch in "() ,0123456789" for ch in text
-        ):
+        if not re.fullmatch(r"(\([^()]*\)\s*)+", text):
             raise ValueError(f"malformed cycle notation: {text!r}")
+        chunks = re.findall(r"\(([^()]*)\)", text)
         perm = Permutation.identity(n)
         for chunk in chunks:
             chunk = chunk.strip()

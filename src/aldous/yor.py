@@ -43,9 +43,14 @@ conjugate pair and reflects its spectrum for the other.
 `shape_spectra` is the one pass over the blocks behind `aldous gap`,
 `aldous decompose` and `aldous check-conjecture`. Before it builds
 anything it estimates what the builder and the eigensolver will hold,
-from (n-1)! and the hook length formula, and raises ValueError when this
-process cannot get that much memory, instead of failing part way
-through an allocation.
+from (n-1)! and the hook length formula.
+
+`_require_bytes` is the package's one size refusal. `shape_spectra`,
+`rho_adjacent`, `rho_sigma` and the explicit n!-state builds of
+`aldous.interchange` and `aldous.conjecture` pass it their estimate
+before anything is enumerated or allocated, and it raises ValueError
+when this process cannot get that much memory, instead of failing part
+way through an allocation.
 """
 
 from __future__ import annotations
@@ -217,8 +222,19 @@ def _rho_sum(lam: Partition, weights: dict) -> np.ndarray:
     return _in_dictionary_order(lam.parts, S)
 
 
+def _require_matrices(lam: Partition) -> None:
+    """Refuse a shape whose matrix would not fit: two f x f arrays (the
+    matrix and a scratch array, then the matrix and its dictionary-order
+    copy) and about 200 bytes per box of each tableau for the tableau
+    lists and adjacent tables (36-84 measured up to f = 6006)."""
+    f = f_dim(lam)
+    parts = ",".join(map(str, lam.parts))
+    _require_bytes(2 * f * f * 8 + 200 * lam.n * f, f"the {f} x {f} arrays of shape ({parts})")
+
+
 def rho_adjacent(lam: Partition, i: int) -> np.ndarray:
     """Matrix of the adjacent transposition (i, i+1)."""
+    _require_matrices(lam)
     diag, off, partner = _adjacent_table(lam.parts, i)
     M = np.diag(diag)
     M[np.arange(len(diag)), partner] += off
@@ -237,10 +253,16 @@ def rho_sigma(lam: Partition, sigma: Permutation) -> np.ndarray:
     """Matrix of an arbitrary permutation via its adjacent factorization."""
     if sigma.n != lam.n:
         raise ValueError(f"permutation size {sigma.n} != partition size {lam.n}")
+    _require_matrices(lam)
     M = np.eye(f_dim(lam))
+    X = np.empty_like(M)  # scratch, freed before the reordered copy is made
     for i in sigma.adjacent_factorization():
         diag, off, partner = _adjacent_table(lam.parts, i)
-        M = M * diag + np.take(M, partner, axis=1) * off
+        np.take(M, partner, axis=1, out=X, mode="clip")  # "raise" would buffer `out`
+        X *= off
+        M *= diag
+        M += X
+    del X
     return _in_dictionary_order(lam.parts, M)
 
 
@@ -284,28 +306,17 @@ def _available_bytes() -> int:
     return available
 
 
-def _require_memory(graph) -> None:
-    """Refuse, before allocating, a graph whose per-shape blocks would not
-    fit in memory. While `_rho_sums` builds the top blocks it holds two
-    f x f stack slots for each shape of n - 1 boxes, at most 2 (n-1)!
-    entries since f^2 sums to (n-1)!, and beside them two arrays of the
-    largest top dimension squared: the block being built and the
-    conjugation's scratch array, then the block and the eigensolver's
-    copy of it.
-
-    The stacks alone are checked first: finding the largest dimension
-    enumerates the partitions of n, which takes minutes at n = 70.
-    """
-    need = 2 * math.factorial(graph.n - 1) * 8
+def _require_bytes(need: int, what: str) -> None:
+    """Refuse, before anything is allocated, a build that needs more than
+    `need` bytes when this process cannot get that much memory. `what`
+    names what is being built, as the plural subject of the message.
+    Every size refusal of the package goes through here."""
     available = _available_bytes()
-    if need <= available:
-        need += 2 * max(f_dim(lam) for lam in enumerate_partitions(graph.n)) ** 2 * 8
     if need > available:
-        edges = sum(1 for w in graph.weights.values() if w != 0)
-        gib = need / 2**30 if need < 2**1000 else math.inf  # a float overflows from n = 172
+        gib = need / 2**30 if need < 2**1000 else math.inf  # a float overflows from 2^1024
         raise ValueError(
-            f"the per-shape blocks of a {graph.n}-vertex graph with {edges} edges need about "
-            f"{gib:.3g} GiB, but this process can get {max(available, 0) / 2**30:.3g} GiB"
+            f"{what} need about {gib:.3g} GiB, "
+            f"but this process can get {max(available, 0) / 2**30:.3g} GiB"
         )
 
 
@@ -322,8 +333,19 @@ def shape_spectra(graph) -> list[tuple[Partition, np.ndarray, float]]:
     2W minus the reversed spectrum of L^{lam}, with the same largest
     entry.
     """
-    _require_memory(graph)
+    # While `_rho_sums` builds the top blocks it holds two f x f stack
+    # slots for each shape of n - 1 boxes, at most 2 (n-1)! entries since
+    # f^2 sums to (n-1)!, and beside them two arrays of the largest top
+    # dimension squared: the block being built and the conjugation's
+    # scratch array, then the block and the eigensolver's copy of it. The
+    # stacks alone are checked first: finding the largest dimension
+    # enumerates the partitions of n, which takes minutes at n = 70.
+    edges = sum(1 for w in graph.weights.values() if w != 0)
+    what = f"the per-shape blocks of a {graph.n}-vertex graph with {edges} edges"
+    need = 2 * math.factorial(graph.n - 1) * 8
+    _require_bytes(need, what)
     shapes = enumerate_partitions(graph.n)
+    _require_bytes(need + 2 * max(f_dim(lam) for lam in shapes) ** 2 * 8, what)
     solve: list[tuple[int, ...]] = []
     for lam in shapes:
         if lam.conjugate().parts not in solve:
@@ -369,7 +391,9 @@ def branching_check(
     restrictions), the corner groups of the last-letter basis; the
     returned witness lists, for each regrouped position, the original
     tableau index. Requires i < j < n so the transposition also acts on
-    every smaller shape.
+    every smaller shape. Both sides come from `rho_sigma`, which
+    multiplies adjacent tables, so the check is independent of the
+    branching-rule builder `_rho_sums` that it is a property of.
     """
     n = lam.n
     if not 1 <= i < j < n:
@@ -378,10 +402,10 @@ def branching_check(
     # the dictionary index of each last-letter position
     order = np.argsort(_dictionary_positions(lam.parts))
     witness = tuple(int(k) for mu, rows in groups for k in order[rows][_dictionary_positions(mu)])
-    regrouped = rho_transposition(lam, i, j)[np.ix_(witness, witness)]
+    regrouped = rho_sigma(lam, Permutation.transposition(n, i, j))[np.ix_(witness, witness)]
     direct_sum = np.zeros_like(regrouped)
     for mu, rows in groups:
-        direct_sum[rows, rows] = rho_transposition(Partition(mu), i, j)
+        direct_sum[rows, rows] = rho_sigma(Partition(mu), Permutation.transposition(n - 1, i, j))
     ok = bool(np.abs(regrouped - direct_sum).max() <= tol)
     return ok, witness
 

@@ -269,6 +269,22 @@ class TestRep:
         code, *_ = run_cli(capsys, "rep", "3,1", "(1 9)")
         assert code == 2
 
+    @pytest.mark.parametrize("sigma", ["(1 2", "(1 2)(3", "(1 2))", "((1 2)", "(1 2) 3"])
+    def test_malformed_cycle_notation_exits_2(self, capsys, sigma):
+        code, out, err = run_cli(capsys, "--format", "csv", "rep", "2,1", sigma)
+        assert code == 2 and out == ""
+        assert "malformed cycle notation" in err
+
+
+@pytest.mark.parametrize(
+    "option",
+    [["--tol", "0"], ["--tol", "inf"], ["--tol", "nan"], ["--n-cap", "1"], ["--budget", "-1"]],
+)
+def test_invalid_global_option_exits_2(capsys, option):
+    code, out, err = run_cli(capsys, *option, "check-conjecture", "--k", "4", "--gamma", "1,2,3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
 
 class TestGoldenStdout:
     """Stdout recorded once to tests/golden and compared byte for byte.

@@ -28,7 +28,7 @@ from aldous.interchange import (
     spectrum_via_irreps,
 )
 import aldous.yor as yor
-from aldous.conjecture import check_conjecture, comparison_weights
+from aldous.conjecture import check_conjecture, comparison_weights, dirichlet_gap_matrix
 from aldous.spectral import multiset_equal, second_smallest_laplacian_eig
 from aldous.tableaux import Partition, enumerate_partitions, enumerate_syt
 from aldous.yor import irrep_laplacian, shape_spectra
@@ -71,10 +71,6 @@ class TestInterchangeLaplacian:
         G = random_connected_graph(4, rng)
         vals = np.linalg.eigvalsh(interchange_laplacian(G).toarray())
         assert np.sum(np.abs(vals) < 1e-10) == 1
-
-    def test_cap(self):
-        with pytest.raises(ValueError):
-            interchange_laplacian(complete_graph(5), n_cap=4)
 
     def test_nnz_count(self):
         G = complete_graph(3)
@@ -349,6 +345,48 @@ class TestMemoryGuard:
 
     def test_reader_reports_positive_memory(self):
         assert yor._available_bytes() > 0
+
+    def test_interchange_laplacian_refuses_exactly_above_the_estimate(self, monkeypatch):
+        G = wheel_graph(6)
+        need = math.factorial(6) * (56 * (len(G.positive_edges()) + 1) + 16 * 6)
+        monkeypatch.setattr(yor, "_available_bytes", lambda: need)
+        assert interchange_laplacian(G).shape == (720, 720)
+        monkeypatch.setattr(yor, "_available_bytes", lambda: need - 1)
+        with pytest.raises(ValueError, match="interchange Laplacian of a 6-vertex graph with 10 edges"):
+            interchange_laplacian(G)
+
+    def test_dirichlet_gap_matrix_refuses_exactly_above_the_estimate(self, monkeypatch):
+        gamma = (1.0, 2.0, 3.0, 4.0)
+        need = 2 * math.factorial(5) ** 2 * 8  # the dense array and its scaled copy
+        monkeypatch.setattr(yor, "_available_bytes", lambda: need)
+        assert dirichlet_gap_matrix(gamma).shape == (120, 120)
+        monkeypatch.setattr(yor, "_available_bytes", lambda: need - 1)
+        with pytest.raises(ValueError, match="dense 5! x 5! arrays of the Dirichlet form"):
+            dirichlet_gap_matrix(gamma)
+
+    def test_cli_rep_exits_2_when_only_the_matrix_fits(self, monkeypatch, capsys):
+        from aldous.cli import main
+
+        f = len(enumerate_syt(Partition((4, 4))))
+        matrix = 2 * f * f * 8 + 200 * 8 * f  # what rho_sigma refuses below
+        monkeypatch.setattr(yor, "_available_bytes", lambda: matrix)
+        assert main(["rep", "4,4", "(1 2)"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "json text of the 14 x 14 matrix" in captured.err
+        monkeypatch.setattr(yor, "_available_bytes", lambda: matrix - 1)
+        assert main(["--format", "csv", "rep", "4,4", "(1 2)"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "14 x 14 arrays of shape (4,4)" in captured.err
+
+    def test_thirty_vertices_refused_without_a_cap(self):
+        with pytest.raises(ValueError, match="30-vertex graph"):
+            interchange_laplacian(complete_graph(30))
+
+
+def test_nine_vertices_both_routes():
+    """n = 9 (362880 states) is within reach of the explicit route."""
+    G = random_connected_graph(9, np.random.default_rng(9), extra_edge_prob=0.1)
+    assert gap_interchange(G) == pytest.approx(aldous_check(G).gap_interchange, rel=1e-8)
 
 
 def test_ten_vertices():

@@ -85,6 +85,11 @@ class TestParse:
     def test_one_line(self):
         assert parse_permutation("2,1,4,3", 4).images == (2, 1, 4, 3)
 
+    @pytest.mark.parametrize("text", ["(1 2", "(1 2)(3", "(1 2))", "((1 2)", "(1 2) 3"])
+    def test_malformed_cycle_notation(self, text):
+        with pytest.raises(ValueError, match="malformed cycle notation"):
+            parse_permutation(text, 4)
+
     def test_errors(self):
         with pytest.raises(ValueError):
             parse_permutation("(1 5)", 4)

@@ -315,6 +315,15 @@ class TestBranching:
         with pytest.raises(ValueError):
             branching_check(Partition((2, 2)), 1, 4)
 
+    def test_independent_of_the_branching_builder(self, monkeypatch):
+        import aldous.yor as yor
+
+        def refuse(*args):
+            raise AssertionError("branching_check used _rho_sums")
+
+        monkeypatch.setattr(yor, "_rho_sums", refuse)
+        assert branching_check(Partition((3, 2)), 1, 3)[0]
+
     def test_dictionary_order_does_not_group_corners(self):
         # recorded empirical fact: dictionary order interleaves the
         # corner-of-n groups for some shapes, so the explicit witness
