@@ -112,6 +112,49 @@ def rw_laplacian(G: WeightedGraph) -> np.ndarray:
     return L
 
 
+def _collapse_weights(
+    n: int, weights: dict[tuple[int, int], float], v: int
+) -> dict[tuple[int, int], float]:
+    """Edge weights after collapsing vertex v of a graph on 1..n.
+
+    `weights` is keyed (i, j), i < j. Vertex n takes label v; then each
+    pair of v's neighbours gains a_i a_j / s, s being the total rate into
+    v summed in ascending label order. Only v's edges and the pairs among
+    its neighbours are touched, in O(E + deg^2): every other pair would
+    gain an exact signed zero, which leaves a nonzero weight as it is but
+    can flip the sign of a zero one (-0.0 + 0.0 is 0.0), so zero weights
+    get the full update too. a_i (a_j / s) replaces a_i a_j / s only
+    where the product overflows; the fill-in itself is at most
+    min(a_i, a_j). Keys come back sorted.
+    """
+    rates: dict[int, float] = {}
+    kept: dict[tuple[int, int], float] = {}
+    zeros = []
+    for (i, j), w in weights.items():
+        if i == v or j == v:
+            u = i + j - v
+            rates[v if u == n else u] = w
+            continue
+        if j == n:
+            i, j = (i, v) if i < v else (v, i)
+        kept[(i, j)] = w
+        if w == 0:
+            zeros.append((i, j))
+    s = sum(rates[u] for u in sorted(rates))
+    if s > 0:
+        ends = sorted(rates)
+        pairs = [(i, j) for x, i in enumerate(ends) for j in ends[x + 1 :]]
+        pairs += [(i, j) for i, j in zeros if i not in rates or j not in rates]
+        for key in pairs:
+            a, b = rates.get(key[0], 0.0), rates.get(key[1], 0.0)
+            fill = a * b
+            fill = fill / s if fill != math.inf else a * (b / s)
+            w = kept.get(key, 0.0) + fill
+            if w != 0 or key in kept:
+                kept[key] = w
+    return dict(sorted(kept.items()))
+
+
 def collapse_last_vertex(G: WeightedGraph, v: int) -> WeightedGraph:
     """Remove vertex v, redistributing its rates onto the remaining pairs.
 
@@ -124,19 +167,9 @@ def collapse_last_vertex(G: WeightedGraph, v: int) -> WeightedGraph:
         raise ValueError("collapse needs at least 2 vertices")
     if not 1 <= v <= G.n:
         raise ValueError(f"vertex {v} out of range for n={G.n}")
-    work = G if v == G.n else G.relabeled({v: G.n, G.n: v})
     n = G.n
-    s = sum(work.weight(i, n) for i in range(1, n))
-    new_weights: dict[tuple[int, int], float] = {}
-    for i in range(1, n):
-        for j in range(i + 1, n):
-            w = work.weight(i, j)
-            if s > 0:
-                w += work.weight(i, n) * work.weight(j, n) / s
-            if w != 0 or (i, j) in work.weights:
-                new_weights[(i, j)] = w
     labels = tuple(k if k != v else n for k in range(1, n))
-    return WeightedGraph(n - 1, new_weights, labels=labels)
+    return WeightedGraph(n - 1, _collapse_weights(n, G.weights, v), labels=labels)
 
 
 def rank1_identity_check(G: WeightedGraph, tol: float = 1e-9) -> bool:

@@ -10,6 +10,15 @@ vertex elimination order in which every removed vertex touches at most
 K-1 strictly positive rates at removal time, applying the collapse
 update (with its fill-in) at each step. Both certificates are replayable
 records: the steps plus every intermediate state.
+
+One search state costs O(E + deg^2) for E edges. The elimination search
+works on (n, weights dict) pairs, not on `WeightedGraph`s, and collapses
+with `graphs._collapse_weights`, which touches only the removed vertex's
+edges and the pairs among its neighbours; the certificate's graphs are
+built once, along the order found. The reduction search takes degrees
+and neighbours from one pass over the edges, skips re-validating the
+skeletons its own rules produce, and computes each skeleton's canonical
+form once. Both searches keep an explicit stack.
 """
 
 from __future__ import annotations
@@ -17,7 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .graphs import WeightedGraph, _component_count, _edge_key, collapse_last_vertex
+from .graphs import (
+    WeightedGraph,
+    _collapse_weights,
+    _component_count,
+    _edge_key,
+    collapse_last_vertex,
+)
 
 
 class InapplicableRule(ValueError):
@@ -31,7 +46,7 @@ class Skeleton:
     them). Equality and hashing are structural.
     """
 
-    __slots__ = ("vertices", "_edges")
+    __slots__ = ("vertices", "_edges", "_canonical")
 
     def __init__(self, vertices, edges):
         self.vertices = frozenset(int(v) for v in vertices)
@@ -47,6 +62,7 @@ class Skeleton:
                 raise ValueError(f"multiplicity must be >= 1, got {mult}")
             counts[_edge_key(i, j)] = counts.get(_edge_key(i, j), 0) + int(mult)
         self._edges = counts
+        self._canonical = None
 
     @classmethod
     def from_graph(cls, G: WeightedGraph) -> Skeleton:
@@ -81,6 +97,8 @@ class Skeleton:
         return _component_count(self.vertices, self._edges) == 1
 
     def _replace(self, drop_vertex=None, remove=(), add=()) -> Skeleton:
+        """Successor skeleton. Not re-validated: the edges come from this
+        skeleton and from a rule whose preconditions `apply_rule` checked."""
         counts = dict(self._edges)
         for key in remove:
             counts[key] -= 1
@@ -88,11 +106,16 @@ class Skeleton:
                 del counts[key]
         for key in add:
             counts[key] = counts.get(key, 0) + 1
-        vertices = self.vertices - {drop_vertex} if drop_vertex is not None else self.vertices
-        return Skeleton(vertices, counts)
+        out = Skeleton.__new__(Skeleton)
+        out.vertices = self.vertices - {drop_vertex} if drop_vertex is not None else self.vertices
+        out._edges = counts
+        out._canonical = None
+        return out
 
     def canonical(self) -> tuple:
-        return (self.vertices, tuple(sorted(self._edges.items())))
+        if self._canonical is None:
+            self._canonical = (self.vertices, tuple(sorted(self._edges.items())))
+        return self._canonical
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Skeleton) and self.canonical() == other.canonical()
@@ -206,24 +229,23 @@ class ReductionResult:
 def _candidate_steps(S: Skeleton) -> list[Step]:
     """Applicable steps in greedy priority order: pendant, parallel,
     series, triangle. Deterministic by vertex/pair label."""
-    steps: list[Step] = []
-    degrees = {v: S.degree(v) for v in S.vertices}
-    for v in sorted(S.vertices):
-        if degrees[v] == 1:
-            steps.append(DegreeOne(v))
-    for (i, j), mult in sorted(S.edge_multiplicities().items()):
-        if mult >= 2:
-            steps.append(Parallel(i, j))
-    for v in sorted(S.vertices):
-        if degrees[v] == 2:
-            ends = S.neighbors(v)
-            if len(ends) == 2:
-                steps.append(Series(v, ends[0], ends[1]))
-    for v in sorted(S.vertices):
-        if degrees[v] == 3:
-            ends = S.neighbors(v)
-            if len(ends) == 3:
-                steps.append(YDelta(v, ends[0], ends[1], ends[2]))
+    degrees = dict.fromkeys(S.vertices, 0)
+    ends: dict[int, list[int]] = {v: [] for v in S.vertices}
+    for (i, j), mult in S._edges.items():
+        degrees[i] += mult
+        degrees[j] += mult
+        ends[i].append(j)
+        ends[j].append(i)
+    vertices = sorted(S.vertices)
+    steps: list[Step] = [DegreeOne(v) for v in vertices if degrees[v] == 1]
+    steps += [Parallel(i, j) for (i, j), mult in sorted(S._edges.items()) if mult >= 2]
+    for v in vertices:
+        if degrees[v] == 2 and len(ends[v]) == 2:
+            i, j = ends[v]
+            steps.append(Series(v, i, j) if i < j else Series(v, j, i))
+    for v in vertices:
+        if degrees[v] == 3 and len(ends[v]) == 3:
+            steps.append(YDelta(v, *sorted(ends[v])))
     return steps
 
 
@@ -234,7 +256,9 @@ def reduce_to_edge(S: Skeleton, budget: int = 100_000) -> ReductionResult:
     rule strictly shrinks vertices+edges, so the search space is a DAG
     and visited states are memoized. A budget hit or an exhausted search
     is reported "inconclusive" (search failure is not a proof); only a
-    skeleton where no rule applies at all is called irreducible.
+    skeleton where no rule applies at all is called irreducible. The
+    search keeps an explicit stack, so its depth is not bounded by
+    Python's recursion limit.
     """
     if not S.is_connected():
         raise ValueError("skeleton must be connected")
@@ -245,34 +269,32 @@ def reduce_to_edge(S: Skeleton, budget: int = 100_000) -> ReductionResult:
 
     visited: set[Skeleton] = set()
     expanded = 0
-
-    def dfs(state: Skeleton, trail: list[Step]) -> tuple[str, tuple[Step, ...] | None]:
-        nonlocal expanded
+    trail: list[Step] = []  # trail[k] leads from frames[k] to the next state
+    frames = []  # (state, its untried candidate steps)
+    state = S
+    while True:
         if state.is_single_edge():
-            return "reduced", tuple(trail)
-        if state in visited:
-            return "exhausted", None
-        visited.add(state)
-        if expanded >= budget:
-            return "budget", None
-        expanded += 1
-        for step in _candidate_steps(state):
-            trail.append(step)
-            status, steps = dfs(apply_rule(state, step), trail)
+            cert = ReductionCertificate(S, tuple(trail), state)
+            return ReductionResult("reduced", "single edge reached", cert, expanded)
+        if state not in visited:
+            visited.add(state)
+            if expanded >= budget:
+                return ReductionResult("inconclusive", "budget exhausted", None, expanded)
+            expanded += 1
+            frames.append((state, iter(_candidate_steps(state))))
+        else:
             trail.pop()
-            if status != "exhausted":
-                return status, steps
-        return "exhausted", None
-
-    status, steps = dfs(S, [])
-    if status == "reduced":
-        terminal = S
-        for step in steps:
-            terminal = apply_rule(terminal, step)
-        return ReductionResult("reduced", "single edge reached", ReductionCertificate(S, steps, terminal), expanded)
-    if status == "budget":
-        return ReductionResult("inconclusive", "budget exhausted", None, expanded)
-    return ReductionResult("inconclusive", "search exhausted without success", None, expanded)
+        while frames:
+            step = next(frames[-1][1], None)
+            if step is not None:
+                break
+            frames.pop()
+            if trail:
+                trail.pop()
+        else:
+            return ReductionResult("inconclusive", "search exhausted without success", None, expanded)
+        trail.append(step)
+        state = apply_rule(frames[-1][0], step)
 
 
 @dataclass(frozen=True)
@@ -326,37 +348,45 @@ def certify_elimination(G: WeightedGraph, K: int = 4, budget: int = 100_000) -> 
     with backtracking; collapse fill-in can raise later degrees, which
     is why greedy alone is not complete. Exhausting the search space
     proves no such order exists; hitting the budget is inconclusive.
+    The search runs on weight dicts with an explicit stack; the
+    certificate's graphs are built once, along the order found.
     """
     if K < 2:
         raise ValueError("K must be >= 2")
     expanded = 0
-
-    def dfs(current: WeightedGraph):
-        nonlocal expanded
-        if current.n <= 2:
-            return "certified", ((), (current,))
+    steps: list[tuple[int, int]] = []  # steps[k] leads from frames[k] to the next state
+    frames = []  # (n, weights, untried (positive degree, vertex) candidates)
+    n, weights = G.n, G.weights
+    while n > 2:
         if expanded >= budget:
-            return "budget", None
+            return EliminationResult("inconclusive", None, expanded)
         expanded += 1
-        candidates = sorted(
-            (current.positive_degree(v), v) for v in range(1, current.n + 1)
-        )
-        for degree, v in candidates:
-            if degree > K - 1:
+        frames.append((n, weights, iter(_elimination_candidates(n, weights, K - 1))))
+        while frames:
+            candidate = next(frames[-1][2], None)
+            if candidate is not None:
                 break
-            status, rest = dfs(collapse_last_vertex(current, v))
-            if status == "certified":
-                steps, graphs = rest
-                return "certified", (((v, degree),) + steps, (current,) + graphs)
-            if status == "budget":
-                return "budget", None
-        return "exhausted", None
+            frames.pop()
+            if steps:
+                steps.pop()
+        else:
+            return EliminationResult("no_certificate", None, expanded)
+        degree, v = candidate
+        steps.append((v, degree))
+        top_n, top_weights, _ = frames[-1]
+        n, weights = top_n - 1, _collapse_weights(top_n, top_weights, v)
+    graphs = [G]
+    for v, _ in steps:
+        graphs.append(collapse_last_vertex(graphs[-1], v))
+    cert = EliminationCertificate(max_degree_bound=K - 1, steps=tuple(steps), graphs=tuple(graphs))
+    return EliminationResult("certified", cert, expanded)
 
-    status, payload = dfs(G)
-    if status == "certified":
-        steps, graphs = payload
-        cert = EliminationCertificate(max_degree_bound=K - 1, steps=steps, graphs=graphs)
-        return EliminationResult("certified", cert, expanded)
-    if status == "budget":
-        return EliminationResult("inconclusive", None, expanded)
-    return EliminationResult("no_certificate", None, expanded)
+
+def _elimination_candidates(n: int, weights, max_degree: int) -> list[tuple[int, int]]:
+    """(positive degree, vertex) pairs with degree <= max_degree, lowest first."""
+    degrees = [0] * (n + 1)
+    for (i, j), w in weights.items():
+        if w > 0:
+            degrees[i] += 1
+            degrees[j] += 1
+    return sorted((d, v) for v, d in enumerate(degrees) if v and d <= max_degree)

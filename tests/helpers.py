@@ -10,6 +10,18 @@ import numpy as np
 import scipy.sparse as sp
 
 from aldous.graphs import WeightedGraph, random_connected_graph
+from aldous.reduction import (
+    DegreeOne,
+    EliminationCertificate,
+    EliminationResult,
+    Parallel,
+    ReductionCertificate,
+    ReductionResult,
+    Series,
+    Skeleton,
+    YDelta,
+    apply_rule,
+)
 
 # unlabeled trees on 1..8 vertices (classic counts)
 TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23}
@@ -160,3 +172,126 @@ def loop_interchange_laplacian(G):
                 cols.append(r)
                 vals.append(-w)
     return sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
+
+
+# ---------------------------------------------------------------------------
+# Reference searches: the O(n^2)-per-collapse, one-frame-per-step versions
+# that the library's searches must match bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def reference_collapse(G, v):
+    """Collapse over all n(n-1)/2 pairs of the relabeled graph: each gains
+    a_in a_jn / s, and a pair is kept when it was an edge or became nonzero."""
+    work = G if v == G.n else G.relabeled({v: G.n, G.n: v})
+    n = G.n
+    s = sum(work.weight(i, n) for i in range(1, n))
+    new_weights = {}
+    for i in range(1, n):
+        for j in range(i + 1, n):
+            w = work.weight(i, j)
+            if s > 0:
+                w += work.weight(i, n) * work.weight(j, n) / s
+            if w != 0 or (i, j) in work.weights:
+                new_weights[(i, j)] = w
+    labels = tuple(k if k != v else n for k in range(1, n))
+    return WeightedGraph(n - 1, new_weights, labels=labels)
+
+
+def reference_certify_elimination(G, K=4, budget=100_000):
+    """Recursive elimination search over validated graphs, degrees counted
+    one vertex at a time."""
+    expanded = 0
+
+    def dfs(current):
+        nonlocal expanded
+        if current.n <= 2:
+            return "certified", ((), (current,))
+        if expanded >= budget:
+            return "budget", None
+        expanded += 1
+        candidates = sorted((current.positive_degree(v), v) for v in range(1, current.n + 1))
+        for degree, v in candidates:
+            if degree > K - 1:
+                break
+            status, rest = dfs(reference_collapse(current, v))
+            if status == "certified":
+                steps, graphs = rest
+                return "certified", (((v, degree),) + steps, (current,) + graphs)
+            if status == "budget":
+                return "budget", None
+        return "exhausted", None
+
+    status, payload = dfs(G)
+    if status == "certified":
+        steps, graphs = payload
+        cert = EliminationCertificate(max_degree_bound=K - 1, steps=steps, graphs=graphs)
+        return EliminationResult("certified", cert, expanded)
+    if status == "budget":
+        return EliminationResult("inconclusive", None, expanded)
+    return EliminationResult("no_certificate", None, expanded)
+
+
+def reference_candidate_steps(S):
+    """Applicable steps in priority order, from per-vertex degree and
+    neighbour queries."""
+    steps = []
+    degrees = {v: S.degree(v) for v in S.vertices}
+    for v in sorted(S.vertices):
+        if degrees[v] == 1:
+            steps.append(DegreeOne(v))
+    for (i, j), mult in sorted(S.edge_multiplicities().items()):
+        if mult >= 2:
+            steps.append(Parallel(i, j))
+    for v in sorted(S.vertices):
+        if degrees[v] == 2:
+            ends = S.neighbors(v)
+            if len(ends) == 2:
+                steps.append(Series(v, ends[0], ends[1]))
+    for v in sorted(S.vertices):
+        if degrees[v] == 3:
+            ends = S.neighbors(v)
+            if len(ends) == 3:
+                steps.append(YDelta(v, ends[0], ends[1], ends[2]))
+    return steps
+
+
+def reference_reduce_to_edge(S, budget=100_000):
+    """Recursive memoized reduction search; every successor is rebuilt
+    through the validating constructor."""
+    if S.is_single_edge():
+        return ReductionResult("reduced", "already a single edge", ReductionCertificate(S, (), S), 0)
+    if not reference_candidate_steps(S):
+        return ReductionResult("irreducible", "no applicable rule", None, 0)
+    visited = set()
+    expanded = 0
+
+    def dfs(state, trail):
+        nonlocal expanded
+        if state.is_single_edge():
+            return "reduced", tuple(trail)
+        if state in visited:
+            return "exhausted", None
+        visited.add(state)
+        if expanded >= budget:
+            return "budget", None
+        expanded += 1
+        for step in reference_candidate_steps(state):
+            nxt = apply_rule(state, step)
+            trail.append(step)
+            status, steps = dfs(Skeleton(nxt.vertices, nxt.edge_multiplicities()), trail)
+            trail.pop()
+            if status != "exhausted":
+                return status, steps
+        return "exhausted", None
+
+    status, steps = dfs(S, [])
+    if status == "reduced":
+        terminal = S
+        for step in steps:
+            terminal = apply_rule(terminal, step)
+        cert = ReductionCertificate(S, steps, terminal)
+        return ReductionResult("reduced", "single edge reached", cert, expanded)
+    if status == "budget":
+        return ReductionResult("inconclusive", "budget exhausted", None, expanded)
+    return ReductionResult("inconclusive", "search exhausted without success", None, expanded)

@@ -132,6 +132,20 @@ class TestCertify:
         assert code == 1
         assert json.loads(out) == {"k": 4, "n": 8, "states_expanded": 16, "status": "no_certificate"}
 
+    def test_large_finite_rates_certify(self, capsys, tmp_path):
+        # `gap` accepts rates of 1e200; the collapse fill-in must not overflow
+        edges = [[1, 2, 1e200], [2, 3, 1e200], [3, 4, 1e200], [1, 4, 1e200]]
+        path = write_graph(tmp_path, {"n": 4, "edges": edges})
+        code, out, err = run_cli(capsys, "certify", path)
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["status"] == "certified"
+        assert payload["certificate"]["graphs"][1]["edges"][0] == [1, 2, 5e199]
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(payload["certificate"]))
+        code, out, _ = run_cli(capsys, "certify", "--replay", str(cert_path))
+        assert code == 0 and json.loads(out)["replay_ok"] is True
+
     def test_replay_rejects_malformed(self, capsys, tmp_path):
         cert_path = tmp_path / "cert.json"
         cert_path.write_text(json.dumps({"steps": []}))

@@ -21,6 +21,12 @@ from aldous.graphs import (
     wheel_graph,
 )
 from aldous.spectral import interlace_check
+from helpers import reference_collapse
+
+
+def weight_bits(G):
+    """(n, edges in dict order with exact float bits, labels)."""
+    return G.n, [(key, w.hex()) for key, w in G.weights.items()], G.labels
 
 
 class TestWeightedGraph:
@@ -112,6 +118,33 @@ class TestCollapse:
             collapse_last_vertex(WeightedGraph(1, {}), 1)
         with pytest.raises(ValueError):
             collapse_last_vertex(path_graph(3), 5)
+
+    def test_matches_all_pairs_reference_bit_for_bit(self):
+        # every vertex of seeded graphs, some rates set to 0.0 or -0.0 and
+        # some edges listed out of order: the sparse update may skip only
+        # pairs whose all-pairs update adds an exact 0.0 to a nonzero weight
+        rng = np.random.default_rng(17)
+        for _ in range(120):
+            n = int(rng.integers(3, 14))
+            G = random_connected_graph(n, rng, extra_edge_prob=float(rng.uniform(0.1, 0.7)))
+            weights = {}
+            for (i, j), w in reversed(list(G.weights.items())):
+                r = rng.random()
+                weights[(j, i) if r < 0.5 else (i, j)] = 0.0 if r < 0.1 else -0.0 if r < 0.2 else w
+            G = WeightedGraph(n, weights)
+            for v in range(1, n + 1):
+                assert weight_bits(collapse_last_vertex(G, v)) == weight_bits(reference_collapse(G, v))
+
+    def test_large_finite_rates_do_not_overflow(self):
+        # a_i a_j overflows at 1e200, the fill-in a_i a_j / s <= min(a_i, a_j) does not
+        G = cycle_graph(4, weights=[1e200] * 4)
+        H = collapse_last_vertex(G, 1)
+        assert H.weights == {(1, 2): 5e199, (1, 3): 1e200, (2, 3): 1e200}
+        K = collapse_last_vertex(H, 1)
+        assert K.weights == {(1, 2): 1e200 + 5e199 * (1e200 / 1.5e200)}
+        # ordinary rates keep the product form a_i a_j / s
+        G = WeightedGraph(4, {(1, 4): 0.1, (2, 4): 0.7, (3, 4): 1.3})
+        assert collapse_last_vertex(G, 4).weight(2, 3) == (0.7 * 1.3) / (0.1 + 0.7 + 1.3)
 
     def test_interlacing_on_seeded_collapses(self):
         rng = np.random.default_rng(42)

@@ -25,7 +25,15 @@ from aldous.reduction import (
     replay_elimination,
     replay_reduction,
 )
-from helpers import TREE_COUNTS, all_trees, tree_canonical, tree_graph
+from helpers import (
+    TREE_COUNTS,
+    all_trees,
+    reference_certify_elimination,
+    reference_reduce_to_edge,
+    seeded_graph_stream,
+    tree_canonical,
+    tree_graph,
+)
 
 
 def skeleton_of(G):
@@ -230,6 +238,101 @@ class TestCertifyElimination:
         assert result.certified
         first_vertex, first_degree = result.certificate.steps[0]
         assert first_degree <= 3
+
+
+def pendant_core(pendants, rng):
+    """K5 plus leaves on random core vertices, labels shuffled: no K = 4
+    elimination order exists and no reduction sequence reaches an edge."""
+    n = 5 + pendants
+    label = [0] + [int(v) + 1 for v in rng.permutation(n)]
+    pairs = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
+    pairs += [(int(rng.integers(1, 6)), 6 + k) for k in range(pendants)]
+    rates = rng.uniform(0.25, 2.0, size=len(pairs))
+    return WeightedGraph(n, {(label[i], label[j]): w for (i, j), w in zip(pairs, rates)})
+
+
+def search_suite():
+    """Seeded random graphs (n <= 14), triangulations and pendant cores."""
+    rng = np.random.default_rng(23)
+    graphs = seeded_graph_stream(29, 40, 3, 14, extra_edge_prob=0.35)
+    graphs += [nested_triangulation(d, b, seed=d + 4 * b) for d, b in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]]
+    graphs += [pendant_core(p, rng) for p in (1, 3, 5)]
+    # at K = 4 this search backtracks out of a dead end, then certifies
+    edges = [(1, 2), (1, 6), (1, 7), (2, 3), (2, 5), (3, 4), (3, 6), (3, 7), (4, 5), (4, 6), (5, 7)]
+    graphs.append(WeightedGraph(7, dict(zip(edges, rng.uniform(0.25, 2.0, size=len(edges))))))
+    return graphs
+
+
+def elimination_bits(result):
+    cert = result.certificate
+    graphs = None
+    if cert is not None:
+        graphs = [(H.n, [(k, w.hex()) for k, w in H.weights.items()], H.labels) for H in cert.graphs]
+        graphs = (cert.max_degree_bound, cert.steps, graphs)
+    return result.status, result.states_expanded, graphs
+
+
+def reduction_bits(result):
+    cert = result.certificate
+    if cert is not None:
+        cert = (cert.initial.canonical(), cert.steps, cert.terminal.canonical())
+    return result.status, result.reason, result.states_expanded, cert
+
+
+class TestAgainstReference:
+    """The searches match their recursive all-pairs references exactly:
+    status, state count, steps, every certificate graph's weights in
+    dict order with their float bits, labels and the reduction terminal."""
+
+    @pytest.mark.parametrize("K", [3, 4, 5])
+    def test_elimination(self, K):
+        for G in search_suite():
+            for budget in (2000, 7, 0):
+                got = certify_elimination(G, K=K, budget=budget)
+                want = reference_certify_elimination(G, K=K, budget=budget)
+                assert elimination_bits(got) == elimination_bits(want), (G, K, budget)
+
+    def test_elimination_certificate_starts_at_the_input(self):
+        G = nested_triangulation(2, 1, seed=3)
+        assert certify_elimination(G, K=4).certificate.graphs[0] is G
+
+    def test_reduction(self):
+        # two skeletons whose search backtracks out of a dead end, then reduces
+        backtracking = [
+            Skeleton(range(1, 9), [(1, 4), (1, 5), (1, 8), (2, 5), (3, 4), (3, 5), (3, 6), (3, 7),
+                                   (3, 8), (4, 7), (5, 6), (6, 7), (7, 8)]),
+            Skeleton(range(1, 7), [(1, 2), (1, 3), (1, 4), (2, 5), (2, 6), (3, 5), (3, 6), (4, 5),
+                                   (4, 6), (5, 6)]),
+        ]
+        for S in backtracking + [skeleton_of(G) for G in search_suite()]:
+            for budget in (100_000, 5, 0):
+                got, want = reduce_to_edge(S, budget=budget), reference_reduce_to_edge(S, budget=budget)
+                assert reduction_bits(got) == reduction_bits(want), (S, budget)
+                if got.reduced:
+                    assert replay_reduction(got.certificate)
+
+    def test_candidate_steps_match_reference(self):
+        from aldous.reduction import _candidate_steps
+        from helpers import reference_candidate_steps
+
+        for G in search_suite():
+            S = skeleton_of(G)
+            for step in reference_candidate_steps(S):
+                S2 = apply_rule(S, step)
+                assert _candidate_steps(S2) == reference_candidate_steps(S2)
+
+
+class TestLongSearches:
+    def test_path_1500_elimination(self):
+        result = certify_elimination(path_graph(1500), K=3)
+        assert result.certified and result.states_expanded == 1498
+        assert all(d == 1 for _, d in result.certificate.steps)
+        assert [H.n for H in result.certificate.graphs] == list(range(1500, 1, -1))
+
+    def test_path_1500_reduction(self):
+        result = reduce_to_edge(skeleton_of(path_graph(1500)))
+        assert result.reduced and len(result.certificate.steps) == 1498
+        assert replay_reduction(result.certificate)
 
 
 class TestTreeEnumeration:
