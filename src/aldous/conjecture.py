@@ -66,15 +66,15 @@ def dirichlet_gap_matrix(gamma) -> np.ndarray:
     with P the left-translation action, so Q is twice the interchange
     Laplacian on the signed comparison weights. The inequality for these
     rates holds iff Q is PSD. For k = 2 the clique sum is empty. Raises
-    ValueError, before building anything, when the dense array and its
-    scaled copy would not fit in memory.
+    ValueError, before building anything, when the dense array would not
+    fit in memory.
     """
     G = comparison_weights(gamma)
     size = math.factorial(G.n)
-    _require_bytes(
-        2 * size * size * 8, f"the two dense {G.n}! x {G.n}! arrays of the Dirichlet form"
-    )
-    return 2.0 * interchange_laplacian(G).toarray()
+    _require_bytes(size * size * 8, f"the dense {G.n}! x {G.n}! array of the Dirichlet form")
+    Q = interchange_laplacian(G).toarray()
+    Q *= 2.0  # in place, so only one dense array exists; doubling is exact
+    return Q
 
 
 def comparison_weights(gamma) -> SignedWeightedGraph:

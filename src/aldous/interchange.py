@@ -9,9 +9,11 @@ label embeds as the two-row-shape block, which is what the gap
 comparison (`aldous_check`) exploits: the conjecture holds for a graph
 exactly when no other shape's smallest eigenvalue undercuts it.
 
-The explicit Laplacian is built with numpy, one array operation per
-edge: the words are numbers in base n, so a binary search over their
-sorted numbers ranks (i j) sigma (0.06 s for the 40320 states of n = 8,
+The explicit Laplacian is built straight into its CSR arrays, one array
+operation per edge: the words are numbers in base n, so a binary search
+over their sorted numbers ranks (i j) sigma, and every row holds the
+same entries (the diagonal and one per edge), so each edge fills one
+column of the index table (0.01-0.09 s for the 40320 states of n = 8,
 against 1.1-1.4 s for a loop over words and edges). `gap_interchange`
 then solves it iteratively above `spectral.DENSE_CROSSOVER` states,
 which covers n >= 6. `aldous decompose` still computes the full dense
@@ -19,24 +21,29 @@ spectrum up to `spectral.DENSE_LIMIT` states (n <= 7), because its
 direct check compares every eigenvalue with the per-shape blocks, not
 only the gap.
 
-There is no fixed cap on n. The builder passes its memory estimate to
-`yor._require_bytes`, so n = 9 (362880 states) builds and solves in a
-few seconds, and a graph whose matrix would not fit is refused with
-ValueError before anything is allocated. The per-shape route
-(`spectrum_via_irreps`, `aldous_check`) makes one `yor.shape_spectra`
-pass, which refuses the same way a graph whose blocks would not fit.
+There is no fixed cap on n. Before it builds anything, `gap_interchange`
+passes one estimate to `yor._require_bytes`: the larger of what the
+builder maps at its peak and the matrix beside the eigensolver's
+vectors and work buffer, each counted array by array (`_footprint`,
+`spectral.iterative_solve_bytes`). So K_10 (3628800 states) builds
+and solves in under a minute at 2.8 GB peak RSS, and a graph whose
+matrix would not fit is refused with ValueError before anything is
+allocated. The per-shape route (`spectrum_via_irreps`, `aldous_check`)
+makes one `yor.shape_spectra` pass, which refuses the same way a graph
+whose blocks would not fit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, permutations
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .graphs import WeightedGraph
-from .spectral import DEFAULT_TOL, second_smallest_laplacian_eig
+from .spectral import DEFAULT_TOL, iterative_solve_bytes, second_smallest_laplacian_eig
 from .tableaux import Partition, f_dim
 from .yor import _require_bytes, irrep_laplacian, shape_spectra
 
@@ -53,17 +60,27 @@ __all__ = [
 ]
 
 
-def _lex_words(n: int) -> np.ndarray:
-    """Every word on the letters 0..n-1, one per row, in lexicographic
-    order: the words starting with v are v followed by the words on the
-    other letters, which are the words on 0..n-2 with each letter >= v
-    raised by one."""
-    words = np.zeros((1, 0), dtype=np.int64)
-    for m in range(1, n + 1):
-        words = np.vstack(
-            [np.hstack([np.full((len(words), 1), v), words + (words >= v)]) for v in range(m)]
-        )
-    return words
+def _footprint(G: WeightedGraph) -> tuple[int, int, str]:
+    """Bytes `interchange_laplacian(G)` maps at its peak, bytes it still
+    maps when it returns, and what it builds, for the refusal message.
+
+    With w stored entries per row, it returns the column table (int32
+    below 2^31 entries, else int64), the float64 values and the row
+    pointers; beside them, the allocator may keep the two freed n!-long
+    int64 temporaries of the column fill mapped. While the columns are
+    filled, it holds the int64 codes, the (n! x n) int64 place table,
+    the column table and those temporaries; while the place table is
+    filled, the int8 words stand in for the column table. Both counts
+    add 64 KiB for the small objects around the arrays.
+    """
+    n, size = G.n, math.factorial(G.n)
+    edges = sum(1 for w in G.weights.values() if w != 0)
+    width = edges + (1 if sum(G.weights.values()) else 0)
+    index = 4 if size * width < 2**31 else 8
+    fill = size * (8 + 8 * n + 16 + max(n, index * width))
+    held = size * (width * (index + 8) + 16) + (size + 1) * index
+    what = f"the {n}! states of the interchange Laplacian of a {n}-vertex graph with {edges} edges"
+    return max(fill, held) + 2**16, held + 2**16, what
 
 
 def interchange_laplacian(G: WeightedGraph) -> sp.csr_matrix:
@@ -80,51 +97,62 @@ def interchange_laplacian(G: WeightedGraph) -> sp.csr_matrix:
     rank order is numeric order. (i j) sigma exchanges the letters i and
     j of the word, which adds (j - i)(n^a - n^b) to its number, with a
     and b the place values of the positions holding i and j; a binary
-    search of the sorted numbers gives its rank.
+    search of the sorted numbers gives its rank. Every row holds the
+    same number of entries, so the ranks fill one column of the CSR
+    index table per edge and the row pointers are a multiple of the
+    row number; no entry is ever duplicated.
 
     Raises ValueError, before enumerating any word, when the build would
-    not fit in memory. It holds about 56 bytes per stored entry (the
-    column lists, their stacked and transposed copies, the row and value
-    arrays, and scipy's COO and CSR copies) and 16 n bytes per state (the
-    words while they are stacked, then the words and their place values).
+    not fit in memory (`_footprint` counts its arrays).
     """
     import scipy.sparse as sp  # only this explicit route needs scipy
 
+    peak, _, what = _footprint(G)
+    _require_bytes(peak, what)
     n = G.n
     size = math.factorial(n)
     edges = [(i, j, w) for (i, j), w in sorted(G.weights.items()) if w != 0]
-    _require_bytes(
-        size * (56 * (len(edges) + 1) + 16 * n),
-        f"the {n}! states of the interchange Laplacian of a {n}-vertex graph "
-        f"with {len(edges)} edges",
-    )
     total = sum(G.weights.values())
-    words = _lex_words(n)
-    place = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    codes = words @ place  # ascending
-    letter_place = np.empty_like(words)  # [r, v]: place value of the letter v in word r
-    letter_place[np.arange(size)[:, None], words] = place
-    cols = [np.arange(size)] if total else []
-    vals = [total] if total else []
-    for i, j, w in edges:
-        moved = codes + (j - i) * (letter_place[:, i - 1] - letter_place[:, j - 1])
-        cols.append(np.searchsorted(codes, moved))
-        vals.append(-w)
-    cols = np.array(cols, dtype=np.int64).reshape(-1, size).T  # row r: its entries' columns
-    rows = np.repeat(np.arange(size), len(vals))
+    vals = ([total] if total else []) + [-w for _, _, w in edges]
+    width = len(vals)
+    # the words back to back, in lexicographic order: words[k::n] holds letter k of each
+    words = np.fromiter(chain.from_iterable(permutations(range(n))), np.int8, size * n)
+    codes = np.zeros(size, dtype=np.int64)  # ascending
+    placed = np.empty((size, n), dtype=np.int64)  # [r, v]: place value of the letter v in word r
+    for k in range(n):
+        codes *= n
+        codes += words[k::n]
+        placed[np.arange(size), words[k::n]] = n ** (n - 1 - k)
+    del words
+    index = np.int32 if size * width < 2**31 else np.int64
+    table = np.empty((size, width), dtype=index)  # row r: its entries' columns
+    if total:
+        table[:, 0] = np.arange(size)
+    for c, (i, j, _) in enumerate(edges, start=width - len(edges)):
+        table[:, c] = np.searchsorted(codes, codes + (j - i) * (placed[:, i - 1] - placed[:, j - 1]))
+    del codes, placed
     data = np.tile(np.array(vals, dtype=float), size)
-    return sp.coo_matrix((data, (rows, cols.ravel())), shape=(size, size)).tocsr()
+    indptr = np.arange(size + 1, dtype=index) * width
+    L = sp.csr_matrix((data, table.reshape(-1), indptr), shape=(size, size))
+    L.sort_indices()
+    return L
 
 
 def gap_interchange(G: WeightedGraph) -> float:
     """Second-smallest eigenvalue of the explicit interchange Laplacian.
 
     Zero exactly when the chain is reducible (the zero eigenvalue then
-    has multiplicity above one). Raises ValueError when the n!-state
-    matrix would not fit in memory.
+    has multiplicity above one). Raises ValueError, before building
+    anything, when the n!-state matrix and the eigensolver's vectors
+    beside it would not fit in memory.
     """
     if G.n < 2:
         raise ValueError("need at least 2 vertices")
+    import scipy.sparse.linalg  # noqa: F401  (loaded first: the check counts it as mapped)
+
+    peak, held, what = _footprint(G)
+    solve = held + iterative_solve_bytes(math.factorial(G.n))
+    _require_bytes(max(peak, solve), what + " and its eigensolve")
     return second_smallest_laplacian_eig(interchange_laplacian(G))
 
 

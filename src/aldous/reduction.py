@@ -308,23 +308,27 @@ class EliminationCertificate:
 
 
 def replay_elimination(cert: EliminationCertificate, tol: float = 1e-12) -> bool:
-    """Re-run the collapses and compare weights against the record."""
+    """Re-run the collapses and compare weights against the record.
+
+    The recorded graphs are validated `WeightedGraph`s, so each step
+    collapses their weight dicts with `graphs._collapse_weights` and
+    compares dicts, without building a graph per step.
+    """
     if len(cert.graphs) != len(cert.steps) + 1:
         return False
-    for idx, (v, degree) in enumerate(cert.steps):
-        current = cert.graphs[idx]
+    for (v, degree), current, recorded in zip(cert.steps, cert.graphs, cert.graphs[1:]):
         if not 1 <= v <= current.n or current.positive_degree(v) != degree:
             return False
         if degree > cert.max_degree_bound:
             return False
-        collapsed = collapse_last_vertex(current, v)
-        recorded = cert.graphs[idx + 1]
-        if collapsed.n != recorded.n:
+        if current.n < 2:
+            raise ValueError("collapse needs at least 2 vertices")
+        if recorded.n != current.n - 1:
             return False
-        keys = set(collapsed.weights) | set(recorded.weights)
-        scale = 1.0 + max((abs(w) for w in recorded.weights.values()), default=0.0)
-        for key in keys:
-            if abs(collapsed.weight(*key) - recorded.weight(*key)) > tol * scale:
+        collapsed, expected = _collapse_weights(current.n, current.weights, v), recorded.weights
+        scale = 1.0 + max((abs(w) for w in expected.values()), default=0.0)
+        for key in collapsed.keys() | expected.keys():
+            if abs(collapsed.get(key, 0.0) - expected.get(key, 0.0)) > tol * scale:
                 return False
     return True
 

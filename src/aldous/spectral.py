@@ -105,6 +105,23 @@ def _dense_second_smallest(M) -> float:
     return float(np.linalg.eigvalsh(dense)[1])
 
 
+def iterative_solve_bytes(rows: int) -> int:
+    """Memory the iterative solve of `second_smallest_laplacian_eig` maps
+    beside its matrix of `rows` rows.
+
+    Per row, 47 float64 values are live at its peak: ARPACK's 20 Lanczos
+    vectors, the 20 Ritz vectors it extracts them into, its three work
+    vectors, and a few vectors of the operator and the residual check
+    (`tracemalloc` measured 376 bytes per row plus 9-13 KB at 720-362880
+    rows); three more cover freed vectors that the allocator keeps
+    mapped. The 32 MiB are the work buffer that the OpenBLAS behind
+    ARPACK maps on its first matrix-vector product of more than a few
+    hundred rows and keeps for the life of the process. A dense solve
+    (at most DENSE_CROSSOVER rows) needs well under 1 MB.
+    """
+    return 50 * 8 * rows + 2**25
+
+
 def second_smallest_laplacian_eig(M, dense_limit: int = DENSE_CROSSOVER) -> float:
     """Second-smallest eigenvalue of a (possibly sparse) graph Laplacian.
 

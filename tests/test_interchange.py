@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from aldous.graphs import (
     SignedWeightedGraph,
     WeightedGraph,
     complete_graph,
+    path_graph,
     random_connected_graph,
     rw_laplacian,
     wheel_graph,
@@ -27,9 +29,10 @@ from aldous.interchange import (
     interchange_laplacian,
     spectrum_via_irreps,
 )
+import aldous.interchange as interchange
 import aldous.yor as yor
 from aldous.conjecture import check_conjecture, comparison_weights, dirichlet_gap_matrix
-from aldous.spectral import multiset_equal, second_smallest_laplacian_eig
+from aldous.spectral import iterative_solve_bytes, multiset_equal, second_smallest_laplacian_eig
 from aldous.tableaux import Partition, enumerate_partitions, enumerate_syt
 from aldous.yor import irrep_laplacian, shape_spectra
 from helpers import loop_interchange_laplacian
@@ -44,6 +47,15 @@ def signed_graphs(draw, max_n=6):
     weight = st.one_of(st.just(0.0), st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False))
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     return SignedWeightedGraph(n, {e: draw(weight) for e in chosen})
+
+
+def assert_same_csr(A, B):
+    """Equal CSR arrays, bit for bit, with equal dtypes and sorted rows.
+    The order of a row's entries decides how a matvec rounds, which
+    `(A != B).nnz` cannot see."""
+    assert A.shape == B.shape and A.has_sorted_indices and B.has_sorted_indices
+    for a, b in ((A.indptr, B.indptr), (A.indices, B.indices), (A.data, B.data)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestInterchangeLaplacian:
@@ -80,17 +92,12 @@ class TestInterchangeLaplacian:
     @settings(max_examples=60, deadline=None)
     @given(signed_graphs())
     def test_matches_loop_oracle(self, G):
-        A = interchange_laplacian(G)
-        B = loop_interchange_laplacian(G)
-        assert A.shape == B.shape and A.nnz == B.nnz
-        assert (A != B).nnz == 0
+        assert_same_csr(interchange_laplacian(G), loop_interchange_laplacian(G))
 
     @pytest.mark.parametrize("n", [7, 8])
     def test_matches_loop_oracle_large(self, n):
         G = random_connected_graph(n, np.random.default_rng(n), extra_edge_prob=0.3)
-        A = interchange_laplacian(G)
-        B = loop_interchange_laplacian(G)
-        assert A.nnz == B.nnz and (A != B).nnz == 0
+        assert_same_csr(interchange_laplacian(G), loop_interchange_laplacian(G))
 
 
 class TestGaps:
@@ -347,21 +354,53 @@ class TestMemoryGuard:
         assert yor._available_bytes() > 0
 
     def test_interchange_laplacian_refuses_exactly_above_the_estimate(self, monkeypatch):
-        G = wheel_graph(6)
-        need = math.factorial(6) * (56 * (len(G.positive_edges()) + 1) + 16 * 6)
-        monkeypatch.setattr(yor, "_available_bytes", lambda: need)
-        assert interchange_laplacian(G).shape == (720, 720)
-        monkeypatch.setattr(yor, "_available_bytes", lambda: need - 1)
-        with pytest.raises(ValueError, match="interchange Laplacian of a 6-vertex graph with 10 edges"):
-            interchange_laplacian(G)
+        G = wheel_graph(6)  # 10 edges: 11 entries per row with the diagonal
+        size, width = 720, 11
+        # returned: int32 columns, float64 values and row pointers, and two
+        # freed int64 temporaries per row; filling the columns: codes, the
+        # 6-column place table, the int32 columns and the two temporaries
+        held = size * (width * 12 + 16) + (size + 1) * 4 + 2**16
+        fill = size * (8 + 8 * 6 + 16 + 4 * width) + 2**16
+        subject = "interchange Laplacian of a 6-vertex graph with 10 edges"
+        solve = held + 400 * size + 2**25  # 50 float64 per state and the BLAS buffer
+        for run, need, what in (
+            (interchange_laplacian, max(fill, held), subject),
+            (gap_interchange, max(fill, solve), subject + " and its eigensolve"),
+        ):
+            monkeypatch.setattr(yor, "_available_bytes", lambda: need)
+            run(G)
+            monkeypatch.setattr(yor, "_available_bytes", lambda: need - 1)
+            with pytest.raises(ValueError, match=what):
+                run(G)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    @pytest.mark.parametrize("family", [path_graph, complete_graph])
+    def test_estimates_bound_the_traced_peak(self, monkeypatch, n, family):
+        """Each estimate is at least the peak that `tracemalloc` sees and at
+        most 1.5 times it. tracemalloc cannot see the BLAS work buffer, the
+        part of the solve's memory that does not grow with the states, so
+        it is left out of gap_interchange's."""
+        G = family(n)
+        needs = []
+        monkeypatch.setattr(interchange, "_require_bytes", lambda need, what: needs.append(need))
+        for run, unseen in ((interchange_laplacian, 0), (gap_interchange, iterative_solve_bytes(0))):
+            run(G)  # scipy is loaded outside the traced run
+            needs.clear()
+            tracemalloc.start()
+            try:
+                run(G)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= needs[0] - unseen <= 1.5 * peak, run.__name__
 
     def test_dirichlet_gap_matrix_refuses_exactly_above_the_estimate(self, monkeypatch):
         gamma = (1.0, 2.0, 3.0, 4.0)
-        need = 2 * math.factorial(5) ** 2 * 8  # the dense array and its scaled copy
+        need = math.factorial(5) ** 2 * 8  # the dense array, doubled in place
         monkeypatch.setattr(yor, "_available_bytes", lambda: need)
         assert dirichlet_gap_matrix(gamma).shape == (120, 120)
         monkeypatch.setattr(yor, "_available_bytes", lambda: need - 1)
-        with pytest.raises(ValueError, match="dense 5! x 5! arrays of the Dirichlet form"):
+        with pytest.raises(ValueError, match="dense 5! x 5! array of the Dirichlet form"):
             dirichlet_gap_matrix(gamma)
 
     def test_cli_rep_exits_2_when_only_the_matrix_fits(self, monkeypatch, capsys):
@@ -381,6 +420,57 @@ class TestMemoryGuard:
     def test_thirty_vertices_refused_without_a_cap(self):
         with pytest.raises(ValueError, match="30-vertex graph"):
             interchange_laplacian(complete_graph(30))
+
+
+_UNDER_LIMIT = """
+import os, resource, sys
+import scipy.sparse.linalg
+from aldous import interchange
+from aldous.graphs import complete_graph, path_graph
+
+class Estimate(Exception):
+    pass
+
+def estimate(need, what):
+    raise Estimate(need)
+
+G = {"path": path_graph, "complete": complete_graph}[sys.argv[1]](8)
+interchange._require_bytes, require = estimate, interchange._require_bytes
+try:
+    interchange.gap_interchange(G)
+except Estimate as exc:
+    need = exc.args[0]
+interchange._require_bytes = require
+with open("/proc/self/statm") as fh:
+    mapped = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (mapped + int(float(sys.argv[2]) * need), hard))
+try:
+    print(interchange.gap_interchange(G))
+except ValueError as exc:
+    print("refused:", exc)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/statm")
+@pytest.mark.parametrize("family", ["path", "complete"])
+def test_address_space_limit_gives_refusal_or_result(family):
+    """Under an address-space limit of the mapped size plus 0.5-2 times
+    the estimate, gap_interchange at n = 8 either refuses or returns the
+    gap; it never runs out of memory part way."""
+    src = str(Path(aldous.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    outcomes = []
+    for factor in ("0.5", "1.0", "1.5", "2.0"):
+        run = subprocess.run(
+            [sys.executable, "-c", _UNDER_LIMIT, family, factor],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0 and run.stderr == "", (factor, run.stderr)
+        outcomes.append(run.stdout.startswith("refused:"))
+        if not outcomes[-1]:
+            assert float(run.stdout) > 0
+    assert outcomes[0] and not outcomes[-1]
 
 
 def test_nine_vertices_both_routes():
