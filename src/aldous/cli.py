@@ -28,9 +28,10 @@ from .tableaux import Partition, enumerate_syt, parse_partition
 from .yor import _require_bytes, rho_sigma, shape_spectra
 
 # Peak bytes per (zero, nonzero) matrix entry while `rep` makes its text:
-# the matrix, the JSON's Python floats and chunks, and the text. Measured
-# at f = 1430 (shape 8,8) as 137 and 171 for JSON, 11 and 63 for CSV.
-_REP_BYTES = {"json": (150, 185), "csv": (16, 72)}
+# the matrix, one row's Python floats and strings, the rows' text and the
+# joined text. Measured at f = 1430 (shape 8,8) as 42 and 83 for JSON,
+# 11 and 63 for CSV.
+_REP_BYTES = {"json": (46, 90), "csv": (16, 72)}
 
 
 def _dump_json(obj) -> str:
@@ -176,9 +177,14 @@ def _cmd_rep(args) -> tuple[str, int]:
             "sigma": list(sigma.images),
             "dim": M.shape[0],
             "tableaux": [str(t) for t in enumerate_syt(lam)],
-            "matrix": [[float(x) for x in row] for row in M],
+            "matrix": None,
         }
-        return _dump_json(payload), 0
+        # the matrix is written a row at a time, in the layout and float
+        # text of json.dumps(indent=2), so no string per entry of the
+        # whole matrix is ever alive at once
+        head, tail = _dump_json(payload).split('"matrix": null', 1)
+        rows = ("    [\n      " + ",\n      ".join(map(repr, row.tolist())) + "\n    ]" for row in M)
+        return "".join((head, '"matrix": [\n', ",\n".join(rows), "\n  ]", tail)), 0
     lines = [
         f"# rho for shape ({_partition_text(lam)}) at sigma with one-line word "
         + ",".join(str(v) for v in sigma.images)

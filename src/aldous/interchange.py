@@ -14,23 +14,40 @@ operation per edge: the words are numbers in base n, so a binary search
 over their sorted numbers ranks (i j) sigma, and every row holds the
 same entries (the diagonal and one per edge), so each edge fills one
 column of the index table (0.01-0.09 s for the 40320 states of n = 8,
-against 1.1-1.4 s for a loop over words and edges). `gap_interchange`
-then solves it iteratively above `spectral.DENSE_CROSSOVER` states,
-which covers n >= 6. `aldous decompose` still computes the full dense
-spectrum up to `spectral.DENSE_LIMIT` states (n <= 7), because its
-direct check compares every eigenvalue with the per-shape blocks, not
-only the gap.
+against 1.1-1.4 s for a loop over words and edges). `aldous decompose`
+computes its full dense spectrum up to `spectral.DENSE_LIMIT` states
+(n <= 7), because its direct check compares every eigenvalue with the
+per-shape blocks, not only the gap.
+
+`gap_interchange` does not solve that matrix. Every transposition flips
+the parity of a word, so the chain is bipartite: with W the total rate
+and A = W I - L the rate matrix, A only links the n!/2 even words to
+the n!/2 odd ones, through one block B (`_even_odd_block`, built like
+the Laplacian from the same ranking: the words of ranks 2k and 2k + 1
+are the k-th even and the k-th odd word, in some order, and no parity
+need be computed). Then L (2W I - L) = W^2 I - A^2
+with A^2 = B B^T (+) B^T B, so the gap is W - sigma_2(B), which
+`spectral.bipartite_laplacian_gap` finds from the smallest nontrivial
+eigenvalue of W^2 I - B B^T on the even words. Against a solve of L
+on all n! states, Lanczos needs 21-51 matrix-vector products at n = 8
+instead of 21-101, on vectors half as long, and each product still
+touches every stored rate once. On a 2-vCPU x86 host with two OpenBLAS
+threads, `gap_interchange` takes 0.08-0.15 s at n = 8 (0.15-0.24 s on
+all states), 1.7-1.9 s at 179 MB peak RSS on K_9 (2.6-3.0 s at 300 MB)
+and 21-23 s at 1.4 GB on K_10 (26-43 s at 2.8 GB). Below
+`spectral.DENSE_CROSSOVER` states (n <= 5) it solves [[W I, -B],
+[-B^T, W I]] densely.
 
 There is no fixed cap on n. Before it builds anything, `gap_interchange`
 passes one estimate to `yor._require_bytes`: the larger of what the
-builder maps at its peak and the matrix beside the eigensolver's
-vectors and work buffer, each counted array by array (`_footprint`,
-`spectral.iterative_solve_bytes`). So K_10 (3628800 states) builds
-and solves in under a minute at 2.8 GB peak RSS, and a graph whose
-matrix would not fit is refused with ValueError before anything is
-allocated. The per-shape route (`spectrum_via_irreps`, `aldous_check`)
-makes one `yor.shape_spectra` pass, which refuses the same way a graph
-whose blocks would not fit.
+block's builder maps at its peak and the block beside the eigensolver's
+vectors and work buffer, each counted array by array
+(`_block_footprint`, `spectral.iterative_solve_bytes`), so a graph
+whose block would not fit is refused with ValueError before anything
+is allocated; `interchange_laplacian` checks its own count
+(`_footprint`). The per-shape route (`spectrum_via_irreps`,
+`aldous_check`) makes one `yor.shape_spectra` pass, which refuses the
+same way a graph whose blocks would not fit.
 """
 
 from __future__ import annotations
@@ -43,7 +60,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .graphs import WeightedGraph
-from .spectral import DEFAULT_TOL, iterative_solve_bytes, second_smallest_laplacian_eig
+from .spectral import DEFAULT_TOL, bipartite_laplacian_gap, iterative_solve_bytes
 from .tableaux import Partition, f_dim
 from .yor import _require_bytes, irrep_laplacian, shape_spectra
 
@@ -60,9 +77,14 @@ __all__ = [
 ]
 
 
-def _footprint(G: WeightedGraph) -> tuple[int, int, str]:
-    """Bytes `interchange_laplacian(G)` maps at its peak, bytes it still
-    maps when it returns, and what it builds, for the refusal message.
+def _subject(G: WeightedGraph) -> str:
+    """What the explicit route builds, for its refusal messages."""
+    edges = sum(1 for w in G.weights.values() if w != 0)
+    return f"the {G.n}! states of the interchange Laplacian of a {G.n}-vertex graph with {edges} edges"
+
+
+def _footprint(G: WeightedGraph) -> int:
+    """Bytes `interchange_laplacian(G)` maps at its peak.
 
     With w stored entries per row, it returns the column table (int32
     below 2^31 entries, else int64), the float64 values and the row
@@ -79,8 +101,46 @@ def _footprint(G: WeightedGraph) -> tuple[int, int, str]:
     index = 4 if size * width < 2**31 else 8
     fill = size * (8 + 8 * n + 16 + max(n, index * width))
     held = size * (width * (index + 8) + 16) + (size + 1) * index
-    what = f"the {n}! states of the interchange Laplacian of a {n}-vertex graph with {edges} edges"
-    return max(fill, held) + 2**16, held + 2**16, what
+    return max(fill, held) + 2**16
+
+
+def _block_footprint(G: WeightedGraph) -> tuple[int, int]:
+    """Bytes `_even_odd_block(G)` maps at its peak, and bytes it still
+    maps when it returns.
+
+    With E edges and h = n!/2 rows, it returns E columns (int32 below
+    2^31 entries, else int64) and E float64 values per row and the row
+    pointers, beside two freed h-long int64 temporaries the allocator
+    may keep mapped. While the place table is filled, it holds the int8
+    words, the int64 codes, the (n! x n) int64 place table and two
+    n!-long temporaries; while the columns are filled, the codes, the
+    place table, a copy of the odd-rank codes, the column table and
+    three h-long temporaries. Both counts add 64 KiB for the small
+    objects around the arrays.
+    """
+    n, size = G.n, math.factorial(G.n)
+    edges, half = sum(1 for w in G.weights.values() if w != 0), size // 2
+    index = 4 if half * edges < 2**31 else 8
+    rank = size * (n + 8 + 8 * n + 16)
+    fill = size * (8 + 8 * n) + half * (8 + index * edges + 24)
+    held = half * (edges * (index + 8) + index + 16) + index
+    return max(rank, fill, held) + 2**16, held + 2**16
+
+
+def _ranked_words(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n! words in lexicographic order, as their numbers in base n
+    (ascending) and the place table: entry [r, v] is the place value of
+    the position holding the letter v in word r."""
+    size = math.factorial(n)
+    # the words back to back, in lexicographic order: words[k::n] holds letter k of each
+    words = np.fromiter(chain.from_iterable(permutations(range(n))), np.int8, size * n)
+    codes = np.zeros(size, dtype=np.int64)
+    placed = np.empty((size, n), dtype=np.int64)
+    for k in range(n):
+        codes *= n
+        codes += words[k::n]
+        placed[np.arange(size), words[k::n]] = n ** (n - 1 - k)
+    return codes, placed
 
 
 def interchange_laplacian(G: WeightedGraph) -> sp.csr_matrix:
@@ -107,23 +167,14 @@ def interchange_laplacian(G: WeightedGraph) -> sp.csr_matrix:
     """
     import scipy.sparse as sp  # only this explicit route needs scipy
 
-    peak, _, what = _footprint(G)
-    _require_bytes(peak, what)
+    _require_bytes(_footprint(G), _subject(G))
     n = G.n
     size = math.factorial(n)
     edges = [(i, j, w) for (i, j), w in sorted(G.weights.items()) if w != 0]
     total = sum(G.weights.values())
     vals = ([total] if total else []) + [-w for _, _, w in edges]
     width = len(vals)
-    # the words back to back, in lexicographic order: words[k::n] holds letter k of each
-    words = np.fromiter(chain.from_iterable(permutations(range(n))), np.int8, size * n)
-    codes = np.zeros(size, dtype=np.int64)  # ascending
-    placed = np.empty((size, n), dtype=np.int64)  # [r, v]: place value of the letter v in word r
-    for k in range(n):
-        codes *= n
-        codes += words[k::n]
-        placed[np.arange(size), words[k::n]] = n ** (n - 1 - k)
-    del words
+    codes, placed = _ranked_words(n)
     index = np.int32 if size * width < 2**31 else np.int64
     table = np.empty((size, width), dtype=index)  # row r: its entries' columns
     if total:
@@ -138,22 +189,64 @@ def interchange_laplacian(G: WeightedGraph) -> sp.csr_matrix:
     return L
 
 
+def _even_odd_block(G: WeightedGraph) -> sp.csr_matrix:
+    """The block B of the interchange rates from the even words (rows) to
+    the odd words (columns), both in rank order: B[e, o] is the rate of
+    (i, j) when o = (i j) e. Each row holds one entry per edge with a
+    nonzero rate, and the interchange Laplacian, with its rows and
+    columns ordered even words first, is [[W I, -B], [-B^T, W I]] for
+    the total rate W.
+
+    The words of ranks 2k and 2k + 1 differ by a swap of their last two
+    places, so one of them is even and the other odd, and k is the rank
+    of each among the words of its parity. (i j) acts on letters and
+    that swap on places, so (i j) takes both words of pair k into one
+    pair k'. Row k is therefore filled from the word of rank 2k, whatever
+    its parity, and a binary search of the numbers of the words of odd
+    rank, as in `interchange_laplacian`, gives k'.
+    """
+    import scipy.sparse as sp
+
+    n = G.n
+    half = math.factorial(n) // 2
+    edges = [(i, j, w) for (i, j), w in sorted(G.weights.items()) if w != 0]
+    codes, placed = _ranked_words(n)
+    upper = codes[1::2].copy()  # ascending: the larger number of each pair
+    index = np.int32 if half * len(edges) < 2**31 else np.int64
+    table = np.empty((half, len(edges)), dtype=index)  # row k: its entries' columns
+    for c, (i, j, _) in enumerate(edges):
+        step = (j - i) * (placed[::2, i - 1] - placed[::2, j - 1])
+        table[:, c] = np.searchsorted(upper, codes[::2] + step)
+        del step  # freed before the next edge's arrays are made
+    del codes, placed, upper
+    data = np.tile(np.array([w for _, _, w in edges], dtype=float), half)
+    indptr = np.arange(half + 1, dtype=index) * len(edges)
+    B = sp.csr_matrix((data, table.reshape(-1), indptr), shape=(half, half))
+    B.sort_indices()
+    return B
+
+
 def gap_interchange(G: WeightedGraph) -> float:
     """Second-smallest eigenvalue of the explicit interchange Laplacian.
 
     Zero exactly when the chain is reducible (the zero eigenvalue then
-    has multiplicity above one). Raises ValueError, before building
-    anything, when the n!-state matrix and the eigensolver's vectors
-    beside it would not fit in memory.
+    has multiplicity above one), and exactly 0.0 for a graph without
+    edges, whose Laplacian is the zero matrix. Solved on the even half
+    of the words (`spectral.bipartite_laplacian_gap`). Raises
+    ValueError, before building anything, when the block between the
+    even and odd words and the eigensolver's vectors beside it would
+    not fit in memory.
     """
     if G.n < 2:
         raise ValueError("need at least 2 vertices")
+    if not any(G.weights.values()):
+        return 0.0
     import scipy.sparse.linalg  # noqa: F401  (loaded first: the check counts it as mapped)
 
-    peak, held, what = _footprint(G)
-    solve = held + iterative_solve_bytes(math.factorial(G.n))
-    _require_bytes(max(peak, solve), what + " and its eigensolve")
-    return second_smallest_laplacian_eig(interchange_laplacian(G))
+    peak, held = _block_footprint(G)
+    solve = held + iterative_solve_bytes(math.factorial(G.n) // 2)
+    _require_bytes(max(peak, solve), _subject(G) + " and its eigensolve")
+    return bipartite_laplacian_gap(_even_odd_block(G), float(sum(G.weights.values())))
 
 
 def gap_rw(G: WeightedGraph) -> float:

@@ -4,25 +4,30 @@ All tolerances are relative to 1 + the matrix (or value) max-norm.
 Multiplicities are only ever handled through sorted multisets; no
 operation here matches eigenvectors.
 
-`second_smallest_laplacian_eig` solves densely up to DENSE_CROSSOVER
-rows and iteratively (ARPACK on the kernel-deflated operator) above.
-The crossover was measured on a 2-vCPU x86 host with two OpenBLAS
-threads, as medians of alternating calls:
+`bipartite_laplacian_gap` finds the gap of a Laplacian whose moves all
+cross between two halves of its states, as the interchange process's
+do. It solves densely up to DENSE_CROSSOVER rows and above that runs
+ARPACK on the first half only, on W^2 I - B B^T with its all-ones
+kernel direction shifted away. The crossover was measured on a 2-vCPU
+x86 host with two OpenBLAS threads, as medians of alternating calls
+(blocks of random weighted permutations stand in between the
+interchange sizes):
 
     rows                      dense      iterative
-    120 (interchange, n = 5)  0.8 ms     1.8 ms
-    200 (sparse Laplacian)    2.4 ms     5.6 ms
-    300 (sparse Laplacian)    5.1 ms     6.3 ms
-    400 (sparse Laplacian)    8.2 ms     4.1 ms
-    720 (interchange, n = 6)  57 ms      6.3 ms
-    5040 (interchange, n = 7) 7-11 s     0.017 s
+    120 (interchange, n = 5)  0.8-3.6 ms 1.5 ms
+    200 (random block)        2.2 ms     2.8 ms
+    300 (random block)        6.0 ms     4.6 ms
+    400 (random block)        10.8 ms    4.3 ms
+    720 (interchange, n = 6)  35 ms      3.0 ms
+    5040 (interchange, n = 7) 6.8-7.0 s  6.0 ms
 
-Dense solves of 100-240 rows also ran at 13-28 ms for seconds at a
-time on that host, against 2-5 ms iteratively. DENSE_LIMIT (6000, so
-up to n = 7 for the n!-state matrix) is a different bound: the largest
-matrix whose full spectrum `aldous decompose` computes densely for its
-direct check, and the largest an iterative solve that fails its
-residual check falls back to solving densely.
+Dense solves of 100-240 rows also ran at 13-40 ms for seconds at a
+time on that host; with one thread the 120-row solve takes 0.8 ms.
+DENSE_LIMIT (6000, so up to n = 7 for the n!-state matrix) is a
+different bound: the largest matrix whose full spectrum `aldous
+decompose` computes densely for its direct check, and the largest an
+iterative solve that fails its residual check falls back to solving
+densely.
 """
 
 from __future__ import annotations
@@ -98,72 +103,96 @@ def shift_bound_check(G, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.all(before - after <= bound + eps))
 
 
-def _dense_second_smallest(M) -> float:
-    import scipy.sparse as sp
-
-    dense = M.toarray() if sp.issparse(M) else np.asarray(M, dtype=float)
-    return float(np.linalg.eigvalsh(dense)[1])
+def _dense_gap(B, total: float) -> float:
+    """Second-smallest eigenvalue of [[total I, -B], [-B^T, total I]],
+    assembled and solved densely."""
+    half = B.shape[0]
+    L = np.zeros((2 * half, 2 * half))
+    L[:half, half:] = -B.toarray()
+    L[half:, :half] = L[:half, half:].T
+    np.fill_diagonal(L, total)
+    return float(np.linalg.eigvalsh(L)[1])
 
 
 def iterative_solve_bytes(rows: int) -> int:
-    """Memory the iterative solve of `second_smallest_laplacian_eig` maps
-    beside its matrix of `rows` rows.
+    """Memory the iterative solve of `bipartite_laplacian_gap` maps beside
+    its block of `rows` rows.
 
     Per row, 47 float64 values are live at its peak: ARPACK's 20 Lanczos
     vectors, the 20 Ritz vectors it extracts them into, its three work
     vectors, and a few vectors of the operator and the residual check
-    (`tracemalloc` measured 376 bytes per row plus 9-13 KB at 720-362880
-    rows); three more cover freed vectors that the allocator keeps
-    mapped. The 32 MiB are the work buffer that the OpenBLAS behind
-    ARPACK maps on its first matrix-vector product of more than a few
-    hundred rows and keeps for the life of the process. A dense solve
-    (at most DENSE_CROSSOVER rows) needs well under 1 MB.
+    (`tracemalloc` measured 368-373 bytes per row at 2520-181440 rows);
+    three more cover freed vectors that the allocator keeps mapped. The
+    32 MiB are the work buffer that the OpenBLAS behind ARPACK maps on
+    its first matrix-vector product of more than a few hundred rows and
+    keeps for the life of the process. A dense solve (at most
+    DENSE_CROSSOVER rows) needs well under 1 MB.
     """
     return 50 * 8 * rows + 2**25
 
 
-def second_smallest_laplacian_eig(M, dense_limit: int = DENSE_CROSSOVER) -> float:
-    """Second-smallest eigenvalue of a (possibly sparse) graph Laplacian.
+def bipartite_laplacian_gap(B, total: float, dense_limit: int = DENSE_CROSSOVER) -> float:
+    """Second-smallest eigenvalue mu of L = [[W I, -B], [-B^T, W I]] for a
+    square sparse B >= 0 whose rows and columns all sum to W = `total`:
+    the Laplacian of a chain whose moves all cross between two halves
+    of its states, as every transposition flips the parity of a word.
 
-    Dense solve up to `dense_limit`; beyond that, an iterative solve on
-    the operator with the known all-ones kernel direction shifted up out
-    of the way, so the smallest remaining eigenvalue is the gap. The
-    iterative solve starts from a fixed vector, so repeated calls give
-    the same bits, and its answer mu is accepted only when the residual
-    ||Mv - mu v|| / ||v||, which bounds the distance from mu to the
-    spectrum, is at most SOLVER_TOL * (1 + max |diagonal|). Otherwise,
-    or when ARPACK does not converge, a matrix of at most DENSE_LIMIT
-    rows is solved densely and a larger one raises ValueError.
+    L has the eigenvalues W -+ sigma for the singular values sigma of B,
+    so mu = W - sigma_2 (for at least two rows each side). L is solved
+    densely up to `dense_limit` rows; above that, ARPACK finds the
+    smallest eigenvalue m of W^2 I - B B^T on the first half, with its
+    all-ones kernel direction shifted up out of the way, and
+    mu = m / (W + sqrt(W^2 - m)) = W - sqrt(W^2 - m). This holds because
+    L (2W I - L) = W^2 I - A^2 for A = W I - L, and A^2 is
+    B B^T (+) B^T B. The map mu -> mu (2W - mu) folds the spectrum of L
+    about W and stretches its low end, so the gap is about four times as
+    large against the width of the spectrum, and Lanczos converges in
+    fewer steps than on L, with vectors half as long.
+
+    The solve starts from a fixed vector, so repeated calls give the
+    same bits. Its eigenvector v is lifted to L as (v, B^T v / (W - mu)),
+    and mu is accepted only when that pair's residual ||Lx - mu x|| / ||x||,
+    which bounds the distance from mu to the spectrum of L, is at most
+    SOLVER_TOL * (1 + |W|). Otherwise, or when ARPACK does not converge,
+    an L of at most DENSE_LIMIT rows is solved densely and a larger one
+    raises ValueError.
     """
     import scipy.sparse.linalg as spla  # deferred: the per-shape route never needs scipy
 
-    dim = M.shape[0]
+    half = B.shape[0]
+    dim = 2 * half
     if dim < 2:
         raise ValueError("need dimension >= 2")
     if dim <= dense_limit:
-        return _dense_second_smallest(M)
-    diag = M.diagonal()
-    shift = 1.0 + 2.0 * float(diag.max())  # exceeds lambda_max by Gershgorin
+        return _dense_gap(B, total)
+    square = total * total
+    shift = 1.0 + 2.0 * square  # exceeds the largest eigenvalue, at most W^2
+    BT = B.T
 
     def matvec(x):
-        return M @ x + shift * x.mean() * np.ones(dim)
+        return square * x - B @ (BT @ x) + shift * x.mean() * np.ones(half)
 
-    op = spla.LinearOperator((dim, dim), matvec=matvec, dtype=float)
+    op = spla.LinearOperator((half, half), matvec=matvec, dtype=float)
     # any fixed start but the all-ones vector, an eigenvector of op whose
     # Krylov space is one-dimensional
-    v0 = np.random.default_rng(0).standard_normal(dim)
+    v0 = np.random.default_rng(0).standard_normal(half)
     try:
         vals, vecs = spla.eigsh(op, k=1, which="SA", tol=SOLVER_TOL, maxiter=20000, v0=v0)
     except spla.ArpackNoConvergence as exc:
         vals, vecs = exc.eigenvalues, exc.eigenvectors
     residual = math.inf
-    if len(vals):
+    if len(vals) and vals[0] < square:
+        root = math.sqrt(square - vals[0])  # sigma_2 = W - mu
+        mu = float(vals[0]) / (total + root)
         v = vecs[:, 0]
-        residual = float(np.linalg.norm(op.matvec(v) - vals[0] * v) / np.linalg.norm(v))
-    if residual <= SOLVER_TOL * (1.0 + float(np.abs(diag).max())):
-        return float(vals[0])
+        u = (BT @ v) / root
+        even = total * v - B @ u - mu * v
+        odd = root * u - BT @ v
+        residual = math.sqrt((even @ even + odd @ odd) / (v @ v + u @ u))
+    if residual <= SOLVER_TOL * (1.0 + abs(total)):
+        return mu
     if dim <= DENSE_LIMIT:
-        return _dense_second_smallest(M)
+        return _dense_gap(B, total)
     raise ValueError(
         f"iterative eigensolve of dimension {dim} did not converge: residual {residual:.3g}"
     )

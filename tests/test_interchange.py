@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from aldous.interchange import (
 import aldous.interchange as interchange
 import aldous.yor as yor
 from aldous.conjecture import check_conjecture, comparison_weights, dirichlet_gap_matrix
-from aldous.spectral import iterative_solve_bytes, multiset_equal, second_smallest_laplacian_eig
+from aldous.spectral import bipartite_laplacian_gap, iterative_solve_bytes, multiset_equal
 from aldous.tableaux import Partition, enumerate_partitions, enumerate_syt
 from aldous.yor import irrep_laplacian, shape_spectra
 from helpers import loop_interchange_laplacian
@@ -56,6 +57,37 @@ def assert_same_csr(A, B):
     assert A.shape == B.shape and A.has_sorted_indices and B.has_sorted_indices
     for a, b in ((A.indptr, B.indptr), (A.indices, B.indices), (A.data, B.data)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def dense_gap(G):
+    """Second-smallest eigenvalue of the dense n! x n! Laplacian."""
+    return float(np.linalg.eigvalsh(interchange_laplacian(G).toarray())[1])
+
+
+def block_and_total(G):
+    return interchange._even_odd_block(G), float(sum(G.weights.values()))
+
+
+def odd_words(n):
+    """Parity of each word in rank order, by counting its inversions."""
+    return np.array(
+        [sum(a > b for k, a in enumerate(w) for b in w[k + 1:]) % 2 for w in permutations(range(n))],
+        dtype=bool,
+    )
+
+
+GAP_FAMILIES = {
+    "path": path_graph,
+    "complete": complete_graph,
+    "wheel": wheel_graph,
+    "random": lambda n: random_connected_graph(n, np.random.default_rng(n), extra_edge_prob=0.3),
+    "one_edge": lambda n: WeightedGraph(n, {(1, n): 1.3}),
+}
+
+
+def gap_cases(low, high):
+    """(family, n) for n = low..high; a wheel needs four vertices."""
+    return [(f, n) for f in GAP_FAMILIES for n in range(low, high + 1) if f != "wheel" or n >= 4]
 
 
 class TestInterchangeLaplacian:
@@ -141,29 +173,64 @@ class TestGaps:
 
     def test_iterative_solver_matches_dense_on_interchange_matrix(self):
         rng = np.random.default_rng(55)
-        L = interchange_laplacian(random_connected_graph(5, rng))
-        dense = second_smallest_laplacian_eig(L, dense_limit=10**6)
-        iterative = second_smallest_laplacian_eig(L, dense_limit=50)  # forces the deflated solver
+        G = random_connected_graph(5, rng)
+        dense = dense_gap(G)
+        iterative = bipartite_laplacian_gap(*block_and_total(G), dense_limit=50)  # forces ARPACK
         assert iterative == pytest.approx(dense, rel=1e-7, abs=1e-8)
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_default_solve_matches_dense(self, n):
         G = random_connected_graph(n, np.random.default_rng(60 + n), extra_edge_prob=0.3)
-        dense = second_smallest_laplacian_eig(interchange_laplacian(G), dense_limit=10**6)
-        assert gap_interchange(G) == pytest.approx(dense, rel=1e-12)
+        assert gap_interchange(G) == pytest.approx(dense_gap(G), rel=1e-12)
 
     def test_iterative_solve_is_repeatable(self):
         G = random_connected_graph(6, np.random.default_rng(7), extra_edge_prob=0.3)
-        L = interchange_laplacian(G)
-        first = second_smallest_laplacian_eig(L, dense_limit=0)
-        second = second_smallest_laplacian_eig(L, dense_limit=0)
+        B, total = block_and_total(G)
+        first = bipartite_laplacian_gap(B, total, dense_limit=0)
+        second = bipartite_laplacian_gap(B, total, dense_limit=0)
         assert first.hex() == second.hex()
 
     def test_n8_gap_via_iterative_path(self):
-        # 40320 states: above the dense limit, solved with kernel deflation
+        # 40320 states: above the dense limit, solved on the 20160 even words
         rng = np.random.default_rng(88)
         G = random_connected_graph(8, rng, extra_edge_prob=0.25)
         assert gap_interchange(G) == pytest.approx(gap_rw(G), rel=1e-8)
+
+
+class TestEvenOddBlock:
+    @pytest.mark.parametrize("family, n", gap_cases(2, 6))
+    def test_is_the_odd_columns_of_the_even_rows(self, family, n):
+        """Each row holds one entry per edge, and B is the negated block of
+        the interchange Laplacian between the even and the odd words, with
+        parity counted from each word's inversions."""
+        G = GAP_FAMILIES[family](n)
+        B, total = block_and_total(G)
+        edges = sum(1 for w in G.weights.values() if w != 0)
+        assert np.all(np.diff(B.indptr) == edges)
+        odd = odd_words(n)
+        L = interchange_laplacian(G).toarray()
+        assert np.array_equal(B.toarray(), -L[np.ix_(~odd, odd)])
+        # with the even words first, L is [[W I, -B], [-B^T, W I]]
+        diagonal, b = total * np.eye(len(B.indptr) - 1), B.toarray()
+        assembled = np.block([[diagonal, -b], [-b.T, diagonal]])
+        assert multiset_equal(np.linalg.eigvalsh(assembled), np.linalg.eigvalsh(L), tol=1e-12)
+
+
+class TestEvenHalfSolve:
+    @pytest.mark.parametrize("family, n", gap_cases(3, 7))
+    def test_matches_dense_second_eigenvalue(self, family, n):
+        G = GAP_FAMILIES[family](n)
+        # the reducible one-edge chain has gap 0, so its values are rounding
+        assert gap_interchange(G) == pytest.approx(dense_gap(G), rel=1e-12, abs=1e-13)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_edgeless_graph_gap_is_exactly_zero(self, n):
+        assert gap_interchange(WeightedGraph(n, {})) == 0.0
+        assert gap_interchange(WeightedGraph(n, {(1, 2): 0.0})) == 0.0
+
+    def test_repeat_calls_give_the_same_bits(self):
+        G = random_connected_graph(8, np.random.default_rng(3), extra_edge_prob=0.3)
+        assert gap_interchange(G).hex() == gap_interchange(G).hex()
 
 
 class TestSpectrumViaIrreps:
@@ -362,10 +429,15 @@ class TestMemoryGuard:
         held = size * (width * 12 + 16) + (size + 1) * 4 + 2**16
         fill = size * (8 + 8 * 6 + 16 + 4 * width) + 2**16
         subject = "interchange Laplacian of a 6-vertex graph with 10 edges"
-        solve = held + 400 * size + 2**25  # 50 float64 per state and the BLAS buffer
+        # the block between the 360 even and 360 odd words: int32 columns,
+        # float64 values and row pointers, two freed int64 temporaries per
+        # row; beside it 50 float64 per row and the BLAS buffer
+        half, edges = 360, 10
+        block = half * (edges * 12 + 4 + 16) + 4 + 2**16
+        solve = block + 400 * half + 2**25
         for run, need, what in (
             (interchange_laplacian, max(fill, held), subject),
-            (gap_interchange, max(fill, solve), subject + " and its eigensolve"),
+            (gap_interchange, solve, subject + " and its eigensolve"),
         ):
             monkeypatch.setattr(yor, "_available_bytes", lambda: need)
             run(G)
@@ -406,16 +478,18 @@ class TestMemoryGuard:
     def test_cli_rep_exits_2_when_only_the_matrix_fits(self, monkeypatch, capsys):
         from aldous.cli import main
 
-        f = len(enumerate_syt(Partition((4, 4))))
+        # at f = 90 the json text (46 bytes per entry) needs more than
+        # rho_sigma's two f x f arrays and 200 bytes per box of each tableau
+        f = len(enumerate_syt(Partition((4, 2, 1, 1))))
         matrix = 2 * f * f * 8 + 200 * 8 * f  # what rho_sigma refuses below
         monkeypatch.setattr(yor, "_available_bytes", lambda: matrix)
-        assert main(["rep", "4,4", "(1 2)"]) == 2
+        assert main(["rep", "4,2,1,1", "(1 2)"]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "json text of the 14 x 14 matrix" in captured.err
+        assert captured.out == "" and "json text of the 90 x 90 matrix" in captured.err
         monkeypatch.setattr(yor, "_available_bytes", lambda: matrix - 1)
-        assert main(["--format", "csv", "rep", "4,4", "(1 2)"]) == 2
+        assert main(["--format", "csv", "rep", "4,2,1,1", "(1 2)"]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "14 x 14 arrays of shape (4,4)" in captured.err
+        assert captured.out == "" and "90 x 90 arrays of shape (4,2,1,1)" in captured.err
 
     def test_thirty_vertices_refused_without_a_cap(self):
         with pytest.raises(ValueError, match="30-vertex graph"):

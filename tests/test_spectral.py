@@ -3,13 +3,13 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from aldous.graphs import WeightedGraph, complete_graph, random_connected_graph, rw_laplacian
+from aldous.graphs import WeightedGraph, random_connected_graph, rw_laplacian
 from aldous.spectral import (
     DENSE_LIMIT,
+    bipartite_laplacian_gap,
     interlace_check,
     is_psd,
     multiset_equal,
-    second_smallest_laplacian_eig,
     shift_bound_check,
 )
 
@@ -99,28 +99,42 @@ class TestShiftBound:
             shift_bound_check(WeightedGraph(3, {(1, 2): 1.0}))
 
 
+def cycle_block(m):
+    """Block of the cycle on 2m vertices between its even vertices (rows)
+    and odd ones (columns): vertex 2k meets 2k + 1 and 2k - 1. Every row
+    and column sums to 2, and the gap is 2 - 2 cos(pi / m)."""
+    return sp.csr_matrix(sp.eye(m) + sp.eye(m, k=-1) + sp.eye(m, k=m - 1))
+
+
+def random_block(m, moves, rng):
+    """A sum of `moves` random m x m permutation matrices with random
+    weights: each row and column sums to the total weight, as in the
+    interchange block. Returns the block and that total."""
+    weights = rng.uniform(0.5, 1.5, size=moves)
+    B = sum(w * sp.csr_matrix(np.eye(m)[rng.permutation(m)]) for w in weights)
+    return sp.csr_matrix(B), float(weights.sum())
+
+
 class TestSecondSmallest:
     def test_dense_path(self):
-        L = rw_laplacian(complete_graph(4))
-        assert second_smallest_laplacian_eig(L) == pytest.approx(4.0, abs=1e-10)
+        B = sp.csr_matrix(np.ones((4, 4)))  # the complete bipartite graph K_{4,4}
+        assert bipartite_laplacian_gap(B, 4.0) == pytest.approx(4.0, abs=1e-10)
 
     def test_iterative_matches_dense(self):
         rng = np.random.default_rng(9)
-        G = random_connected_graph(30, rng, extra_edge_prob=0.1)
-        L = sp.csr_matrix(rw_laplacian(G))
-        dense = second_smallest_laplacian_eig(L, dense_limit=10**6)
-        iterative = second_smallest_laplacian_eig(L, dense_limit=5)
+        B, total = random_block(30, 3, rng)
+        dense = bipartite_laplacian_gap(B, total, dense_limit=10**6)
+        iterative = bipartite_laplacian_gap(B, total, dense_limit=5)
         assert iterative == pytest.approx(dense, abs=1e-7)
 
     def test_disconnected_gap_zero_iterative(self):
-        G = WeightedGraph(12, {(i, i + 1): 1.0 for i in range(1, 6)})
-        L = sp.csr_matrix(rw_laplacian(G))
-        assert second_smallest_laplacian_eig(L, dense_limit=5) == pytest.approx(0.0, abs=1e-8)
+        B = sp.csr_matrix(sp.block_diag([cycle_block(6), cycle_block(6)]))
+        assert bipartite_laplacian_gap(B, 2.0, dense_limit=5) == pytest.approx(0.0, abs=1e-8)
 
-
-def path_laplacian(n):
-    G = WeightedGraph(n, {(i, i + 1): 1.0 for i in range(1, n)})
-    return sp.csr_matrix(rw_laplacian(G))
+    def test_cycle_gap(self):
+        gap = 2.0 - 2.0 * np.cos(np.pi / 20)
+        iterative = bipartite_laplacian_gap(cycle_block(20), 2.0, dense_limit=5)
+        assert iterative == pytest.approx(gap, rel=1e-12)
 
 
 def wrong_eigenpair(A, k, **kwargs):
@@ -137,14 +151,14 @@ def no_convergence(A, k, **kwargs):
 class TestIterativeFallback:
     @pytest.mark.parametrize("fake", [wrong_eigenpair, no_convergence])
     def test_falls_back_to_dense(self, monkeypatch, fake):
-        L = path_laplacian(40)
-        dense = second_smallest_laplacian_eig(L, dense_limit=10**6)
+        B = cycle_block(20)
+        dense = bipartite_laplacian_gap(B, 2.0, dense_limit=10**6)
         monkeypatch.setattr(spla, "eigsh", fake)
-        assert second_smallest_laplacian_eig(L, dense_limit=5) == dense
+        assert bipartite_laplacian_gap(B, 2.0, dense_limit=5) == dense
 
     @pytest.mark.parametrize("fake", [wrong_eigenpair, no_convergence])
     def test_raises_above_dense_limit(self, monkeypatch, fake):
-        L = path_laplacian(DENSE_LIMIT + 1)
+        half = DENSE_LIMIT // 2 + 1
         monkeypatch.setattr(spla, "eigsh", fake)
-        with pytest.raises(ValueError, match=f"dimension {DENSE_LIMIT + 1}.*residual"):
-            second_smallest_laplacian_eig(L)
+        with pytest.raises(ValueError, match=f"dimension {2 * half}.*residual"):
+            bipartite_laplacian_gap(cycle_block(half), 2.0)
