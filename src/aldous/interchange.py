@@ -204,6 +204,10 @@ def _even_odd_block(G: WeightedGraph) -> sp.csr_matrix:
     pair k'. Row k is therefore filled from the word of rank 2k, whatever
     its parity, and a binary search of the numbers of the words of odd
     rank, as in `interchange_laplacian`, gives k'.
+
+    B equals its transpose, entry for entry: ranks 2k and 2k + 1 differ by
+    a swap of the last two places, and the chain commutes with that swap,
+    so (i j) takes pair k' back into pair k.
     """
     import scipy.sparse as sp
 

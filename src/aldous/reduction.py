@@ -3,27 +3,38 @@
 Two certificate machines live here. The first works on unweighted
 multigraph skeletons with four rules (drop a pendant vertex, contract a
 degree-two vertex, merge a parallel pair, replace a degree-three vertex
-by a triangle on its neighbors) and searches for a rule sequence ending
-in a single edge; the inverse triangle-to-star move is deliberately not
+by a triangle on its neighbors) and asks for a rule sequence ending in
+a single edge; the inverse triangle-to-star move is deliberately not
 available. The second works on weighted graphs and searches for a
 vertex elimination order in which every removed vertex touches at most
 K-1 strictly positive rates at removal time, applying the collapse
 update (with its fill-in) at each step. Both certificates are replayable
-records: the steps plus every intermediate state.
+records: the reduction's steps with its input and terminal skeletons,
+the elimination's steps with every intermediate graph.
 
-One search state costs O(E + deg^2) for E edges. The elimination search
-works on (n, weights dict) pairs, not on `WeightedGraph`s, and collapses
-with `graphs._collapse_weights`, which touches only the removed vertex's
-edges and the pairs among its neighbours; the certificate's graphs are
-built once, along the order found. The reduction search takes degrees
-and neighbours from one pass over the edges, skips re-validating the
-skeletons its own rules produce, and computes each skeleton's canonical
-form once. Both searches keep an explicit stack.
+A rule sequence is an elimination order on the skeleton's simple
+support in which every removed vertex has at most three neighbours, so
+`reduce_to_edge` decides it as that elimination game: a depth-first
+search over sets of removed vertices that remembers the sets that
+failed, removes simplicial vertices without branching, and edits one
+adjacency structure in place with an undo record per removal. Removing
+a vertex and undoing it cost O(deg^2) set operations, plus a lookup of
+the common neighbours of each fill-in edge; choosing the next vertex
+scans the vertices with at most three neighbours. An exhausted search
+is a proof. The order found becomes rule steps through `apply_rule`.
+
+The elimination search works on (n, weights dict) pairs, not on
+`WeightedGraph`s, and collapses with `graphs._collapse_weights`, which
+touches only the removed vertex's edges and the pairs among its
+neighbours, so one of its states costs O(E + deg^2) for E edges; the
+certificate's graphs are built once, along the order found. Both
+searches keep an explicit stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Union
 
 from .graphs import (
@@ -46,7 +57,7 @@ class Skeleton:
     them). Equality and hashing are structural.
     """
 
-    __slots__ = ("vertices", "_edges", "_canonical")
+    __slots__ = ("vertices", "_edges")
 
     def __init__(self, vertices, edges):
         self.vertices = frozenset(int(v) for v in vertices)
@@ -62,7 +73,6 @@ class Skeleton:
                 raise ValueError(f"multiplicity must be >= 1, got {mult}")
             counts[_edge_key(i, j)] = counts.get(_edge_key(i, j), 0) + int(mult)
         self._edges = counts
-        self._canonical = None
 
     @classmethod
     def from_graph(cls, G: WeightedGraph) -> Skeleton:
@@ -109,13 +119,10 @@ class Skeleton:
         out = Skeleton.__new__(Skeleton)
         out.vertices = self.vertices - {drop_vertex} if drop_vertex is not None else self.vertices
         out._edges = counts
-        out._canonical = None
         return out
 
     def canonical(self) -> tuple:
-        if self._canonical is None:
-            self._canonical = (self.vertices, tuple(sorted(self._edges.items())))
-        return self._canonical
+        return self.vertices, tuple(sorted(self._edges.items()))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Skeleton) and self.canonical() == other.canonical()
@@ -216,7 +223,7 @@ def replay_reduction(cert: ReductionCertificate) -> bool:
 
 @dataclass(frozen=True)
 class ReductionResult:
-    status: str  # "reduced" | "irreducible" | "inconclusive"
+    status: str  # "reduced" | "irreducible" (proved) | "inconclusive" (budget hit)
     reason: str
     certificate: ReductionCertificate | None
     states_expanded: int
@@ -226,75 +233,153 @@ class ReductionResult:
         return self.status == "reduced"
 
 
-def _candidate_steps(S: Skeleton) -> list[Step]:
-    """Applicable steps in greedy priority order: pendant, parallel,
-    series, triangle. Deterministic by vertex/pair label."""
-    degrees = dict.fromkeys(S.vertices, 0)
-    ends: dict[int, list[int]] = {v: [] for v in S.vertices}
-    for (i, j), mult in S._edges.items():
-        degrees[i] += mult
-        degrees[j] += mult
-        ends[i].append(j)
-        ends[j].append(i)
-    vertices = sorted(S.vertices)
-    steps: list[Step] = [DegreeOne(v) for v in vertices if degrees[v] == 1]
-    steps += [Parallel(i, j) for (i, j), mult in sorted(S._edges.items()) if mult >= 2]
-    for v in vertices:
-        if degrees[v] == 2 and len(ends[v]) == 2:
-            i, j = ends[v]
-            steps.append(Series(v, i, j) if i < j else Series(v, j, i))
-    for v in vertices:
-        if degrees[v] == 3 and len(ends[v]) == 3:
-            steps.append(YDelta(v, *sorted(ends[v])))
-    return steps
-
-
 def reduce_to_edge(S: Skeleton, budget: int = 100_000) -> ReductionResult:
-    """Depth-first search for a rule sequence ending in a single edge.
+    """Search for a rule sequence ending in a single edge.
 
-    Rules are tried greedily in priority order with backtracking; every
-    rule strictly shrinks vertices+edges, so the search space is a DAG
-    and visited states are memoized. A budget hit or an exhausted search
-    is reported "inconclusive" (search failure is not a proof); only a
-    skeleton where no rule applies at all is called irreducible. The
-    search keeps an explicit stack, so its depth is not bounded by
-    Python's recursion limit.
+    Such a sequence is an elimination order on the skeleton's simple
+    support: `Parallel` merges aside, each rule removes a vertex with at
+    most three distinct neighbours and joins them pairwise (`Series` and
+    `YDelta` add the fill-in, `DegreeOne` needs none), until one pair is
+    left. `_elimination_game` searches those orders; the order found is
+    then replayed through `apply_rule` into the certificate, merging
+    parallel edges at each removed vertex and on the last pair.
+
+    An exhausted search is a proof that no sequence exists and reports
+    "irreducible"; the reason is "no applicable rule" when no rule
+    applies to the input at all. Only a budget hit is "inconclusive".
+    `states_expanded` counts the sets of removed vertices searched.
     """
     if not S.is_connected():
         raise ValueError("skeleton must be connected")
     if S.is_single_edge():
         return ReductionResult("reduced", "already a single edge", ReductionCertificate(S, (), S), 0)
-    if not _candidate_steps(S):
+    labels = sorted(S.vertices)
+    index = {v: k for k, v in enumerate(labels)}
+    adj: list[set[int]] = [set() for _ in labels]
+    for i, j in S._edges:
+        adj[index[i]].add(index[j])
+        adj[index[j]].add(index[i])
+    if all(m == 1 for m in S._edges.values()) and not any(1 <= len(ends) <= 3 for ends in adj):
         return ReductionResult("irreducible", "no applicable rule", None, 0)
+    status, expanded, order = _elimination_game(adj, budget)
+    if status == "budget":
+        return ReductionResult("inconclusive", "budget exhausted", None, expanded)
+    if status == "exhausted":
+        return ReductionResult("irreducible", "search exhausted without success", None, expanded)
 
-    visited: set[Skeleton] = set()
+    state, steps = S, []
+    for v, ends in order:
+        v, ends = labels[v], [labels[u] for u in ends]
+        rule = DegreeOne(v) if len(ends) == 1 else Series(v, *ends) if len(ends) == 2 else YDelta(v, *ends)
+        for step in _merges(state, v, ends) + [rule]:
+            steps.append(step)
+            state = apply_rule(state, step)
+    ((i, j),) = state.edge_multiplicities()
+    for step in _merges(state, i, [j]):
+        steps.append(step)
+        state = apply_rule(state, step)
+    cert = ReductionCertificate(S, tuple(steps), state)
+    return ReductionResult("reduced", "single edge reached", cert, expanded)
+
+
+def _merges(S: Skeleton, v: int, ends: list[int]) -> list[Parallel]:
+    """`Parallel` steps that leave one edge from v to each of `ends`."""
+    return [Parallel(*_edge_key(v, u)) for u in ends for _ in range(1, S.multiplicity(v, u))]
+
+
+def _elimination_game(adj: list[set[int]], budget: int) -> tuple[str, int, list[tuple[int, list[int]]]]:
+    """Search for an order removing all but two vertices of the simple
+    graph `adj`, each with at most three neighbours when it goes; removing
+    a vertex joins its neighbours pairwise.
+
+    The graph left after removing a set of vertices does not depend on
+    the order of removal, so a set whose search failed is remembered (as
+    a bitmask) and never searched again. A vertex whose neighbours are
+    pairwise adjacent (simplicial) goes without branching: removing it
+    adds no edge, so an order that works with it still works, less that
+    vertex, without it (Bodlaender and Koster, Treewidth computations I,
+    2010). Otherwise the candidates are tried lowest degree first, ties
+    by index. `adj` is
+    edited in place, with an undo record per removal, and is restored
+    unless the search succeeds.
+
+    Returns (status, sets expanded, order): status "reduced" with the
+    order as (vertex, its sorted neighbours when it went) pairs,
+    "exhausted" when no order exists, or "budget".
+    """
+    low: set[int] = set()  # remaining vertices with at most three neighbours
+    simplicial: set[int] = set()  # those of them whose neighbours are pairwise adjacent
+    path = []  # (vertex, removed without branching?, fill-in edges, vertices to refresh)
+
+    def refresh(u):
+        ends = adj[u]
+        if len(ends) > 3:
+            low.discard(u)
+            simplicial.discard(u)
+            return
+        low.add(u)
+        if all(b in adj[a] for a, b in combinations(ends, 2)):
+            simplicial.add(u)
+        else:
+            simplicial.discard(u)
+
+    def remove(v, forced):
+        ends = adj[v]  # left intact while v is out: no later edit touches it
+        low.discard(v)
+        simplicial.discard(v)
+        for u in ends:
+            adj[u].discard(v)
+        fill = [(a, b) for a, b in combinations(ends, 2) if b not in adj[a]]
+        touched = set(ends)  # only these and common neighbours of a fill edge change status
+        for a, b in fill:
+            adj[a].add(b)
+            adj[b].add(a)
+            touched |= adj[a] & adj[b]
+        for u in touched:
+            refresh(u)
+        path.append((v, forced, fill, touched))
+
+    def restore():
+        v, forced, fill, touched = path.pop()
+        for a, b in fill:
+            adj[a].discard(b)
+            adj[b].discard(a)
+        for u in adj[v]:
+            adj[u].add(v)
+        for u in touched | {v}:
+            refresh(u)
+        return v, forced
+
+    def key(u):
+        return len(adj[u]), u
+
+    for u in range(len(adj)):
+        refresh(u)
+    failed: set[int] = set()
+    removed = 0  # bitmask of the removed vertices
     expanded = 0
-    trail: list[Step] = []  # trail[k] leads from frames[k] to the next state
-    frames = []  # (state, its untried candidate steps)
-    state = S
-    while True:
-        if state.is_single_edge():
-            cert = ReductionCertificate(S, tuple(trail), state)
-            return ReductionResult("reduced", "single edge reached", cert, expanded)
-        if state not in visited:
-            visited.add(state)
+    while len(path) < len(adj) - 2:
+        v = None
+        if removed not in failed:
             if expanded >= budget:
-                return ReductionResult("inconclusive", "budget exhausted", None, expanded)
+                return "budget", expanded, []
             expanded += 1
-            frames.append((state, iter(_candidate_steps(state))))
-        else:
-            trail.pop()
-        while frames:
-            step = next(frames[-1][1], None)
-            if step is not None:
-                break
-            frames.pop()
-            if trail:
-                trail.pop()
-        else:
-            return ReductionResult("inconclusive", "search exhausted without success", None, expanded)
-        trail.append(step)
-        state = apply_rule(frames[-1][0], step)
+            if simplicial:
+                v, forced = min(simplicial), True
+            elif low:
+                v, forced = min(low, key=key), False
+        while v is None:  # this set fails; back up to the last branching choice
+            failed.add(removed)
+            if not path:
+                return "exhausted", expanded, []
+            u, forced = restore()
+            removed ^= 1 << u
+            if not forced:
+                tried = key(u)
+                v = min((w for w in low if key(w) > tried), key=key, default=None)
+        remove(v, forced)
+        removed |= 1 << v
+    return "reduced", expanded, [(v, sorted(adj[v])) for v, *_ in path]
 
 
 @dataclass(frozen=True)

@@ -215,6 +215,18 @@ class TestEvenOddBlock:
         assembled = np.block([[diagonal, -b], [-b.T, diagonal]])
         assert multiset_equal(np.linalg.eigvalsh(assembled), np.linalg.eigvalsh(L), tol=1e-12)
 
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_equals_its_transpose(self, n):
+        """Entry for entry, for positive rates and for the signed
+        star-minus-clique rates."""
+        rng = np.random.default_rng(n)
+        positive = random_connected_graph(n, rng, extra_edge_prob=0.5)
+        signed = comparison_weights(rng.uniform(0.25, 2.0, size=n - 1))
+        for G in (positive, signed):
+            B = interchange._even_odd_block(G)
+            assert B.nnz == math.factorial(n) // 2 * len(G.weights)
+            assert (B != B.T).nnz == 0
+
 
 class TestEvenHalfSolve:
     @pytest.mark.parametrize("family, n", gap_cases(3, 7))
