@@ -10,7 +10,6 @@ from .conjecture import (
     GammaVector,
     check_conjecture,
     conjecture_matrix,
-    dirichlet_gap_matrix,
     equal_gamma_min_eig,
     k4_closed_forms,
 )
@@ -36,7 +35,7 @@ from .interchange import (
     aldous_check,
     gap_interchange,
     gap_rw,
-    interchange_laplacian,
+    interchange_spectrum,
     spectrum_via_irreps,
 )
 from .permutations import Permutation, parse_permutation

@@ -20,7 +20,7 @@ import numpy as np
 
 from .conjecture import check_conjecture
 from .graphs import _GENERATORS, WeightedGraph, generate, graph_from_json_dict, graph_to_json_dict
-from .interchange import aldous_check, interchange_laplacian
+from .interchange import aldous_check, interchange_spectrum
 from .permutations import parse_permutation
 from .reduction import EliminationCertificate, certify_elimination, replay_elimination
 from .spectral import DEFAULT_TOL, DENSE_LIMIT, multiset_equal
@@ -91,17 +91,30 @@ def _certificate_payload(cert: EliminationCertificate) -> dict:
     }
 
 
+def _certificate_int(value) -> int:
+    """A JSON integer that is not a bool, as vertex ids must be."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _certificate_step(step) -> tuple[int, int]:
+    if not isinstance(step, list) or len(step) != 2:
+        raise TypeError(f"a step must be [vertex, degree], got {step!r}")
+    return _certificate_int(step[0]), _certificate_int(step[1])
+
+
 def _cmd_certify(args) -> tuple[str, int]:
     if args.replay:
         with open(args.graph, "r", encoding="utf-8") as handle:
             data = json.load(handle)
         try:
             cert = EliminationCertificate(
-                max_degree_bound=int(data["max_degree_bound"]),
-                steps=tuple((int(v), int(d)) for v, d in data["steps"]),
+                max_degree_bound=_certificate_int(data["max_degree_bound"]),
+                steps=tuple(map(_certificate_step, data["steps"])),
                 graphs=tuple(graph_from_json_dict(g) for g in data["graphs"]),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed certificate: {exc}")
         ok = replay_elimination(cert)
         return _dump_json({"replay_ok": ok}), 0 if ok else 1
@@ -141,18 +154,12 @@ def _cmd_decompose(args) -> tuple[str, int]:
             for lam, vals, _ in spectra
         ],
     }
-    # cross-check against the explicit factorial-size matrix when it is
-    # small enough to solve densely and within the configured cap; the
-    # dense matrix and the eigensolver's copy of it must fit
-    size = math.factorial(G.n)
-    if G.n <= args.n_cap and size <= DENSE_LIMIT:
-        _require_bytes(
-            2 * size * size * 8, f"the two dense {G.n}! x {G.n}! arrays of the direct check"
-        )
-        direct = np.linalg.eigvalsh(interchange_laplacian(G).toarray())
+    # cross-check against the explicit n!-state spectrum when it is small
+    # enough to solve densely and within the configured cap
+    if G.n <= args.n_cap and math.factorial(G.n) <= DENSE_LIMIT:
         payload["direct_check"] = {
             "performed": True,
-            "matches": multiset_equal(direct, merged, tol=1e-8),
+            "matches": multiset_equal(interchange_spectrum(G), merged, tol=1e-8),
         }
     else:
         payload["direct_check"] = {"performed": False, "matches": None}

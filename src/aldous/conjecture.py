@@ -3,14 +3,18 @@
 The inequality under test: for rates gamma_1..gamma_{k-1} into a center
 vertex k, the interchange Dirichlet form of the star dominates that of
 the complete graph on 1..k-1 weighted by gamma_i gamma_j / sum(gamma).
-Three independent routes verify it:
+The difference of the two forms is the interchange Dirichlet form of
+the signed comparison weights (`comparison_weights`), so the inequality
+holds exactly when the interchange Laplacian on those weights is
+positive semidefinite. Three independent routes decide it:
 
-* `dirichlet_gap_matrix` builds the k! x k! quadratic form of the
-  difference as twice the explicit interchange Laplacian
-  (`interchange_laplacian`, the left action sigma -> (i j) sigma) on
-  the signed comparison weights, independent of the per-shape blocks;
+* the explicit n!-state route: twice the smallest value of
+  `interchange.interchange_spectrum(comparison_weights(gamma))` is the
+  smallest eigenvalue of the k! x k! quadratic form of the difference
+  (see `comparison_weights`), independent of the per-shape blocks;
 * `conjecture_matrix` builds, per shape, the signed-weight comparison
-  block whose positive semidefiniteness is equivalent;
+  block whose positive semidefiniteness is equivalent, and
+  `check_conjecture` sweeps every shape;
 * closed forms: `k4_closed_forms` checks the exact rank-one /
   projection identities available for four boxes, and
   `equal_gamma_min_eig` the integer diagonal formula for equal rates.
@@ -24,10 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import SignedWeightedGraph
-from .interchange import interchange_laplacian
 from .spectral import DEFAULT_TOL
 from .tableaux import Partition, content_sum, max_corner_content
-from .yor import _require_bytes, irrep_laplacian, s4_transposition_vectors, shape_spectra
+from .yor import irrep_laplacian, s4_transposition_vectors, shape_spectra
 
 
 @dataclass(frozen=True)
@@ -57,29 +60,17 @@ def _as_gamma(gamma) -> GammaVector:
     return gamma if isinstance(gamma, GammaVector) else GammaVector(tuple(gamma))
 
 
-def dirichlet_gap_matrix(gamma) -> np.ndarray:
-    """Quadratic form of (star form) - (weighted clique form) on R^{k!}.
+def comparison_weights(gamma) -> SignedWeightedGraph:
+    """Signed edge weights of the star-minus-clique comparison graph:
+    gamma_i on (i, k), minus gamma_i gamma_j / total inside 1..k-1.
 
-    g^T Q g expands to
+    The quadratic form Q of (star form) - (weighted clique form) on R^{k!}
+    has g^T Q g equal to
       2 * [ sum_i gamma_i <g, (I - P_{(ik)}) g>
             - sum_{i<j} gamma_i gamma_j / total <g, (I - P_{(ij)}) g> ]
     with P the left-translation action, so Q is twice the interchange
-    Laplacian on the signed comparison weights. The inequality for these
-    rates holds iff Q is PSD. For k = 2 the clique sum is empty. Raises
-    ValueError, before building anything, when the dense array would not
-    fit in memory.
+    Laplacian on these weights. For k = 2 the clique sum is empty.
     """
-    G = comparison_weights(gamma)
-    size = math.factorial(G.n)
-    _require_bytes(size * size * 8, f"the dense {G.n}! x {G.n}! array of the Dirichlet form")
-    Q = interchange_laplacian(G).toarray()
-    Q *= 2.0  # in place, so only one dense array exists; doubling is exact
-    return Q
-
-
-def comparison_weights(gamma) -> SignedWeightedGraph:
-    """Signed edge weights of the star-minus-clique comparison graph:
-    gamma_i on (i, k), minus gamma_i gamma_j / total inside 1..k-1."""
     g = _as_gamma(gamma)
     if g.k >= 3 and g.total <= 0:
         raise ValueError("all-zero rates are only allowed for k = 2")

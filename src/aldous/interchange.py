@@ -1,31 +1,36 @@
-"""The n!-state interchange process and its spectral gap.
+"""The n!-state interchange process and its spectrum.
 
 States are permutations ranked lexicographically; the process jumps from
 sigma to (i j) sigma at the rate of edge (i, j). Two routes to its
-spectrum are kept deliberately independent: the explicit sparse n! x n!
-Laplacian, and the per-shape decomposition where each partition block
+spectrum are kept deliberately independent: the explicit n!-state
+chain, and the per-shape decomposition where each partition block
 appears with multiplicity equal to its dimension. The walk of a single
 label embeds as the two-row-shape block, which is what the gap
 comparison (`aldous_check`) exploits: the conjecture holds for a graph
 exactly when no other shape's smallest eigenvalue undercuts it.
 
-The explicit Laplacian is built straight into its CSR arrays, one array
-operation per edge: the words are numbers in base n, so a binary search
-over their sorted numbers ranks (i j) sigma, and every row holds the
-same entries (the diagonal and one per edge), so each edge fills one
-column of the index table (0.01-0.09 s for the 40320 states of n = 8,
-against 1.1-1.4 s for a loop over words and edges). `aldous decompose`
-computes its full dense spectrum up to `spectral.DENSE_LIMIT` states
-(n <= 7), because its direct check compares every eigenvalue with the
-per-shape blocks, not only the gap.
+The explicit route builds one matrix. Every transposition flips the
+parity of a word, so the chain is bipartite: with W the total rate and
+A = W I - L the rate matrix, A only links the n!/2 even words to the
+n!/2 odd ones, through one block B (`_even_odd_block`), and with the
+even words first the Laplacian is L = [[W I, -B], [-B^T, W I]]. B is
+built straight into its CSR arrays, one array operation per edge: the
+words are numbers in base n, so a binary search over their sorted
+numbers ranks (i j) sigma, and every row holds one entry per edge, so
+each edge fills one column of the index table. B equals its transpose.
 
-`gap_interchange` does not solve that matrix. Every transposition flips
-the parity of a word, so the chain is bipartite: with W the total rate
-and A = W I - L the rate matrix, A only links the n!/2 even words to
-the n!/2 odd ones, through one block B (`_even_odd_block`, built like
-the Laplacian from the same ranking: the words of ranks 2k and 2k + 1
-are the k-th even and the k-th odd word, in some order, and no parity
-need be computed). Then L (2W I - L) = W^2 I - A^2
+`interchange_spectrum` therefore takes the whole n!-point spectrum,
+{W - beta} and {W + beta} over the eigenvalues beta of B, from one
+dense solve of the n!/2-row block, up to `spectral.DENSE_LIMIT` states
+(n <= 7). `aldous decompose` compares every eigenvalue with the
+per-shape blocks, and on the star-minus-clique weights
+(`conjecture.comparison_weights`) twice the smallest one is the
+smallest eigenvalue of the Dirichlet form that `check_conjecture`
+decides shape by shape. On wheel 7, `aldous decompose` takes 1.3-1.5 s
+at 150 MB peak RSS, against 7.5-10.9 s at 442 MB when it solved all
+5040 states densely (2-vCPU x86 host, two OpenBLAS threads).
+
+`gap_interchange` needs only the gap. L (2W I - L) = W^2 I - A^2
 with A^2 = B B^T (+) B^T B, so the gap is W - sigma_2(B), which
 `spectral.bipartite_laplacian_gap` finds from the smallest nontrivial
 eigenvalue of W^2 I - B B^T on the even words. Against a solve of L
@@ -38,14 +43,14 @@ and 21-23 s at 1.4 GB on K_10 (26-43 s at 2.8 GB). Below
 `spectral.DENSE_CROSSOVER` states (n <= 5) it solves [[W I, -B],
 [-B^T, W I]] densely.
 
-There is no fixed cap on n. Before it builds anything, `gap_interchange`
-passes one estimate to `yor._require_bytes`: the larger of what the
-block's builder maps at its peak and the block beside the eigensolver's
-vectors and work buffer, each counted array by array
-(`_block_footprint`, `spectral.iterative_solve_bytes`), so a graph
-whose block would not fit is refused with ValueError before anything
-is allocated; `interchange_laplacian` checks its own count
-(`_footprint`). The per-shape route (`spectrum_via_irreps`,
+There is no fixed cap on n. Before it builds anything, each explicit
+function passes one estimate to `yor._require_bytes`: the larger of
+what the block's builder maps at its peak (`_block_footprint`) and the
+block beside what its solve holds, counted array by array (the dense
+block and what `eigvalsh` maps for `interchange_spectrum`,
+`spectral.iterative_solve_bytes` for `gap_interchange`), so a graph
+whose solve would not fit is refused with ValueError before anything
+is allocated. The per-shape route (`spectrum_via_irreps`,
 `aldous_check`) makes one `yor.shape_spectra` pass, which refuses the
 same way a graph whose blocks would not fit.
 """
@@ -60,7 +65,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .graphs import WeightedGraph
-from .spectral import DEFAULT_TOL, bipartite_laplacian_gap, iterative_solve_bytes
+from .spectral import DEFAULT_TOL, DENSE_LIMIT, bipartite_laplacian_gap, iterative_solve_bytes
 from .tableaux import Partition, f_dim
 from .yor import _require_bytes, irrep_laplacian, shape_spectra
 
@@ -68,7 +73,7 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 __all__ = [
-    "interchange_laplacian",
+    "interchange_spectrum",
     "gap_interchange",
     "gap_rw",
     "spectrum_via_irreps",
@@ -81,27 +86,6 @@ def _subject(G: WeightedGraph) -> str:
     """What the explicit route builds, for its refusal messages."""
     edges = sum(1 for w in G.weights.values() if w != 0)
     return f"the {G.n}! states of the interchange Laplacian of a {G.n}-vertex graph with {edges} edges"
-
-
-def _footprint(G: WeightedGraph) -> int:
-    """Bytes `interchange_laplacian(G)` maps at its peak.
-
-    With w stored entries per row, it returns the column table (int32
-    below 2^31 entries, else int64), the float64 values and the row
-    pointers; beside them, the allocator may keep the two freed n!-long
-    int64 temporaries of the column fill mapped. While the columns are
-    filled, it holds the int64 codes, the (n! x n) int64 place table,
-    the column table and those temporaries; while the place table is
-    filled, the int8 words stand in for the column table. Both counts
-    add 64 KiB for the small objects around the arrays.
-    """
-    n, size = G.n, math.factorial(G.n)
-    edges = sum(1 for w in G.weights.values() if w != 0)
-    width = edges + (1 if sum(G.weights.values()) else 0)
-    index = 4 if size * width < 2**31 else 8
-    fill = size * (8 + 8 * n + 16 + max(n, index * width))
-    held = size * (width * (index + 8) + 16) + (size + 1) * index
-    return max(fill, held) + 2**16
 
 
 def _block_footprint(G: WeightedGraph) -> tuple[int, int]:
@@ -127,68 +111,6 @@ def _block_footprint(G: WeightedGraph) -> tuple[int, int]:
     return max(rank, fill, held) + 2**16, held + 2**16
 
 
-def _ranked_words(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n! words in lexicographic order, as their numbers in base n
-    (ascending) and the place table: entry [r, v] is the place value of
-    the position holding the letter v in word r."""
-    size = math.factorial(n)
-    # the words back to back, in lexicographic order: words[k::n] holds letter k of each
-    words = np.fromiter(chain.from_iterable(permutations(range(n))), np.int8, size * n)
-    codes = np.zeros(size, dtype=np.int64)
-    placed = np.empty((size, n), dtype=np.int64)
-    for k in range(n):
-        codes *= n
-        codes += words[k::n]
-        placed[np.arange(size), words[k::n]] = n ** (n - 1 - k)
-    return codes, placed
-
-
-def interchange_laplacian(G: WeightedGraph) -> sp.csr_matrix:
-    """Sparse n! x n! Laplacian of the interchange process.
-
-    Row and column indices are permutation ranks. Every diagonal entry is
-    the total edge rate (left out when that total is 0); the entry
-    between sigma and (i j) sigma is the negated rate of (i, j), for
-    every edge with a nonzero rate. Row sums vanish. Signed weights (a
-    `SignedWeightedGraph`) are allowed; the matrix is PSD when all
-    weights are nonnegative.
-
-    Each word is read as an n-digit number in base n, so lexicographic
-    rank order is numeric order. (i j) sigma exchanges the letters i and
-    j of the word, which adds (j - i)(n^a - n^b) to its number, with a
-    and b the place values of the positions holding i and j; a binary
-    search of the sorted numbers gives its rank. Every row holds the
-    same number of entries, so the ranks fill one column of the CSR
-    index table per edge and the row pointers are a multiple of the
-    row number; no entry is ever duplicated.
-
-    Raises ValueError, before enumerating any word, when the build would
-    not fit in memory (`_footprint` counts its arrays).
-    """
-    import scipy.sparse as sp  # only this explicit route needs scipy
-
-    _require_bytes(_footprint(G), _subject(G))
-    n = G.n
-    size = math.factorial(n)
-    edges = [(i, j, w) for (i, j), w in sorted(G.weights.items()) if w != 0]
-    total = sum(G.weights.values())
-    vals = ([total] if total else []) + [-w for _, _, w in edges]
-    width = len(vals)
-    codes, placed = _ranked_words(n)
-    index = np.int32 if size * width < 2**31 else np.int64
-    table = np.empty((size, width), dtype=index)  # row r: its entries' columns
-    if total:
-        table[:, 0] = np.arange(size)
-    for c, (i, j, _) in enumerate(edges, start=width - len(edges)):
-        table[:, c] = np.searchsorted(codes, codes + (j - i) * (placed[:, i - 1] - placed[:, j - 1]))
-    del codes, placed
-    data = np.tile(np.array(vals, dtype=float), size)
-    indptr = np.arange(size + 1, dtype=index) * width
-    L = sp.csr_matrix((data, table.reshape(-1), indptr), shape=(size, size))
-    L.sort_indices()
-    return L
-
-
 def _even_odd_block(G: WeightedGraph) -> sp.csr_matrix:
     """The block B of the interchange rates from the even words (rows) to
     the odd words (columns), both in rank order: B[e, o] is the rate of
@@ -197,24 +119,42 @@ def _even_odd_block(G: WeightedGraph) -> sp.csr_matrix:
     columns ordered even words first, is [[W I, -B], [-B^T, W I]] for
     the total rate W.
 
-    The words of ranks 2k and 2k + 1 differ by a swap of their last two
-    places, so one of them is even and the other odd, and k is the rank
-    of each among the words of its parity. (i j) acts on letters and
-    that swap on places, so (i j) takes both words of pair k into one
-    pair k'. Row k is therefore filled from the word of rank 2k, whatever
-    its parity, and a binary search of the numbers of the words of odd
-    rank, as in `interchange_laplacian`, gives k'.
+    Each word is read as an n-digit number in base n, so lexicographic
+    rank order is numeric order. (i j) exchanges the letters i and j of
+    a word, which adds (j - i)(n^a - n^b) to its number, with a and b
+    the place values of the positions holding i and j. The words of
+    ranks 2k and 2k + 1 differ by a swap of their last two places, so
+    one of them is even and the other odd, and k is the rank of each
+    among the words of its parity. (i j) acts on letters and that swap
+    on places, so (i j) takes both words of pair k into one pair k'.
+    Row k is therefore filled from the word of rank 2k, whatever its
+    parity, and a binary search of the numbers of the words of odd rank
+    gives k'. Every row holds the same number of entries, so the ranks
+    fill one column of the CSR index table per edge and the row
+    pointers are a multiple of the row number; no entry is ever
+    duplicated.
 
     B equals its transpose, entry for entry: ranks 2k and 2k + 1 differ by
     a swap of the last two places, and the chain commutes with that swap,
     so (i j) takes pair k' back into pair k.
     """
-    import scipy.sparse as sp
+    import scipy.sparse as sp  # only the explicit route needs scipy
 
     n = G.n
-    half = math.factorial(n) // 2
+    size = math.factorial(n)
+    half = size // 2
     edges = [(i, j, w) for (i, j), w in sorted(G.weights.items()) if w != 0]
-    codes, placed = _ranked_words(n)
+    # the words back to back, in lexicographic order: words[k::n] holds
+    # letter k of each; codes are their numbers in base n (ascending), and
+    # placed[r, v] is the place value of the position holding v in word r
+    words = np.fromiter(chain.from_iterable(permutations(range(n))), np.int8, size * n)
+    codes = np.zeros(size, dtype=np.int64)
+    placed = np.empty((size, n), dtype=np.int64)
+    for k in range(n):
+        codes *= n
+        codes += words[k::n]
+        placed[np.arange(size), words[k::n]] = n ** (n - 1 - k)
+    del words
     upper = codes[1::2].copy()  # ascending: the larger number of each pair
     index = np.int32 if half * len(edges) < 2**31 else np.int64
     table = np.empty((half, len(edges)), dtype=index)  # row k: its entries' columns
@@ -228,6 +168,40 @@ def _even_odd_block(G: WeightedGraph) -> sp.csr_matrix:
     B = sp.csr_matrix((data, table.reshape(-1), indptr), shape=(half, half))
     B.sort_indices()
     return B
+
+
+def interchange_spectrum(G: WeightedGraph) -> np.ndarray:
+    """The n!-point spectrum of the explicit interchange Laplacian, sorted
+    ascending: W - beta and W + beta for the total rate W and each
+    eigenvalue beta of the even-to-odd block B, found by one dense solve
+    of B. Signed weights (a `SignedWeightedGraph`) are allowed; the
+    spectrum is nonnegative when all weights are.
+
+    Raises ValueError when n! exceeds `spectral.DENSE_LIMIT`, and, before
+    building anything, when the block, its dense copy and what the dense
+    solve maps beside them would not fit in memory.
+    """
+    size = math.factorial(G.n)
+    if size > DENSE_LIMIT:
+        raise ValueError(
+            f"a dense spectrum is limited to {DENSE_LIMIT} states; "
+            f"a {G.n}-vertex graph has {G.n}! states"
+        )
+    if G.n < 2:
+        return np.zeros(1)  # one state, no move
+    import scipy.sparse  # noqa: F401  (loaded first: the check counts it as mapped)
+
+    half = size // 2
+    peak, held = _block_footprint(G)
+    # beside the block: its dense copy, eigvalsh's copy of that, LAPACK's
+    # work array (dsyevd asks for 2 + 32 float64 per row, 32 being the
+    # block size of its tridiagonal reduction) and the 32 MiB work buffer
+    # that OpenBLAS maps on its first call
+    solve = held + 8 * half * (2 * half + 34) + 2**25
+    _require_bytes(max(peak, solve), _subject(G) + " and its dense eigensolve")
+    beta = np.linalg.eigvalsh(_even_odd_block(G).toarray())
+    total = float(sum(G.weights.values()))
+    return np.sort(np.concatenate([total - beta, total + beta]))
 
 
 def gap_interchange(G: WeightedGraph) -> float:

@@ -24,10 +24,12 @@ interchange sizes):
 Dense solves of 100-240 rows also ran at 13-40 ms for seconds at a
 time on that host; with one thread the 120-row solve takes 0.8 ms.
 DENSE_LIMIT (6000, so up to n = 7 for the n!-state matrix) is a
-different bound: the largest matrix whose full spectrum `aldous
-decompose` computes densely for its direct check, and the largest an
-iterative solve that fails its residual check falls back to solving
-densely.
+different bound: the most states whose full spectrum
+`interchange.interchange_spectrum` computes, from one dense solve of
+their n!/2-row even-to-odd block (for the direct check of `aldous
+decompose` and the Dirichlet-form oracle of the tests), and the
+largest matrix that an iterative solve failing its residual check
+falls back to solving densely.
 """
 
 from __future__ import annotations

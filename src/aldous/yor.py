@@ -46,8 +46,8 @@ anything it estimates what the builder and the eigensolver will hold,
 from (n-1)! and the hook length formula.
 
 `_require_bytes` is the package's one size refusal. `shape_spectra`,
-`rho_adjacent`, `rho_sigma` and the explicit n!-state builds of
-`aldous.interchange` and `aldous.conjecture` pass it their estimate
+`rho_adjacent`, `rho_sigma` and the explicit n!-state route of
+`aldous.interchange` pass it their estimate
 before anything is enumerated or allocated, and it raises ValueError
 when this process cannot get that much memory, instead of failing part
 way through an allocation.

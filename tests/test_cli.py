@@ -152,6 +152,38 @@ class TestCertify:
         code, *_ = run_cli(capsys, "certify", "--replay", str(cert_path))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "field, text",
+        [
+            ("vertex", "1.7"),
+            ("degree", "1.5"),
+            ("bound", "1.5"),
+            ("bound", "Infinity"),
+            ("bound", "1e400"),
+            ("vertex", "true"),
+            ("vertex", '"1"'),
+            ("step", "[1, 1, 0]"),
+            ("step", "[1]"),
+        ],
+    )
+    def test_replay_requires_integer_fields_and_pairs(self, capsys, tmp_path, field, text):
+        """Fractional, infinite, bool and string values, and steps that are
+        not pairs, exit 2 instead of being truncated or raising. 1.7, 1.5
+        and 1e400 were once read by int() as 1, 1 and an OverflowError."""
+        path = write_graph(tmp_path, {"n": 4, "edges": [[1, 2, 1.0], [2, 3, 1.0], [3, 4, 1.0]]})
+        code, out, _ = run_cli(capsys, "certify", path, "--k", "2")
+        cert = json.loads(out)["certificate"]
+        assert cert["max_degree_bound"] == 1 and cert["steps"][0] == [1, 1]
+        if field == "bound":
+            cert["max_degree_bound"] = "@"
+        else:
+            cert["steps"][0] = {"vertex": ["@", 1], "degree": [1, "@"], "step": "@"}[field]
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(cert).replace('"@"', text))
+        code, out, err = run_cli(capsys, "certify", "--replay", str(cert_path))
+        assert code == 2 and out == ""
+        assert "malformed certificate" in err
+
     def test_tampered_certificate_fails_replay(self, capsys, tmp_path):
         path = write_graph(tmp_path, {"n": 3, "edges": [[1, 2, 1.0], [2, 3, 1.0]]})
         code, out, _ = run_cli(capsys, "certify", path, "--k", "2")

@@ -27,12 +27,12 @@ from aldous.interchange import (
     aldous_check,
     gap_interchange,
     gap_rw,
-    interchange_laplacian,
+    interchange_spectrum,
     spectrum_via_irreps,
 )
 import aldous.interchange as interchange
 import aldous.yor as yor
-from aldous.conjecture import check_conjecture, comparison_weights, dirichlet_gap_matrix
+from aldous.conjecture import check_conjecture, comparison_weights
 from aldous.spectral import bipartite_laplacian_gap, iterative_solve_bytes, multiset_equal
 from aldous.tableaux import Partition, enumerate_partitions, enumerate_syt
 from aldous.yor import irrep_laplacian, shape_spectra
@@ -60,8 +60,8 @@ def assert_same_csr(A, B):
 
 
 def dense_gap(G):
-    """Second-smallest eigenvalue of the dense n! x n! Laplacian."""
-    return float(np.linalg.eigvalsh(interchange_laplacian(G).toarray())[1])
+    """Second-smallest value of the dense n!-point spectrum."""
+    return float(interchange_spectrum(G)[1])
 
 
 def block_and_total(G):
@@ -91,45 +91,56 @@ def gap_cases(low, high):
 
 
 class TestInterchangeLaplacian:
+    def test_one_vertex(self):
+        assert interchange_spectrum(WeightedGraph(1, {})).tolist() == [0.0]
+
     def test_two_vertices(self):
         a = 0.9
-        L = interchange_laplacian(WeightedGraph(2, {(1, 2): a})).toarray()
-        assert np.allclose(L, [[a, -a], [-a, a]], atol=1e-15)
+        G = WeightedGraph(2, {(1, 2): a})
+        assert interchange._even_odd_block(G).toarray().tolist() == [[a]]
+        assert np.allclose(interchange_spectrum(G), [0.0, 2 * a], atol=1e-15)
 
     def test_k3_structure(self):
-        L = interchange_laplacian(complete_graph(3)).toarray()
-        assert L.shape == (6, 6)
-        assert np.allclose(np.diag(L), 3.0)
-        for row in L:
-            assert np.sum(row == -1.0) == 3
-        assert np.abs(L.sum(axis=1)).max() < 1e-12
-        assert np.abs(L - L.T).max() == 0.0
+        # each even word of S_3 reaches each odd word by one transposition
+        B = interchange._even_odd_block(complete_graph(3))
+        assert np.array_equal(B.toarray(), np.ones((3, 3)))
+        assert np.allclose(interchange_spectrum(complete_graph(3)), [0, 3, 3, 3, 3, 6], atol=1e-12)
 
     def test_disconnected_kernel_multiplicity(self):
         G = WeightedGraph(4, {(1, 2): 1.0, (3, 4): 1.0})
-        vals = np.linalg.eigvalsh(interchange_laplacian(G).toarray())
-        assert np.sum(np.abs(vals) < 1e-10) > 1
+        assert np.sum(np.abs(interchange_spectrum(G)) < 1e-10) > 1
 
     def test_connected_kernel_is_one_dimensional(self):
         rng = np.random.default_rng(17)
         G = random_connected_graph(4, rng)
-        vals = np.linalg.eigvalsh(interchange_laplacian(G).toarray())
-        assert np.sum(np.abs(vals) < 1e-10) == 1
+        assert np.sum(np.abs(interchange_spectrum(G)) < 1e-10) == 1
 
     def test_nnz_count(self):
         G = complete_graph(3)
-        L = interchange_laplacian(G)
-        assert L.nnz == math.factorial(3) * (1 + len(G.positive_edges()))
+        B = interchange._even_odd_block(G)
+        assert B.nnz == math.factorial(3) // 2 * len(G.positive_edges())
 
     @settings(max_examples=60, deadline=None)
     @given(signed_graphs())
     def test_matches_loop_oracle(self, G):
-        assert_same_csr(interchange_laplacian(G), loop_interchange_laplacian(G))
+        """The spectrum taken from the even-to-odd block is the spectrum of
+        the loop-built n! x n! Laplacian, for signed, zero and all-zero
+        weights."""
+        direct = np.linalg.eigvalsh(loop_interchange_laplacian(G).toarray())
+        values = interchange_spectrum(G)
+        assert values.shape == direct.shape == (math.factorial(G.n),)
+        assert np.abs(values - direct).max() <= 1e-12 * (1.0 + np.abs(direct).max())
 
     @pytest.mark.parametrize("n", [7, 8])
     def test_matches_loop_oracle_large(self, n):
+        """B is, bit for bit in its CSR arrays, the negated block of the
+        loop-built Laplacian between the even rows and the odd columns."""
         G = random_connected_graph(n, np.random.default_rng(n), extra_edge_prob=0.3)
-        assert_same_csr(interchange_laplacian(G), loop_interchange_laplacian(G))
+        odd = odd_words(n)
+        block = -loop_interchange_laplacian(G)[np.flatnonzero(~odd)][:, np.flatnonzero(odd)]
+        block.sort_indices()
+        assert block.nnz == math.factorial(n) // 2 * len(G.weights)
+        assert_same_csr(interchange._even_odd_block(G), block)
 
 
 class TestGaps:
@@ -208,7 +219,7 @@ class TestEvenOddBlock:
         edges = sum(1 for w in G.weights.values() if w != 0)
         assert np.all(np.diff(B.indptr) == edges)
         odd = odd_words(n)
-        L = interchange_laplacian(G).toarray()
+        L = loop_interchange_laplacian(G).toarray()
         assert np.array_equal(B.toarray(), -L[np.ix_(~odd, odd)])
         # with the even words first, L is [[W I, -B], [-B^T, W I]]
         diagonal, b = total * np.eye(len(B.indptr) - 1), B.toarray()
@@ -262,7 +273,7 @@ class TestSpectrumViaIrreps:
         ids=["random", "signed"],
     )
     def test_matches_direct_n4(self, G):
-        direct = np.linalg.eigvalsh(interchange_laplacian(G).toarray())
+        direct = interchange_spectrum(G)
         assert multiset_equal(direct, spectrum_via_irreps(G), tol=1e-8)
 
     @settings(max_examples=60, deadline=None)
@@ -270,7 +281,7 @@ class TestSpectrumViaIrreps:
     def test_matches_explicit_route_on_signed_weights(self, G):
         # negative weights exercise the signed conjugate twist that
         # check_conjecture relies on
-        direct = np.linalg.eigvalsh(interchange_laplacian(G).toarray())
+        direct = interchange_spectrum(G)
         assert multiset_equal(direct, spectrum_via_irreps(G), tol=1e-8)
 
     def test_counts(self):
@@ -432,60 +443,84 @@ class TestMemoryGuard:
     def test_reader_reports_positive_memory(self):
         assert yor._available_bytes() > 0
 
-    def test_interchange_laplacian_refuses_exactly_above_the_estimate(self, monkeypatch):
-        G = wheel_graph(6)  # 10 edges: 11 entries per row with the diagonal
-        size, width = 720, 11
-        # returned: int32 columns, float64 values and row pointers, and two
-        # freed int64 temporaries per row; filling the columns: codes, the
-        # 6-column place table, the int32 columns and the two temporaries
-        held = size * (width * 12 + 16) + (size + 1) * 4 + 2**16
-        fill = size * (8 + 8 * 6 + 16 + 4 * width) + 2**16
-        subject = "interchange Laplacian of a 6-vertex graph with 10 edges"
+    def test_gap_interchange_refuses_exactly_above_the_estimate(self, monkeypatch):
+        G = wheel_graph(6)
+        subject = "interchange Laplacian of a 6-vertex graph with 10 edges and its eigensolve"
         # the block between the 360 even and 360 odd words: int32 columns,
         # float64 values and row pointers, two freed int64 temporaries per
         # row; beside it 50 float64 per row and the BLAS buffer
         half, edges = 360, 10
         block = half * (edges * 12 + 4 + 16) + 4 + 2**16
-        solve = block + 400 * half + 2**25
-        for run, need, what in (
-            (interchange_laplacian, max(fill, held), subject),
-            (gap_interchange, solve, subject + " and its eigensolve"),
-        ):
-            monkeypatch.setattr(yor, "_available_bytes", lambda: need)
+        need = block + 400 * half + 2**25
+        monkeypatch.setattr(yor, "_available_bytes", lambda: need)
+        gap_interchange(G)
+        monkeypatch.setattr(yor, "_available_bytes", lambda: need - 1)
+        with pytest.raises(ValueError, match=subject):
+            gap_interchange(G)
+
+    @pytest.mark.parametrize(
+        "G, edges",
+        [(wheel_graph(6), 10), (comparison_weights((1.0, 2.0, 3.0, 4.0, 5.0)), 15)],
+        ids=["wheel", "dirichlet"],
+    )
+    def test_spectrum_refuses_exactly_above_the_estimate(self, monkeypatch, G, edges):
+        """The block between the 360 even and 360 odd words as above; beside
+        it the dense block, eigvalsh's copy of it, LAPACK's work array of
+        34 float64 per row and the BLAS buffer."""
+        half = 360
+        block = half * (edges * 12 + 4 + 16) + 4 + 2**16
+        need = block + 8 * half * half + 8 * half * (half + 34) + 2**25
+        monkeypatch.setattr(yor, "_available_bytes", lambda: need)
+        assert interchange_spectrum(G).shape == (720,)
+        monkeypatch.setattr(yor, "_available_bytes", lambda: need - 1)
+        subject = f"6-vertex graph with {edges} edges and its dense eigensolve"
+        with pytest.raises(ValueError, match=subject):
+            interchange_spectrum(G)
+
+    @staticmethod
+    def traced_estimate(monkeypatch, run, G):
+        """The estimate `run(G)` passes to `_require_bytes`, and the peak
+        that `tracemalloc` sees in a second run (scipy is loaded by the
+        first, outside the traced run)."""
+        needs = []
+        monkeypatch.setattr(interchange, "_require_bytes", lambda need, what: needs.append(need))
+        run(G)
+        needs.clear()
+        tracemalloc.start()
+        try:
             run(G)
-            monkeypatch.setattr(yor, "_available_bytes", lambda: need - 1)
-            with pytest.raises(ValueError, match=what):
-                run(G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return needs[0], peak
 
     @pytest.mark.parametrize("n", [7, 8])
     @pytest.mark.parametrize("family", [path_graph, complete_graph])
     def test_estimates_bound_the_traced_peak(self, monkeypatch, n, family):
-        """Each estimate is at least the peak that `tracemalloc` sees and at
-        most 1.5 times it. tracemalloc cannot see the BLAS work buffer, the
-        part of the solve's memory that does not grow with the states, so
-        it is left out of gap_interchange's."""
-        G = family(n)
-        needs = []
-        monkeypatch.setattr(interchange, "_require_bytes", lambda need, what: needs.append(need))
-        for run, unseen in ((interchange_laplacian, 0), (gap_interchange, iterative_solve_bytes(0))):
-            run(G)  # scipy is loaded outside the traced run
-            needs.clear()
-            tracemalloc.start()
-            try:
-                run(G)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= needs[0] - unseen <= 1.5 * peak, run.__name__
+        """The estimate of gap_interchange is at least the peak that
+        `tracemalloc` sees and at most 1.5 times it. tracemalloc cannot see
+        the BLAS work buffer, the part of the solve's memory that does not
+        grow with the states, so it is left out."""
+        need, peak = self.traced_estimate(monkeypatch, gap_interchange, family(n))
+        assert peak <= need - iterative_solve_bytes(0) <= 1.5 * peak
 
-    def test_dirichlet_gap_matrix_refuses_exactly_above_the_estimate(self, monkeypatch):
-        gamma = (1.0, 2.0, 3.0, 4.0)
-        need = math.factorial(5) ** 2 * 8  # the dense array, doubled in place
-        monkeypatch.setattr(yor, "_available_bytes", lambda: need)
-        assert dirichlet_gap_matrix(gamma).shape == (120, 120)
-        monkeypatch.setattr(yor, "_available_bytes", lambda: need - 1)
-        with pytest.raises(ValueError, match="dense 5! x 5! array of the Dirichlet form"):
-            dirichlet_gap_matrix(gamma)
+    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("family", [path_graph, complete_graph])
+    def test_spectrum_estimate_bounds_the_traced_peak(self, monkeypatch, n, family):
+        """The same for interchange_spectrum, once what eigvalsh maps outside
+        Python's allocator (its copy of the dense block, LAPACK's work array
+        of 34 float64 per row, the BLAS buffer) is left out."""
+        need, peak = self.traced_estimate(monkeypatch, interchange_spectrum, family(n))
+        half = math.factorial(n) // 2
+        assert peak <= need - 8 * half * (half + 34) - 2**25 <= 1.5 * peak
+
+    def test_spectrum_refuses_above_the_dense_limit(self, monkeypatch):
+        def build(G):
+            raise AssertionError("built the block")
+
+        monkeypatch.setattr(interchange, "_even_odd_block", build)
+        with pytest.raises(ValueError, match="limited to 6000 states; a 8-vertex graph has 8! states"):
+            interchange_spectrum(path_graph(8))
 
     def test_cli_rep_exits_2_when_only_the_matrix_fits(self, monkeypatch, capsys):
         from aldous.cli import main
@@ -504,8 +539,9 @@ class TestMemoryGuard:
         assert captured.out == "" and "90 x 90 arrays of shape (4,2,1,1)" in captured.err
 
     def test_thirty_vertices_refused_without_a_cap(self):
-        with pytest.raises(ValueError, match="30-vertex graph"):
-            interchange_laplacian(complete_graph(30))
+        for run in (gap_interchange, interchange_spectrum):
+            with pytest.raises(ValueError, match="30-vertex graph"):
+                run(complete_graph(30))
 
 
 _UNDER_LIMIT = """
