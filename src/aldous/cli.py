@@ -87,7 +87,7 @@ def _certificate_payload(cert: EliminationCertificate) -> dict:
     return {
         "max_degree_bound": cert.max_degree_bound,
         "steps": [[v, d] for v, d in cert.steps],
-        "graphs": [graph_to_json_dict(G) for G in cert.graphs],
+        "graph": graph_to_json_dict(cert.graph),
     }
 
 
@@ -109,10 +109,11 @@ def _cmd_certify(args) -> tuple[str, int]:
         with open(args.graph, "r", encoding="utf-8") as handle:
             data = json.load(handle)
         try:
+            data = data["certificate"]
             cert = EliminationCertificate(
                 max_degree_bound=_certificate_int(data["max_degree_bound"]),
                 steps=tuple(map(_certificate_step, data["steps"])),
-                graphs=tuple(graph_from_json_dict(g) for g in data["graphs"]),
+                graph=graph_from_json_dict(data["graph"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed certificate: {exc}")
@@ -227,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", required=True, help="comma-separated k-1 nonnegative rates")
 
     p = sub.add_parser("certify", help="search for a bounded-degree elimination order")
-    p.add_argument("graph", help="graph JSON file (or certificate JSON with --replay)")
+    p.add_argument("graph", help="graph JSON file (or, with --replay, the output of certify)")
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--replay", action="store_true", help="verify a stored certificate")
 

@@ -206,7 +206,7 @@ def reference_certify_elimination(G, K=4, budget=100_000):
     def dfs(current):
         nonlocal expanded
         if current.n <= 2:
-            return "certified", ((), (current,))
+            return "certified", ()
         if expanded >= budget:
             return "budget", None
         expanded += 1
@@ -214,18 +214,16 @@ def reference_certify_elimination(G, K=4, budget=100_000):
         for degree, v in candidates:
             if degree > K - 1:
                 break
-            status, rest = dfs(reference_collapse(current, v))
+            status, steps = dfs(reference_collapse(current, v))
             if status == "certified":
-                steps, graphs = rest
-                return "certified", (((v, degree),) + steps, (current,) + graphs)
+                return "certified", ((v, degree),) + steps
             if status == "budget":
                 return "budget", None
         return "exhausted", None
 
-    status, payload = dfs(G)
+    status, steps = dfs(G)
     if status == "certified":
-        steps, graphs = payload
-        cert = EliminationCertificate(max_degree_bound=K - 1, steps=steps, graphs=graphs)
+        cert = EliminationCertificate(max_degree_bound=K - 1, steps=steps, graph=G)
         return EliminationResult("certified", cert, expanded)
     if status == "budget":
         return EliminationResult("inconclusive", None, expanded)
@@ -260,7 +258,7 @@ def reference_reduce_to_edge(S, budget=100_000):
     """Recursive memoized reduction search; every successor is rebuilt
     through the validating constructor."""
     if S.is_single_edge():
-        return ReductionResult("reduced", "already a single edge", ReductionCertificate(S, (), S), 0)
+        return ReductionResult("reduced", "already a single edge", ReductionCertificate(S, ()), 0)
     if not reference_candidate_steps(S):
         return ReductionResult("irreducible", "no applicable rule", None, 0)
     visited = set()
@@ -287,11 +285,7 @@ def reference_reduce_to_edge(S, budget=100_000):
 
     status, steps = dfs(S, [])
     if status == "reduced":
-        terminal = S
-        for step in steps:
-            terminal = apply_rule(terminal, step)
-        cert = ReductionCertificate(S, steps, terminal)
-        return ReductionResult("reduced", "single edge reached", cert, expanded)
+        return ReductionResult("reduced", "single edge reached", ReductionCertificate(S, steps), expanded)
     if status == "budget":
         return ReductionResult("inconclusive", "budget exhausted", None, expanded)
     return ReductionResult("inconclusive", "search exhausted without success", None, expanded)

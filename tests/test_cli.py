@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from aldous.cli import main
+from aldous.graphs import collapse_last_vertex, graph_from_json_dict, graph_to_json_dict
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -107,7 +108,7 @@ class TestCertify:
         assert payload["status"] == "certified"
         assert payload["states_expanded"] == 2
         cert_path = tmp_path / "cert.json"
-        cert_path.write_text(json.dumps(payload["certificate"]))
+        cert_path.write_text(out)
         code, out, _ = run_cli(capsys, "certify", "--replay", str(cert_path))
         assert code == 0
         assert json.loads(out)["replay_ok"] is True
@@ -138,19 +139,38 @@ class TestCertify:
         path = write_graph(tmp_path, {"n": 4, "edges": edges})
         code, out, err = run_cli(capsys, "certify", path)
         assert code == 0 and err == ""
-        payload = json.loads(out)
-        assert payload["status"] == "certified"
-        assert payload["certificate"]["graphs"][1]["edges"][0] == [1, 2, 5e199]
+        cert = json.loads(out)["certificate"]
+        assert json.loads(out)["status"] == "certified"
+        assert cert["graph"] == {"n": 4, "edges": sorted(edges)}
+        collapsed = collapse_last_vertex(graph_from_json_dict(cert["graph"]), cert["steps"][0][0])
+        assert graph_to_json_dict(collapsed)["edges"][0] == [1, 2, 5e199]
         cert_path = tmp_path / "cert.json"
-        cert_path.write_text(json.dumps(payload["certificate"]))
+        cert_path.write_text(out)
         code, out, _ = run_cli(capsys, "certify", "--replay", str(cert_path))
         assert code == 0 and json.loads(out)["replay_ok"] is True
 
-    def test_replay_rejects_malformed(self, capsys, tmp_path):
-        cert_path = tmp_path / "cert.json"
-        cert_path.write_text(json.dumps({"steps": []}))
-        code, *_ = run_cli(capsys, "certify", "--replay", str(cert_path))
-        assert code == 2
+    def test_replay_rejects_malformed(self, capsys, tmp_path, wheel7_file):
+        code, out, _ = run_cli(capsys, "certify", wheel7_file)
+        cert = json.loads(out)["certificate"]
+        old = {"max_degree_bound": 3, "steps": cert["steps"], "graphs": [cert["graph"]]}
+        # the bare certificate, the format that recorded every graph, and a payload without one
+        for payload in [cert, old, {"certificate": old}, {"status": "no_certificate"}, {"steps": []}]:
+            cert_path = tmp_path / "cert.json"
+            cert_path.write_text(json.dumps(payload))
+            code, out, err = run_cli(capsys, "certify", "--replay", str(cert_path))
+            assert code == 2 and out == "" and "malformed certificate" in err, payload
+
+    def test_replay_rejects_a_certificate_that_stops_early(self, capsys, tmp_path, wheel7_file):
+        code, out, _ = run_cli(capsys, "certify", wheel7_file)
+        payload = json.loads(out)
+        steps = payload["certificate"]["steps"]
+        assert code == 0 and len(steps) == 5
+        for prefix in ([], steps[:1], steps[:-1]):
+            payload["certificate"]["steps"] = prefix
+            cert_path = tmp_path / "cert.json"
+            cert_path.write_text(json.dumps(payload))
+            code, out, _ = run_cli(capsys, "certify", "--replay", str(cert_path))
+            assert code == 1 and json.loads(out) == {"replay_ok": False}, prefix
 
     @pytest.mark.parametrize(
         "field, text",
@@ -172,14 +192,15 @@ class TestCertify:
         and 1e400 were once read by int() as 1, 1 and an OverflowError."""
         path = write_graph(tmp_path, {"n": 4, "edges": [[1, 2, 1.0], [2, 3, 1.0], [3, 4, 1.0]]})
         code, out, _ = run_cli(capsys, "certify", path, "--k", "2")
-        cert = json.loads(out)["certificate"]
+        payload = json.loads(out)
+        cert = payload["certificate"]
         assert cert["max_degree_bound"] == 1 and cert["steps"][0] == [1, 1]
         if field == "bound":
             cert["max_degree_bound"] = "@"
         else:
             cert["steps"][0] = {"vertex": ["@", 1], "degree": [1, "@"], "step": "@"}[field]
         cert_path = tmp_path / "cert.json"
-        cert_path.write_text(json.dumps(cert).replace('"@"', text))
+        cert_path.write_text(json.dumps(payload).replace('"@"', text))
         code, out, err = run_cli(capsys, "certify", "--replay", str(cert_path))
         assert code == 2 and out == ""
         assert "malformed certificate" in err
@@ -187,10 +208,11 @@ class TestCertify:
     def test_tampered_certificate_fails_replay(self, capsys, tmp_path):
         path = write_graph(tmp_path, {"n": 3, "edges": [[1, 2, 1.0], [2, 3, 1.0]]})
         code, out, _ = run_cli(capsys, "certify", path, "--k", "2")
-        cert = json.loads(out)["certificate"]
-        cert["graphs"][1]["edges"][0][2] = 123.0
+        payload = json.loads(out)
+        assert payload["certificate"]["steps"] == [[1, 1]]
+        payload["certificate"]["steps"][0] = [2, 1]  # vertex 2 has positive degree 2
         cert_path = tmp_path / "cert.json"
-        cert_path.write_text(json.dumps(cert))
+        cert_path.write_text(json.dumps(payload))
         code, out, _ = run_cli(capsys, "certify", "--replay", str(cert_path))
         assert code == 1
         assert json.loads(out)["replay_ok"] is False

@@ -1,3 +1,4 @@
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from aldous.graphs import (
     WeightedGraph,
+    collapse_last_vertex,
     complete_graph,
     cycle_graph,
     is_connected,
@@ -32,6 +34,7 @@ from helpers import (
     all_trees,
     reference_candidate_steps,
     reference_certify_elimination,
+    reference_collapse,
     reference_reduce_to_edge,
     seeded_graph_stream,
     tree_canonical,
@@ -155,8 +158,13 @@ class TestReduceToEdge:
     def test_replay_detects_tampering(self):
         result = reduce_to_edge(skeleton_of(cycle_graph(4)))
         cert = result.certificate
-        bad = ReductionCertificate(cert.initial, cert.steps, Skeleton([1, 2], {(1, 2): 2}))
-        assert not replay_reduction(bad)
+        assert not replay_reduction(ReductionCertificate(cert.initial, cert.steps[:-1]))
+        assert not replay_reduction(ReductionCertificate(cert.initial, cert.steps[1:]))
+
+    def test_replay_requires_a_single_edge_at_the_end(self):
+        S = Skeleton.from_graph(path_graph(5))
+        assert not replay_reduction(ReductionCertificate(S, ()))
+        assert replay_reduction(reduce_to_edge(S).certificate)
 
     def test_greedy_matches_exhaustive_oracle_small(self):
         # independent breadth-first oracle over all rule applications
@@ -217,7 +225,7 @@ class TestReduceToEdge:
         S = Skeleton([1, 2, 3, 4], {(1, 2): 2, (2, 3): 3, (3, 4): 1, (1, 4): 2})
         result = reduce_to_edge(S)
         assert result.reduced and replay_reduction(result.certificate)
-        assert result.certificate.terminal.is_single_edge()
+        assert terminal(result.certificate).is_single_edge()
         assert sum(isinstance(step, Parallel) for step in result.certificate.steps) == 5
 
 
@@ -259,13 +267,27 @@ class TestCertifyElimination:
     def test_replay_detects_weight_tampering(self):
         G = path_graph(4, seed=5)
         cert = certify_elimination(G, K=2).certificate
-        graphs = list(cert.graphs)
-        tampered = dict(graphs[1].weights)
-        key = next(iter(tampered))
-        tampered[key] += 1e-6
-        graphs[1] = WeightedGraph(graphs[1].n, tampered)
-        bad = EliminationCertificate(cert.max_degree_bound, cert.steps, tuple(graphs))
+        # a zeroed rate changes the positive degree of a vertex the steps remove
+        tampered = dict(G.weights)
+        tampered[(1, 2)] = 0.0
+        bad = EliminationCertificate(cert.max_degree_bound, cert.steps, WeightedGraph(G.n, tampered))
         assert not replay_elimination(bad)
+        (v, degree), rest = cert.steps[0], cert.steps[1:]
+        for first in [(v, degree + 1), (v, degree - 1), (0, degree), (G.n + 1, degree)]:
+            bad = EliminationCertificate(cert.max_degree_bound, (first,) + rest, G)
+            assert not replay_elimination(bad), first
+        assert not replay_elimination(EliminationCertificate(0, cert.steps, G))
+
+    def test_replay_requires_at_most_two_vertices_at_the_end(self):
+        G = wheel_graph(7)
+        cert = certify_elimination(G, K=4).certificate
+        assert replay_elimination(cert)
+        for steps in [(), cert.steps[:1], cert.steps[:-1]]:
+            assert not replay_elimination(EliminationCertificate(3, steps, G)), steps
+        # a step past the end is not part of an elimination to two vertices
+        extra = cert.steps + ((1, 1),)
+        assert not replay_elimination(EliminationCertificate(3, extra, G))
+        assert replay_elimination(EliminationCertificate(3, (), path_graph(2)))
 
     def test_fill_in_degrees_recorded(self):
         # collapsing the hub of a star fills in the leaf clique
@@ -299,19 +321,31 @@ def search_suite():
     return graphs
 
 
-def elimination_bits(result):
+def terminal(cert):
+    """The skeleton a reduction certificate's steps end at."""
+    return reduce(apply_rule, cert.steps, cert.initial)
+
+
+def elimination_bits(result, collapse):
+    """Status, state count, steps and the float bits and labels of every
+    intermediate graph, derived from the input and the steps by `collapse`."""
     cert = result.certificate
     graphs = None
     if cert is not None:
-        graphs = [(H.n, [(k, w.hex()) for k, w in H.weights.items()], H.labels) for H in cert.graphs]
+        graphs = [cert.graph]
+        for v, _ in cert.steps:
+            graphs.append(collapse(graphs[-1], v))
+        graphs = [(H.n, [(k, w.hex()) for k, w in H.weights.items()], H.labels) for H in graphs]
         graphs = (cert.max_degree_bound, cert.steps, graphs)
     return result.status, result.states_expanded, graphs
 
 
 class TestAgainstReference:
     """The elimination search matches its recursive all-pairs reference
-    exactly: status, state count, steps, every certificate graph's weights
-    in dict order with their float bits, and labels. The reduction search
+    exactly: status, state count and steps, and every intermediate graph's
+    weights in dict order with their float bits, and labels, as
+    `collapse_last_vertex` and the reference's all-pairs collapse derive
+    them from the input and the steps. The reduction search
     decides the same question as its reference rule-order search by a
     different route, so the two agree on verdicts, not on steps."""
 
@@ -321,11 +355,13 @@ class TestAgainstReference:
             for budget in (2000, 7, 0):
                 got = certify_elimination(G, K=K, budget=budget)
                 want = reference_certify_elimination(G, K=K, budget=budget)
-                assert elimination_bits(got) == elimination_bits(want), (G, K, budget)
+                assert elimination_bits(got, collapse_last_vertex) == elimination_bits(
+                    want, reference_collapse
+                ), (G, K, budget)
 
     def test_elimination_certificate_starts_at_the_input(self):
         G = nested_triangulation(2, 1, seed=3)
-        assert certify_elimination(G, K=4).certificate.graphs[0] is G
+        assert certify_elimination(G, K=4).certificate.graph is G
 
     def test_reduction(self):
         # two skeletons whose reference search backtracks out of a dead end, then reduces
@@ -349,7 +385,7 @@ class TestAgainstReference:
                     assert (got.reason == "no applicable rule") == (want.reason == "no applicable rule")
                 if got.reduced:
                     assert replay_reduction(got.certificate)
-                    assert got.certificate.terminal.is_single_edge()
+                    assert terminal(got.certificate).is_single_edge()
 
     def test_reduction_decides_the_k4_elimination_question(self):
         # a rule sequence is an elimination order with at most three neighbours per removal
@@ -361,10 +397,12 @@ class TestAgainstReference:
 
 class TestLongSearches:
     def test_path_1500_elimination(self):
-        result = certify_elimination(path_graph(1500), K=3)
+        G = path_graph(1500)
+        result = certify_elimination(G, K=3)
         assert result.certified and result.states_expanded == 1498
+        assert result.certificate.graph is G and len(result.certificate.steps) == 1498
         assert all(d == 1 for _, d in result.certificate.steps)
-        assert [H.n for H in result.certificate.graphs] == list(range(1500, 1, -1))
+        assert replay_elimination(result.certificate)
 
     def test_path_1500_reduction(self):
         result = reduce_to_edge(skeleton_of(path_graph(1500)))
