@@ -19,7 +19,8 @@ import sys
 import numpy as np
 
 from .conjecture import check_conjecture
-from .graphs import _GENERATORS, WeightedGraph, generate, graph_from_json_dict, graph_to_json_dict
+from .graphs import _GENERATORS, WeightedGraph, generate, generated_edges
+from .graphs import graph_from_json_dict, graph_to_json_dict
 from .interchange import aldous_check, interchange_spectrum
 from .permutations import parse_permutation
 from .reduction import EliminationCertificate, certify_elimination, replay_elimination
@@ -32,6 +33,10 @@ from .yor import _require_bytes, rho_sigma, shape_spectra
 # joined text. Measured at f = 1430 (shape 8,8) as 42 and 83 for JSON,
 # 11 and 63 for CSV.
 _REP_BYTES = {"json": (46, 90), "csv": (16, 72)}
+# Peak bytes per edge while `generate` makes a graph, its JSON object and
+# text: 600-710 resident bytes per edge measured at 0.27-1.1 million edges
+# (complete, star, nested_triangulation; with and without --seed).
+_GENERATE_BYTES = 720
 
 
 def _dump_json(obj) -> str:
@@ -133,6 +138,8 @@ def _cmd_certify(args) -> tuple[str, int]:
 
 
 def _cmd_generate(args) -> tuple[str, int]:
+    what = f"the edges of {' '.join([args.kind, *map(str, args.params)])} and their JSON text"
+    _require_bytes(generated_edges(args.kind, *args.params) * _GENERATE_BYTES, what)
     G = generate(args.kind, *args.params, seed=args.seed)
     return _dump_json(graph_to_json_dict(G)), 0
 
@@ -155,9 +162,7 @@ def _cmd_decompose(args) -> tuple[str, int]:
             for lam, vals, _ in spectra
         ],
     }
-    # cross-check against the explicit n!-state spectrum when it is small
-    # enough to solve densely and within the configured cap
-    if G.n <= args.n_cap and math.factorial(G.n) <= DENSE_LIMIT:
+    if math.factorial(G.n) <= DENSE_LIMIT:
         payload["direct_check"] = {
             "performed": True,
             "matches": multiset_equal(interchange_spectrum(G), merged, tol=1e-8),
@@ -215,8 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="draw Uniform(0.5, 1.5) generator weights instead of unit weights")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--n-cap", type=int, default=8, dest="n_cap",
-                        help="largest n for the direct check of decompose")
     parser.add_argument("--budget", type=int, default=100_000, help="search budget")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -267,8 +270,6 @@ def main(argv=None) -> int:
             raise ValueError("tolerance must be positive")
         if not math.isfinite(args.tol):
             raise ValueError("tolerance must be finite")
-        if args.n_cap < 2:
-            raise ValueError("n-cap must be at least 2")
         if args.budget < 0:
             raise ValueError("budget must be nonnegative")
         output, code = _HANDLERS[args.command](args)

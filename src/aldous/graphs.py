@@ -334,8 +334,32 @@ _GENERATORS = {
 }
 
 
-def generate(kind: str, *params: int, weights=None, seed: int | None = None) -> WeightedGraph:
-    """Dispatch to a named generator; `params` fill its parameters without defaults."""
+def _nested_triangulation_edges(depth: int, branching: int) -> int:
+    """3 for the triangle and 3 per added vertex: level l adds `branching`
+    vertices to each of the (3 branching)^(l-1) triangles that the level
+    before created. Counting stops past 2^64 edges, which no memory holds."""
+    edges, triangles = 3, 1
+    for _ in range(depth if branching > 0 else 0):
+        if edges > 2**64:
+            break
+        edges += 3 * branching * triangles
+        triangles *= 3 * branching
+    return edges
+
+
+_EDGE_COUNTS = {
+    "path": lambda n: n - 1,
+    "cycle": lambda n: n,
+    "star": lambda n: n - 1,
+    "complete": lambda n: n * (n - 1) // 2,
+    "wheel": lambda n: 2 * (n - 1),
+    "nested_triangulation": _nested_triangulation_edges,
+}
+
+
+def _generator(kind: str, params: tuple[int, ...]):
+    """The generator named `kind`, after checking that `params` fill its
+    parameters without defaults."""
     try:
         fn = _GENERATORS[kind]
     except KeyError:
@@ -343,7 +367,21 @@ def generate(kind: str, *params: int, weights=None, seed: int | None = None) -> 
     required = [p for p in inspect.signature(fn).parameters.values() if p.default is p.empty]
     if len(params) != len(required):
         raise ValueError(f"{kind} takes {len(required)} parameter(s), got {len(params)}")
-    return fn(*params, weights=weights, seed=seed)
+    return fn
+
+
+def generate(kind: str, *params: int, weights=None, seed: int | None = None) -> WeightedGraph:
+    """Dispatch to a named generator; `params` fill its parameters without defaults."""
+    return _generator(kind, params)(*params, weights=weights, seed=seed)
+
+
+def generated_edges(kind: str, *params: int) -> int:
+    """The number of edges `generate(kind, *params)` makes, from the
+    parameters alone, so that an oversized request can be refused before
+    anything is built. Negative parameters count as 0: `generate` rejects
+    them."""
+    _generator(kind, params)
+    return _EDGE_COUNTS[kind](*(max(p, 0) for p in params))
 
 
 def random_connected_graph(

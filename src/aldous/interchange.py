@@ -39,9 +39,10 @@ instead of 21-101, on vectors half as long, and each product still
 touches every stored rate once. On a 2-vCPU x86 host with two OpenBLAS
 threads, `gap_interchange` takes 0.08-0.15 s at n = 8 (0.15-0.24 s on
 all states), 1.7-1.9 s at 179 MB peak RSS on K_9 (2.6-3.0 s at 300 MB)
-and 21-23 s at 1.4 GB on K_10 (26-43 s at 2.8 GB). Below
-`spectral.DENSE_CROSSOVER` states (n <= 5) it solves [[W I, -B],
-[-B^T, W I]] densely.
+and 21-23 s at 1.4 GB on K_10 (26-43 s at 2.8 GB). Up to
+`spectral.DENSE_CROSSOVER` states (n <= 5), and when that solve fails
+its residual check, the gap is read off `interchange_spectrum`, the one
+dense solve of B.
 
 There is no fixed cap on n. Before it builds anything, each explicit
 function passes one estimate to `yor._require_bytes`: the larger of
@@ -50,9 +51,10 @@ block beside what its solve holds, counted array by array (the dense
 block and what `eigvalsh` maps for `interchange_spectrum`,
 `spectral.iterative_solve_bytes` for `gap_interchange`), so a graph
 whose solve would not fit is refused with ValueError before anything
-is allocated. The per-shape route (`spectrum_via_irreps`,
-`aldous_check`) makes one `yor.shape_spectra` pass, which refuses the
-same way a graph whose blocks would not fit.
+is allocated; the fallback of `gap_interchange` frees its block and
+then makes the estimate of `interchange_spectrum`. The per-shape route
+(`spectrum_via_irreps`, `aldous_check`) makes one `yor.shape_spectra`
+pass, which refuses the same way a graph whose blocks would not fit.
 """
 
 from __future__ import annotations
@@ -65,7 +67,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .graphs import WeightedGraph
-from .spectral import DEFAULT_TOL, DENSE_LIMIT, bipartite_laplacian_gap, iterative_solve_bytes
+from .spectral import DEFAULT_TOL, DENSE_CROSSOVER, DENSE_LIMIT, NoConvergence
+from .spectral import bipartite_laplacian_gap, iterative_solve_bytes
 from .tableaux import Partition, f_dim
 from .yor import _require_bytes, irrep_laplacian, shape_spectra
 
@@ -209,22 +212,31 @@ def gap_interchange(G: WeightedGraph) -> float:
 
     Zero exactly when the chain is reducible (the zero eigenvalue then
     has multiplicity above one), and exactly 0.0 for a graph without
-    edges, whose Laplacian is the zero matrix. Solved on the even half
-    of the words (`spectral.bipartite_laplacian_gap`). Raises
-    ValueError, before building anything, when the block between the
-    even and odd words and the eigensolver's vectors beside it would
-    not fit in memory.
+    edges, whose Laplacian is the zero matrix. Above DENSE_CROSSOVER
+    states it is solved on the even half of the words
+    (`spectral.bipartite_laplacian_gap`); otherwise, or when that solve
+    fails its residual check, it is read off `interchange_spectrum`.
+    Raises ValueError, before building anything, when the block and what
+    its solve holds would not fit in memory, and when the iterative
+    solve fails on more than DENSE_LIMIT states.
     """
     if G.n < 2:
         raise ValueError("need at least 2 vertices")
     if not any(G.weights.values()):
         return 0.0
-    import scipy.sparse.linalg  # noqa: F401  (loaded first: the check counts it as mapped)
-
-    peak, held = _block_footprint(G)
-    solve = held + iterative_solve_bytes(math.factorial(G.n) // 2)
-    _require_bytes(max(peak, solve), _subject(G) + " and its eigensolve")
-    return bipartite_laplacian_gap(_even_odd_block(G), float(sum(G.weights.values())))
+    size = math.factorial(G.n)
+    if size > DENSE_CROSSOVER:
+        import scipy.sparse.linalg  # noqa: F401  (loaded first: the check counts it as mapped)
+        peak, held = _block_footprint(G)
+        solve = held + iterative_solve_bytes(size // 2)
+        _require_bytes(max(peak, solve), _subject(G) + " and its eigensolve")
+        try:
+            # the block goes with the exception, before the fallback builds its own
+            return bipartite_laplacian_gap(_even_odd_block(G), float(sum(G.weights.values())))
+        except NoConvergence:
+            if size > DENSE_LIMIT:
+                raise
+    return float(interchange_spectrum(G)[1])
 
 
 def gap_rw(G: WeightedGraph) -> float:

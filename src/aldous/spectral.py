@@ -6,12 +6,13 @@ operation here matches eigenvectors.
 
 `bipartite_laplacian_gap` finds the gap of a Laplacian whose moves all
 cross between two halves of its states, as the interchange process's
-do. It solves densely up to DENSE_CROSSOVER rows and above that runs
-ARPACK on the first half only, on W^2 I - B B^T with its all-ones
-kernel direction shifted away. The crossover was measured on a 2-vCPU
-x86 host with two OpenBLAS threads, as medians of alternating calls
-(blocks of random weighted permutations stand in between the
-interchange sizes):
+do, by running ARPACK on the first half only, on W^2 I - B B^T with its
+all-ones kernel direction shifted away. `interchange.gap_interchange`
+reads the gap off a dense spectrum up to DENSE_CROSSOVER states instead.
+The crossover was measured on a 2-vCPU x86 host with two OpenBLAS
+threads, as medians of alternating calls of a dense solve of the whole
+Laplacian and of this one (blocks of random weighted permutations stand
+in between the interchange sizes):
 
     rows                      dense      iterative
     120 (interchange, n = 5)  0.8-3.6 ms 1.5 ms
@@ -23,13 +24,12 @@ interchange sizes):
 
 Dense solves of 100-240 rows also ran at 13-40 ms for seconds at a
 time on that host; with one thread the 120-row solve takes 0.8 ms.
-DENSE_LIMIT (6000, so up to n = 7 for the n!-state matrix) is a
-different bound: the most states whose full spectrum
-`interchange.interchange_spectrum` computes, from one dense solve of
-their n!/2-row even-to-odd block (for the direct check of `aldous
-decompose` and the Dirichlet-form oracle of the tests), and the
-largest matrix that an iterative solve failing its residual check
-falls back to solving densely.
+`interchange_spectrum` solves only the n!/2-row block: 1.2 ms at n = 5
+and 7.3 ms at n = 6 with the block built, against 1.9 ms and 2.9 ms
+here, so the crossover still falls between n = 5 and n = 6. DENSE_LIMIT
+(6000, so n <= 7) bounds the states of that dense solve, behind the
+direct check of `aldous decompose`, the Dirichlet-form oracle of the
+tests and the fallback of `gap_interchange`.
 """
 
 from __future__ import annotations
@@ -105,17 +105,6 @@ def shift_bound_check(G, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.all(before - after <= bound + eps))
 
 
-def _dense_gap(B, total: float) -> float:
-    """Second-smallest eigenvalue of [[total I, -B], [-B^T, total I]],
-    assembled and solved densely."""
-    half = B.shape[0]
-    L = np.zeros((2 * half, 2 * half))
-    L[:half, half:] = -B.toarray()
-    L[half:, :half] = L[:half, half:].T
-    np.fill_diagonal(L, total)
-    return float(np.linalg.eigvalsh(L)[1])
-
-
 def iterative_solve_bytes(rows: int) -> int:
     """Memory the iterative solve of `bipartite_laplacian_gap` maps beside
     its block of `rows` rows.
@@ -127,46 +116,44 @@ def iterative_solve_bytes(rows: int) -> int:
     three more cover freed vectors that the allocator keeps mapped. The
     32 MiB are the work buffer that the OpenBLAS behind ARPACK maps on
     its first matrix-vector product of more than a few hundred rows and
-    keeps for the life of the process. A dense solve (at most
-    DENSE_CROSSOVER rows) needs well under 1 MB.
+    keeps for the life of the process.
     """
     return 50 * 8 * rows + 2**25
 
 
-def bipartite_laplacian_gap(B, total: float, dense_limit: int = DENSE_CROSSOVER) -> float:
+class NoConvergence(ValueError):
+    """An iterative eigensolve whose eigenpair failed its residual check."""
+
+
+def bipartite_laplacian_gap(B, total: float) -> float:
     """Second-smallest eigenvalue mu of L = [[W I, -B], [-B^T, W I]] for a
-    square sparse B >= 0 whose rows and columns all sum to W = `total`:
-    the Laplacian of a chain whose moves all cross between two halves
-    of its states, as every transposition flips the parity of a word.
+    square sparse B >= 0 of at least two rows whose rows and columns all
+    sum to W = `total` > 0: the Laplacian of a chain whose moves all cross
+    between two halves of its states, as every transposition flips the
+    parity of a word.
 
     L has the eigenvalues W -+ sigma for the singular values sigma of B,
-    so mu = W - sigma_2 (for at least two rows each side). L is solved
-    densely up to `dense_limit` rows; above that, ARPACK finds the
-    smallest eigenvalue m of W^2 I - B B^T on the first half, with its
-    all-ones kernel direction shifted up out of the way, and
-    mu = m / (W + sqrt(W^2 - m)) = W - sqrt(W^2 - m). This holds because
-    L (2W I - L) = W^2 I - A^2 for A = W I - L, and A^2 is
-    B B^T (+) B^T B. The map mu -> mu (2W - mu) folds the spectrum of L
-    about W and stretches its low end, so the gap is about four times as
-    large against the width of the spectrum, and Lanczos converges in
-    fewer steps than on L, with vectors half as long.
+    so mu = W - sigma_2. ARPACK finds the smallest eigenvalue m of
+    W^2 I - B B^T on the first half, with its all-ones kernel direction
+    shifted up out of the way, and mu = m / (W + sqrt(W^2 - m)) =
+    W - sqrt(W^2 - m), because L (2W I - L) = W^2 I - A^2 for A = W I - L
+    and A^2 is B B^T (+) B^T B. The map mu -> mu (2W - mu) folds the
+    spectrum of L about W and stretches its low end, so the gap is about
+    four times as large against the width of the spectrum, and Lanczos
+    converges in fewer steps than on L, with vectors half as long.
 
     The solve starts from a fixed vector, so repeated calls give the
     same bits. Its eigenvector v is lifted to L as (v, B^T v / (W - mu)),
     and mu is accepted only when that pair's residual ||Lx - mu x|| / ||x||,
     which bounds the distance from mu to the spectrum of L, is at most
     SOLVER_TOL * (1 + |W|). Otherwise, or when ARPACK does not converge,
-    an L of at most DENSE_LIMIT rows is solved densely and a larger one
-    raises ValueError.
+    it raises NoConvergence, and the caller chooses what to do instead.
     """
     import scipy.sparse.linalg as spla  # deferred: the per-shape route never needs scipy
 
     half = B.shape[0]
-    dim = 2 * half
-    if dim < 2:
-        raise ValueError("need dimension >= 2")
-    if dim <= dense_limit:
-        return _dense_gap(B, total)
+    if half < 2 or not total > 0:
+        raise ValueError("need at least two rows and a positive total rate")
     square = total * total
     shift = 1.0 + 2.0 * square  # exceeds the largest eigenvalue, at most W^2
     BT = B.T
@@ -183,18 +170,17 @@ def bipartite_laplacian_gap(B, total: float, dense_limit: int = DENSE_CROSSOVER)
     except spla.ArpackNoConvergence as exc:
         vals, vecs = exc.eigenvalues, exc.eigenvectors
     residual = math.inf
-    if len(vals) and vals[0] < square:
-        root = math.sqrt(square - vals[0])  # sigma_2 = W - mu
+    if len(vals):
+        root = math.sqrt(max(square - vals[0], 0.0))  # sigma_2 = W - mu
         mu = float(vals[0]) / (total + root)
         v = vecs[:, 0]
-        u = (BT @ v) / root
+        # sigma_2 = 0 (B of rank one) puts v in the kernel of B^T
+        u = (BT @ v) / root if root > 0 else np.zeros(half)
         even = total * v - B @ u - mu * v
         odd = root * u - BT @ v
         residual = math.sqrt((even @ even + odd @ odd) / (v @ v + u @ u))
     if residual <= SOLVER_TOL * (1.0 + abs(total)):
         return mu
-    if dim <= DENSE_LIMIT:
-        return _dense_gap(B, total)
-    raise ValueError(
-        f"iterative eigensolve of dimension {dim} did not converge: residual {residual:.3g}"
+    raise NoConvergence(
+        f"iterative eigensolve of dimension {2 * half} did not converge: residual {residual:.3g}"
     )

@@ -46,8 +46,9 @@ anything it estimates what the builder and the eigensolver will hold,
 from (n-1)! and the hook length formula.
 
 `_require_bytes` is the package's one size refusal. `shape_spectra`,
-`rho_adjacent`, `rho_sigma` and the explicit n!-state route of
-`aldous.interchange` pass it their estimate
+every builder of a single shape's matrix (`rho_adjacent`, `rho_sigma`,
+`rho_transposition`, `jucys_murphy`, `irrep_laplacian`) and the
+explicit n!-state route of `aldous.interchange` pass it their estimate
 before anything is enumerated or allocated, and it raises ValueError
 when this process cannot get that much memory, instead of failing part
 way through an allocation.
@@ -217,19 +218,29 @@ def _rho_sums(
 
 
 def _rho_sum(lam: Partition, weights: dict) -> np.ndarray:
-    """sum of w_ij rho_ij for one shape, in dictionary order."""
+    """sum of w_ij rho_ij for one shape, in dictionary order. Raises
+    ValueError when it would not fit in memory."""
+    _require_matrices(lam, stacked=True)
     ((_, S),) = _rho_sums(lam.n, weights, [lam.parts])
     return _in_dictionary_order(lam.parts, S)
 
 
-def _require_matrices(lam: Partition) -> None:
+def _require_matrices(lam: Partition, stacked: bool = False) -> None:
     """Refuse a shape whose matrix would not fit: two f x f arrays (the
     matrix and a scratch array, then the matrix and its dictionary-order
     copy) and about 200 bytes per box of each tableau for the tableau
-    lists and adjacent tables (36-84 measured up to f = 6006)."""
+    lists and adjacent tables (36-84 measured up to f = 6006). With
+    `stacked`, for a matrix that `_rho_sums` builds, also the two stack
+    slots it holds for each shape one box below while it builds the top
+    block. On complete graphs, where every slot is filled, `tracemalloc`
+    saw 0.84-0.99 times that estimate at f = 450-7700, first calls
+    (which fill the caches of tableaux and tables) included."""
     f = f_dim(lam)
+    entries = 2 * f * f
+    if stacked:
+        entries += 2 * sum(f_dim(mu) ** 2 for mu in covers_below(lam))
     parts = ",".join(map(str, lam.parts))
-    _require_bytes(2 * f * f * 8 + 200 * lam.n * f, f"the {f} x {f} arrays of shape ({parts})")
+    _require_bytes(entries * 8 + 200 * lam.n * f, f"the {f} x {f} arrays of shape ({parts})")
 
 
 def rho_adjacent(lam: Partition, i: int) -> np.ndarray:
@@ -278,9 +289,11 @@ def irrep_laplacian(lam: Partition, graph) -> np.ndarray:
 
     Accepts nonnegative or signed weights (anything with `.n` and a
     `.weights` dict keyed on pairs). PSD whenever all weights are >= 0.
+    Raises ValueError when the block would not fit in memory.
     """
     if lam.n != graph.n:
         raise ValueError(f"partition of {lam.n} does not match graph on {graph.n} vertices")
+    _require_matrices(lam, stacked=True)
     (_, trivial), (_, S) = _rho_sums(graph.n, graph.weights, [(graph.n,), lam.parts])
     L = _in_dictionary_order(lam.parts, S)
     np.negative(L, out=L)

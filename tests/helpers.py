@@ -1,6 +1,6 @@
-"""Shared fixtures for the test suite: exhaustive tree enumeration and
-seeded graph suites. Kept independent of the library's graph machinery
-where they serve as oracles."""
+"""Shared fixtures for the test suite: exhaustive tree enumeration,
+seeded graph suites and failing stand-ins for ARPACK. Kept independent
+of the library's graph machinery where they serve as oracles."""
 
 import math
 from functools import lru_cache
@@ -8,6 +8,7 @@ from itertools import permutations
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from aldous.graphs import WeightedGraph, random_connected_graph
 from aldous.reduction import (
@@ -142,6 +143,18 @@ def seeded_graph_stream(seed, count, n_low, n_high, extra_edge_prob=0.3):
         n = int(rng.integers(n_low, n_high + 1))
         out.append(random_connected_graph(n, rng, extra_edge_prob=extra_edge_prob))
     return out
+
+
+def wrong_eigenpair(A, k, **kwargs):
+    """Stands in for eigsh: a unit vector that is no eigenvector."""
+    v = np.zeros((A.shape[0], 1))
+    v[0, 0] = 1.0
+    return np.array([0.5]), v
+
+
+def no_convergence(A, k, **kwargs):
+    """Stands in for eigsh: ARPACK gives up with no eigenpair."""
+    raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((A.shape[0], 0)))
 
 
 def loop_interchange_laplacian(G):

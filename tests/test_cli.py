@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from aldous import cli, yor
 from aldous.cli import main
 from aldous.graphs import collapse_last_vertex, graph_from_json_dict, graph_to_json_dict
 
@@ -245,6 +246,24 @@ class TestGenerate:
         code, *_ = run_cli(capsys, "generate", "wheel", "7", "2")
         assert code == 2
 
+    def test_refuses_exactly_above_the_estimate(self, capsys, monkeypatch):
+        """720 bytes for each of the 12 edges of wheel 7."""
+        monkeypatch.setattr(yor, "_available_bytes", lambda: 12 * 720)
+        code, out, _ = run_cli(capsys, "generate", "wheel", "7")
+        assert code == 0 and json.loads(out)["n"] == 7
+        monkeypatch.setattr(yor, "_available_bytes", lambda: 12 * 720 - 1)
+        code, out, err = run_cli(capsys, "generate", "wheel", "7")
+        assert code == 2 and out == ""
+        assert "the edges of wheel 7 and their JSON text need" in err
+
+    @pytest.mark.parametrize("argv", [["complete", "30000"], ["nested_triangulation", "30", "1"]])
+    def test_oversized_request_refused_before_building(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(yor, "_available_bytes", lambda: 2**30)
+        monkeypatch.setattr(cli, "generate", lambda *args, **kwargs: pytest.fail("built a graph"))
+        code, out, err = run_cli(capsys, "generate", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: the edges of {' '.join(argv)} and their JSON text need")
+
 
 class TestDecompose:
     def test_json_shape_and_count(self, capsys, tmp_path):
@@ -257,13 +276,7 @@ class TestDecompose:
         assert dims == {"3": 1, "2,1": 2, "1,1,1": 1}
         assert payload["direct_check"] == {"performed": True, "matches": True}
 
-    def test_direct_check_respects_cap(self, capsys, tmp_path):
-        path = write_graph(tmp_path, {"n": 4, "edges": [[1, 2, 1.0], [2, 3, 1.0], [3, 4, 1.0]]})
-        code, out, _ = run_cli(capsys, "--n-cap", "3", "decompose", path)
-        assert code == 0
-        assert json.loads(out)["direct_check"]["performed"] is False
-
-    @pytest.mark.parametrize("n, performed", [(4, True), (8, False)])
+    @pytest.mark.parametrize("n, performed", [(4, True), (7, True), (8, False)])
     def test_direct_check_up_to_dense_limit(self, capsys, tmp_path, n, performed):
         edges = [[i, i + 1, 1.0] for i in range(1, n)] + [[1, n, 0.5]]
         path = write_graph(tmp_path, {"n": n, "edges": edges})
@@ -346,7 +359,7 @@ class TestRep:
 
 @pytest.mark.parametrize(
     "option",
-    [["--tol", "0"], ["--tol", "inf"], ["--tol", "nan"], ["--n-cap", "1"], ["--budget", "-1"]],
+    [["--tol", "0"], ["--tol", "inf"], ["--tol", "nan"], ["--budget", "-1"]],
 )
 def test_invalid_global_option_exits_2(capsys, option):
     code, out, err = run_cli(capsys, *option, "check-conjecture", "--k", "4", "--gamma", "1,2,3")

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from aldous.graphs import (
+    _GENERATORS,
     WeightedGraph,
     collapse_last_vertex,
     complete_graph,
     cycle_graph,
     generate,
+    generated_edges,
     graph_from_json_dict,
     graph_to_json_dict,
     gt_pattern,
@@ -224,6 +226,23 @@ class TestGenerators:
             generate("wheel")
         with pytest.raises(ValueError):
             generate("nested_triangulation", 2)
+
+    @pytest.mark.parametrize("kind", sorted(_GENERATORS))
+    def test_generated_edges_counts_without_building(self, kind):
+        if kind == "nested_triangulation":
+            params = [(d, b) for d in range(4) for b in range(1, 4)]
+        else:
+            params = [(n,) for n in range(4, 12)]
+        for p in params:
+            assert generated_edges(kind, *p) == len(generate(kind, *p).weights), p
+        with pytest.raises(ValueError, match="parameter"):
+            generated_edges(kind)
+
+    def test_generated_edges_of_oversized_requests(self):
+        assert generated_edges("complete", 30000) == 449985000
+        assert generated_edges("nested_triangulation", 30, 1) == 3 + 3 * (3**30 - 1) // 2
+        assert generated_edges("nested_triangulation", 10**12, 5) > 2**64  # the count stops there
+        assert generated_edges("complete", -10**9) == 0  # left to generate to reject
 
     def test_explicit_weights_and_seeded(self):
         G = path_graph(3, weights=[2.0, 5.0])

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,10 +34,15 @@ from aldous.interchange import (
 import aldous.interchange as interchange
 import aldous.yor as yor
 from aldous.conjecture import check_conjecture, comparison_weights
-from aldous.spectral import bipartite_laplacian_gap, iterative_solve_bytes, multiset_equal
+from aldous.spectral import (
+    DENSE_CROSSOVER,
+    bipartite_laplacian_gap,
+    iterative_solve_bytes,
+    multiset_equal,
+)
 from aldous.tableaux import Partition, enumerate_partitions, enumerate_syt
 from aldous.yor import irrep_laplacian, shape_spectra
-from helpers import loop_interchange_laplacian
+from helpers import loop_interchange_laplacian, no_convergence, wrong_eigenpair
 
 
 @st.composite
@@ -186,7 +192,7 @@ class TestGaps:
         rng = np.random.default_rng(55)
         G = random_connected_graph(5, rng)
         dense = dense_gap(G)
-        iterative = bipartite_laplacian_gap(*block_and_total(G), dense_limit=50)  # forces ARPACK
+        iterative = bipartite_laplacian_gap(*block_and_total(G))
         assert iterative == pytest.approx(dense, rel=1e-7, abs=1e-8)
 
     @pytest.mark.parametrize("n", [6, 7])
@@ -197,8 +203,8 @@ class TestGaps:
     def test_iterative_solve_is_repeatable(self):
         G = random_connected_graph(6, np.random.default_rng(7), extra_edge_prob=0.3)
         B, total = block_and_total(G)
-        first = bipartite_laplacian_gap(B, total, dense_limit=0)
-        second = bipartite_laplacian_gap(B, total, dense_limit=0)
+        first = bipartite_laplacian_gap(B, total)
+        second = bipartite_laplacian_gap(B, total)
         assert first.hex() == second.hex()
 
     def test_n8_gap_via_iterative_path(self):
@@ -243,6 +249,8 @@ class TestEvenHalfSolve:
     @pytest.mark.parametrize("family, n", gap_cases(3, 7))
     def test_matches_dense_second_eigenvalue(self, family, n):
         G = GAP_FAMILIES[family](n)
+        if math.factorial(n) <= DENSE_CROSSOVER:  # read off the dense spectrum
+            assert gap_interchange(G) == dense_gap(G)
         # the reducible one-edge chain has gap 0, so its values are rounding
         assert gap_interchange(G) == pytest.approx(dense_gap(G), rel=1e-12, abs=1e-13)
 
@@ -254,6 +262,42 @@ class TestEvenHalfSolve:
     def test_repeat_calls_give_the_same_bits(self):
         G = random_connected_graph(8, np.random.default_rng(3), extra_edge_prob=0.3)
         assert gap_interchange(G).hex() == gap_interchange(G).hex()
+
+
+class TestDenseFallback:
+    """When the iterative solve fails its residual check, gap_interchange
+    reads the gap off the dense spectrum up to the dense limit."""
+
+    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("fake", [wrong_eigenpair, no_convergence])
+    def test_falls_back_to_dense(self, monkeypatch, fake, n):
+        G = random_connected_graph(n, np.random.default_rng(70 + n), extra_edge_prob=0.3)
+        monkeypatch.setattr(spla, "eigsh", fake)
+        assert gap_interchange(G) == dense_gap(G)
+
+    @pytest.mark.parametrize("fake", [wrong_eigenpair, no_convergence])
+    def test_raises_above_dense_limit(self, monkeypatch, fake):
+        monkeypatch.setattr(spla, "eigsh", fake)
+        message = "iterative eigensolve of dimension 40320 did not converge: residual"
+        with pytest.raises(ValueError, match=message):
+            gap_interchange(path_graph(8))
+
+    def test_fallback_is_refused_when_it_would_not_fit(self, monkeypatch):
+        """Memory enough for the iterative solve but not for the dense one
+        gives a refusal, not a MemoryError part way through."""
+        G = wheel_graph(7)
+        needs = []
+        monkeypatch.setattr(interchange, "_require_bytes", lambda need, what: needs.append(need))
+        gap_interchange(G)
+        interchange_spectrum(G)
+        iterative, dense = needs
+        assert iterative < dense
+        monkeypatch.undo()
+        monkeypatch.setattr(spla, "eigsh", wrong_eigenpair)
+        monkeypatch.setattr(yor, "_available_bytes", lambda: (iterative + dense) // 2)
+        subject = "7-vertex graph with 12 edges and its dense eigensolve"
+        with pytest.raises(ValueError, match=subject):
+            gap_interchange(G)
 
 
 class TestSpectrumViaIrreps:

@@ -6,12 +6,14 @@ import scipy.sparse.linalg as spla
 from aldous.graphs import WeightedGraph, random_connected_graph, rw_laplacian
 from aldous.spectral import (
     DENSE_LIMIT,
+    NoConvergence,
     bipartite_laplacian_gap,
     interlace_check,
     is_psd,
     multiset_equal,
     shift_bound_check,
 )
+from helpers import no_convergence, wrong_eigenpair
 
 
 class TestIsPsd:
@@ -115,50 +117,57 @@ def random_block(m, moves, rng):
     return sp.csr_matrix(B), float(weights.sum())
 
 
+def dense_gap(B, total):
+    """Second-smallest eigenvalue of [[W I, -B], [-B^T, W I]], assembled
+    and solved densely."""
+    b = B.toarray()
+    diagonal = total * np.eye(len(b))
+    return float(np.linalg.eigvalsh(np.block([[diagonal, -b], [-b.T, diagonal]]))[1])
+
+
 class TestSecondSmallest:
     def test_dense_path(self):
         B = sp.csr_matrix(np.ones((4, 4)))  # the complete bipartite graph K_{4,4}
+        assert dense_gap(B, 4.0) == pytest.approx(4.0, abs=1e-12)
         assert bipartite_laplacian_gap(B, 4.0) == pytest.approx(4.0, abs=1e-10)
 
     def test_iterative_matches_dense(self):
         rng = np.random.default_rng(9)
         B, total = random_block(30, 3, rng)
-        dense = bipartite_laplacian_gap(B, total, dense_limit=10**6)
-        iterative = bipartite_laplacian_gap(B, total, dense_limit=5)
-        assert iterative == pytest.approx(dense, abs=1e-7)
+        assert bipartite_laplacian_gap(B, total) == pytest.approx(dense_gap(B, total), abs=1e-7)
 
     def test_disconnected_gap_zero_iterative(self):
         B = sp.csr_matrix(sp.block_diag([cycle_block(6), cycle_block(6)]))
-        assert bipartite_laplacian_gap(B, 2.0, dense_limit=5) == pytest.approx(0.0, abs=1e-8)
+        assert bipartite_laplacian_gap(B, 2.0) == pytest.approx(0.0, abs=1e-8)
 
     def test_cycle_gap(self):
         gap = 2.0 - 2.0 * np.cos(np.pi / 20)
-        iterative = bipartite_laplacian_gap(cycle_block(20), 2.0, dense_limit=5)
-        assert iterative == pytest.approx(gap, rel=1e-12)
+        assert dense_gap(cycle_block(20), 2.0) == pytest.approx(gap, rel=1e-12)
+        assert bipartite_laplacian_gap(cycle_block(20), 2.0) == pytest.approx(gap, rel=1e-12)
 
-
-def wrong_eigenpair(A, k, **kwargs):
-    """Stands in for eigsh: a unit vector that is no eigenvector."""
-    v = np.zeros((A.shape[0], 1))
-    v[0, 0] = 1.0
-    return np.array([0.5]), v
-
-
-def no_convergence(A, k, **kwargs):
-    raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((A.shape[0], 0)))
+    def test_two_rows_and_no_fewer(self):
+        """ARPACK cannot run on one row, so one row is refused as input, and
+        so is a zero total rate, whose B is zero."""
+        B = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))  # singular values 3 and 1
+        assert bipartite_laplacian_gap(B, 3.0) == pytest.approx(2.0, abs=1e-12)
+        for B, total in ((np.ones((1, 1)), 1.0), (np.zeros((2, 2)), 0.0)):
+            with pytest.raises(ValueError, match="at least two rows and a positive total"):
+                bipartite_laplacian_gap(sp.csr_matrix(B), total)
 
 
 class TestIterativeFallback:
-    @pytest.mark.parametrize("fake", [wrong_eigenpair, no_convergence])
-    def test_falls_back_to_dense(self, monkeypatch, fake):
-        B = cycle_block(20)
-        dense = bipartite_laplacian_gap(B, 2.0, dense_limit=10**6)
-        monkeypatch.setattr(spla, "eigsh", fake)
-        assert bipartite_laplacian_gap(B, 2.0, dense_limit=5) == dense
+    """The kernel has no fallback of its own: it reports a failed residual
+    check to its caller (`interchange.gap_interchange` falls back)."""
 
     @pytest.mark.parametrize("fake", [wrong_eigenpair, no_convergence])
     def test_raises_above_dense_limit(self, monkeypatch, fake):
         half = DENSE_LIMIT // 2 + 1
         monkeypatch.setattr(spla, "eigsh", fake)
-        with pytest.raises(ValueError, match=f"dimension {2 * half}.*residual"):
+        with pytest.raises(NoConvergence, match=f"dimension {2 * half}.*residual"):
             bipartite_laplacian_gap(cycle_block(half), 2.0)
+
+    @pytest.mark.parametrize("fake", [wrong_eigenpair, no_convergence])
+    def test_raises_below_dense_limit(self, monkeypatch, fake):
+        monkeypatch.setattr(spla, "eigsh", fake)
+        with pytest.raises(NoConvergence, match="dimension 40 .*residual"):
+            bipartite_laplacian_gap(cycle_block(20), 2.0)

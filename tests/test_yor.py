@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,12 +11,21 @@ from aldous.graphs import (
     SignedWeightedGraph,
     WeightedGraph,
     complete_graph,
+    path_graph,
     random_connected_graph,
     rw_laplacian,
 )
 from aldous.permutations import Permutation
 from aldous.spectral import is_psd, multiset_equal
-from aldous.tableaux import Partition, content, enumerate_partitions, enumerate_syt, f_dim
+from aldous.conjecture import conjecture_matrix
+from aldous.tableaux import (
+    Partition,
+    content,
+    covers_below,
+    enumerate_partitions,
+    enumerate_syt,
+    f_dim,
+)
 from aldous.yor import (
     branching_check,
     irrep_laplacian,
@@ -466,3 +476,57 @@ class TestConjugateTwist:
         H = SignedWeightedGraph(4, {(1, 4): 1.0, (2, 4): 2.0, (3, 4): 0.5, (1, 2): -0.9})
         for lam, _, norm in shape_spectra(H):
             assert norm == pytest.approx(np.abs(irrep_laplacian(lam, H)).max(), rel=1e-12)
+
+
+SINGLE_SHAPE_BUILDERS = {
+    "irrep_laplacian": lambda lam: irrep_laplacian(lam, complete_graph(lam.n)),
+    "irrep_laplacian_path": lambda lam: irrep_laplacian(lam, path_graph(lam.n)),
+    "rho_transposition": lambda lam: rho_transposition(lam, 1, lam.n),
+    "jucys_murphy": lambda lam: jucys_murphy(lam, lam.n),
+    "conjecture_matrix": lambda lam: conjecture_matrix(lam, [1.0] * (lam.n - 1)),
+}
+
+
+class TestSingleShapeGuard:
+    """The builders of one shape's weighted sum of transpositions refuse,
+    before building, a shape whose arrays would not fit."""
+
+    @staticmethod
+    def need(lam):
+        """The top block and a second f x f array, two stack slots for each
+        shape one box below, counted by enumerating the tableaux, and 200
+        bytes per box of each tableau."""
+        f = len(enumerate_syt(lam))
+        below = sum(len(enumerate_syt(mu)) ** 2 for mu in covers_below(lam))
+        return (2 * f * f + 2 * below) * 8 + 200 * lam.n * f
+
+    @pytest.mark.parametrize("builder", SINGLE_SHAPE_BUILDERS)
+    def test_refuses_exactly_above_the_estimate(self, monkeypatch, builder):
+        lam = Partition((3, 2, 1))
+        monkeypatch.setattr(yor, "_available_bytes", lambda: self.need(lam))
+        SINGLE_SHAPE_BUILDERS[builder](lam)
+        monkeypatch.setattr(yor, "_available_bytes", lambda: self.need(lam) - 1)
+        with pytest.raises(ValueError, match=r"16 x 16 arrays of shape \(3,2,1\)"):
+            SINGLE_SHAPE_BUILDERS[builder](lam)
+
+    @pytest.mark.parametrize("parts", [(4, 3, 2, 1), (3, 3, 2, 1, 1)])
+    @pytest.mark.parametrize("builder", SINGLE_SHAPE_BUILDERS)
+    def test_estimate_bounds_the_traced_peak(self, monkeypatch, builder, parts):
+        """The estimate is at least the peak that `tracemalloc` sees in a
+        second run (the first fills the caches of tableaux and adjacent
+        tables) and, unless a path leaves most stack slots zero, at most
+        1.5 times it."""
+        lam = Partition(parts)
+        needs = []
+        monkeypatch.setattr(yor, "_require_bytes", lambda need, what: needs.append(need))
+        SINGLE_SHAPE_BUILDERS[builder](lam)
+        tracemalloc.start()
+        try:
+            SINGLE_SHAPE_BUILDERS[builder](lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert needs[0] == needs[1] == self.need(lam)
+        assert peak <= needs[0]
+        if builder != "irrep_laplacian_path":
+            assert needs[0] <= 1.5 * peak
