@@ -359,7 +359,7 @@ class TestRep:
 
 @pytest.mark.parametrize(
     "option",
-    [["--tol", "0"], ["--tol", "inf"], ["--tol", "nan"], ["--budget", "-1"]],
+    [["--tol", "0"], ["--tol", "inf"], ["--tol", "nan"], ["--tol", "-1"], ["--budget", "-1"]],
 )
 def test_invalid_global_option_exits_2(capsys, option):
     code, out, err = run_cli(capsys, *option, "check-conjecture", "--k", "4", "--gamma", "1,2,3")
