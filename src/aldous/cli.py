@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .conjecture import check_conjecture
-from .graphs import _GENERATORS, WeightedGraph, generate, generated_edges
+from .graphs import _FAMILIES, WeightedGraph, generate, generated_edges
 from .graphs import graph_from_json_dict, graph_to_json_dict
 from .interchange import aldous_check, interchange_spectrum
 from .permutations import parse_permutation
@@ -224,42 +224,38 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gap", help="compare interchange and random-walk spectral gaps")
+    p.set_defaults(handler=_cmd_gap)
     p.add_argument("graph", help="graph JSON file")
 
     p = sub.add_parser("check-conjecture", help="per-shape PSD sweep for given rates")
+    p.set_defaults(handler=_cmd_check_conjecture)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--gamma", required=True, help="comma-separated k-1 nonnegative rates")
 
     p = sub.add_parser("certify", help="search for a bounded-degree elimination order")
+    p.set_defaults(handler=_cmd_certify)
     p.add_argument("graph", help="graph JSON file (or, with --replay, the output of certify)")
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--replay", action="store_true", help="verify a stored certificate")
 
     p = sub.add_parser("generate", help="emit a named graph family as JSON")
-    p.add_argument("kind", choices=sorted(_GENERATORS))
+    p.set_defaults(handler=_cmd_generate)
+    p.add_argument("kind", choices=sorted(_FAMILIES))
     p.add_argument("params", type=int, nargs="*")
     # SUPPRESS keeps a subcommand-level --seed from clobbering the global one
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS, dest="seed",
                    help="draw Uniform(0.5, 1.5) weights instead of unit weights")
 
     p = sub.add_parser("decompose", help="interchange spectrum shape by shape")
+    p.set_defaults(handler=_cmd_decompose)
     p.add_argument("graph", help="graph JSON file")
 
     p = sub.add_parser("rep", help="dump a representation matrix")
+    p.set_defaults(handler=_cmd_rep)
     p.add_argument("partition", help="partition text, e.g. 3,1 or 2,1^2")
     p.add_argument("sigma", help='permutation: cycles "(1 4)(2 3)" or one-line "2,1,4,3"')
 
     return parser
-
-
-_HANDLERS = {
-    "gap": _cmd_gap,
-    "check-conjecture": _cmd_check_conjecture,
-    "certify": _cmd_certify,
-    "generate": _cmd_generate,
-    "decompose": _cmd_decompose,
-    "rep": _cmd_rep,
-}
 
 
 def main(argv=None) -> int:
@@ -272,7 +268,7 @@ def main(argv=None) -> int:
             raise ValueError("tolerance must be finite")
         if args.budget < 0:
             raise ValueError("budget must be nonnegative")
-        output, code = _HANDLERS[args.command](args)
+        output, code = args.handler(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

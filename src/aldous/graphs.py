@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,21 +48,13 @@ def _normalized_weights(n: int, weights, signed: bool) -> dict[tuple[int, int], 
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Simple weighted graph on vertices 1..n with nonnegative rates.
-
-    `labels`, when present, records original vertex labels after a
-    collapse relabeling (labels[k-1] = source label of vertex k). It is
-    ignored by equality.
-    """
+    """Simple weighted graph on vertices 1..n with nonnegative rates."""
 
     n: int
     weights: dict[tuple[int, int], float]
-    labels: tuple[int, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", _normalized_weights(self.n, self.weights, signed=False))
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(int(v) for v in self.labels))
 
     def weight(self, i: int, j: int) -> float:
         return self.weights.get(_edge_key(i, j), 0.0)
@@ -124,8 +117,9 @@ def _collapse_weights(
     gain an exact signed zero, which leaves a nonzero weight as it is but
     can flip the sign of a zero one (-0.0 + 0.0 is 0.0), so zero weights
     get the full update too. a_i (a_j / s) replaces a_i a_j / s only
-    where the product overflows; the fill-in itself is at most
-    min(a_i, a_j). Keys come back sorted.
+    where the product overflows or falls below the smallest normal
+    float, which would drop a positive fill-in to zero; the fill-in
+    itself is at most min(a_i, a_j). Keys come back sorted.
     """
     rates: dict[int, float] = {}
     kept: dict[tuple[int, int], float] = {}
@@ -148,7 +142,7 @@ def _collapse_weights(
         for key in pairs:
             a, b = rates.get(key[0], 0.0), rates.get(key[1], 0.0)
             fill = a * b
-            fill = fill / s if fill != math.inf else a * (b / s)
+            fill = fill / s if sys.float_info.min <= fill < math.inf else a * (b / s)
             w = kept.get(key, 0.0) + fill
             if w != 0 or key in kept:
                 kept[key] = w
@@ -161,15 +155,12 @@ def collapse_last_vertex(G: WeightedGraph, v: int) -> WeightedGraph:
     v is first relabeled to position n; then each remaining pair gains
     a_in * a_jn / s where s is the total rate into v. When s == 0 the
     vertex is already isolated and the result is the plain restriction.
-    The returned graph's `labels` maps new indices to input labels.
     """
     if G.n < 2:
         raise ValueError("collapse needs at least 2 vertices")
     if not 1 <= v <= G.n:
         raise ValueError(f"vertex {v} out of range for n={G.n}")
-    n = G.n
-    labels = tuple(k if k != v else n for k in range(1, n))
-    return WeightedGraph(n - 1, _collapse_weights(n, G.weights, v), labels=labels)
+    return WeightedGraph(G.n - 1, _collapse_weights(G.n, G.weights, v))
 
 
 def rank1_identity_check(G: WeightedGraph, tol: float = 1e-9) -> bool:
@@ -324,16 +315,6 @@ def nested_triangulation(
     return _with_weights(next_vertex - 1, edges, weights, seed)
 
 
-_GENERATORS = {
-    "path": path_graph,
-    "cycle": cycle_graph,
-    "star": star_graph,
-    "complete": complete_graph,
-    "wheel": wheel_graph,
-    "nested_triangulation": nested_triangulation,
-}
-
-
 def _nested_triangulation_edges(depth: int, branching: int) -> int:
     """3 for the triangle and 3 per added vertex: level l adds `branching`
     vertices to each of the (3 branching)^(l-1) triangles that the level
@@ -347,32 +328,35 @@ def _nested_triangulation_edges(depth: int, branching: int) -> int:
     return edges
 
 
-_EDGE_COUNTS = {
-    "path": lambda n: n - 1,
-    "cycle": lambda n: n,
-    "star": lambda n: n - 1,
-    "complete": lambda n: n * (n - 1) // 2,
-    "wheel": lambda n: 2 * (n - 1),
-    "nested_triangulation": _nested_triangulation_edges,
+# Each named family: its generator, and its edge count from the parameters.
+_FAMILIES = {
+    "path": (path_graph, lambda n: n - 1),
+    "cycle": (cycle_graph, lambda n: n),
+    "star": (star_graph, lambda n: n - 1),
+    "complete": (complete_graph, lambda n: n * (n - 1) // 2),
+    "wheel": (wheel_graph, lambda n: 2 * (n - 1)),
+    "nested_triangulation": (nested_triangulation, _nested_triangulation_edges),
 }
 
 
-def _generator(kind: str, params: tuple[int, ...]):
-    """The generator named `kind`, after checking that `params` fill its
-    parameters without defaults."""
+def _family(kind: str, params: tuple[int, ...]):
+    """The (generator, edge count) of the family named `kind`, after
+    checking that `params` fill the generator's parameters without
+    defaults."""
     try:
-        fn = _GENERATORS[kind]
+        family = _FAMILIES[kind]
     except KeyError:
-        raise ValueError(f"unknown graph kind {kind!r}; choose from {sorted(_GENERATORS)}")
-    required = [p for p in inspect.signature(fn).parameters.values() if p.default is p.empty]
+        raise ValueError(f"unknown graph kind {kind!r}; choose from {sorted(_FAMILIES)}")
+    required = [p for p in inspect.signature(family[0]).parameters.values() if p.default is p.empty]
     if len(params) != len(required):
         raise ValueError(f"{kind} takes {len(required)} parameter(s), got {len(params)}")
-    return fn
+    return family
 
 
 def generate(kind: str, *params: int, weights=None, seed: int | None = None) -> WeightedGraph:
     """Dispatch to a named generator; `params` fill its parameters without defaults."""
-    return _generator(kind, params)(*params, weights=weights, seed=seed)
+    generator, _ = _family(kind, params)
+    return generator(*params, weights=weights, seed=seed)
 
 
 def generated_edges(kind: str, *params: int) -> int:
@@ -380,8 +364,8 @@ def generated_edges(kind: str, *params: int) -> int:
     parameters alone, so that an oversized request can be refused before
     anything is built. Negative parameters count as 0: `generate` rejects
     them."""
-    _generator(kind, params)
-    return _EDGE_COUNTS[kind](*(max(p, 0) for p in params))
+    _, edge_count = _family(kind, params)
+    return edge_count(*(max(p, 0) for p in params))
 
 
 def random_connected_graph(

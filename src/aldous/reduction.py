@@ -20,18 +20,23 @@ A rule sequence is an elimination order on the skeleton's simple
 support in which every removed vertex has at most three neighbours, so
 `reduce_to_edge` decides it as that elimination game: a depth-first
 search over sets of removed vertices that remembers the sets that
-failed, removes simplicial vertices without branching, and edits one
-adjacency structure in place with an undo record per removal. Removing
-a vertex and undoing it cost O(deg^2) set operations, plus a lookup of
-the common neighbours of each fill-in edge; choosing the next vertex
-scans the vertices with at most three neighbours. An exhausted search
-is a proof. The order found becomes rule steps through `apply_rule`.
+failed, removes simplicial vertices without branching, and chooses the
+next vertex among those with at most three neighbours. An exhausted
+search is a proof. The order found becomes rule steps through
+`apply_rule`.
 
-The elimination search works on (n, weights dict) pairs, not on
-`WeightedGraph`s, and collapses with `graphs._collapse_weights`, which
-touches only the removed vertex's edges and the pairs among its
-neighbours, so one of its states costs O(E + deg^2) for E edges. Both
-searches keep an explicit stack.
+Whether an elimination order qualifies depends only on which rates are
+positive: a collapse joins every two positive neighbours of the removed
+vertex by a positive fill-in a_i a_j / s and leaves the sign of every
+other rate as it was. So `certify_elimination` searches the positive
+support too, by a plain depth-first search (lowest positive degree
+first, ties by current label, no memoisation), and keeps the collapse's
+relabelling in a slot list. Both searches edit one adjacency structure
+in place through `_remove` and `_restore`: a removal and its undo cost
+O(deg^2) set operations, plus a lookup of the common neighbours of each
+fill-in edge. Both keep an explicit stack. Only `replay_elimination`
+collapses float weights, with `graphs._collapse_weights`, as the
+independent check of a certificate.
 """
 
 from __future__ import annotations
@@ -40,12 +45,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Union
 
-from .graphs import (
-    WeightedGraph,
-    _collapse_weights,
-    _component_count,
-    _edge_key,
-)
+from .graphs import WeightedGraph, _collapse_weights, _component_count, _edge_key
 
 
 class InapplicableRule(ValueError):
@@ -325,28 +325,16 @@ def _elimination_game(adj: list[set[int]], budget: int) -> tuple[str, int, list[
             simplicial.discard(u)
 
     def remove(v, forced):
-        ends = adj[v]  # left intact while v is out: no later edit touches it
         low.discard(v)
         simplicial.discard(v)
-        for u in ends:
-            adj[u].discard(v)
-        fill = [(a, b) for a, b in combinations(ends, 2) if b not in adj[a]]
-        touched = set(ends)  # only these and common neighbours of a fill edge change status
-        for a, b in fill:
-            adj[a].add(b)
-            adj[b].add(a)
-            touched |= adj[a] & adj[b]
+        fill, touched = _remove(adj, v)
         for u in touched:
             refresh(u)
         path.append((v, forced, fill, touched))
 
     def restore():
         v, forced, fill, touched = path.pop()
-        for a, b in fill:
-            adj[a].discard(b)
-            adj[b].discard(a)
-        for u in adj[v]:
-            adj[u].add(v)
+        _restore(adj, v, fill)
         for u in touched | {v}:
             refresh(u)
         return v, forced
@@ -381,6 +369,36 @@ def _elimination_game(adj: list[set[int]], budget: int) -> tuple[str, int, list[
         remove(v, forced)
         removed |= 1 << v
     return "reduced", expanded, [(v, sorted(adj[v])) for v, *_ in path]
+
+
+def _remove(adj: list[set[int]], v: int) -> tuple[list[tuple[int, int]], set[int]]:
+    """Remove vertex v from the simple graph `adj` in place and join its
+    neighbours pairwise. Returns the fill-in edges added and the vertices
+    whose neighbourhood may have stopped or started being a clique: v's
+    neighbours and the common neighbours of each fill-in edge.
+
+    adj[v] is left intact: no later removal touches it while v is out,
+    so `_restore(adj, v, fill)` undoes this removal once every later one
+    is undone."""
+    ends = adj[v]
+    for u in ends:
+        adj[u].discard(v)
+    fill = [(a, b) for a, b in combinations(ends, 2) if b not in adj[a]]
+    touched = set(ends)
+    for a, b in fill:
+        adj[a].add(b)
+        adj[b].add(a)
+        touched |= adj[a] & adj[b]
+    return fill, touched
+
+
+def _restore(adj: list[set[int]], v: int, fill: list[tuple[int, int]]) -> None:
+    """Undo the `_remove(adj, v)` that added the fill-in edges `fill`."""
+    for a, b in fill:
+        adj[a].discard(b)
+        adj[b].discard(a)
+    for u in adj[v]:
+        adj[u].add(v)
 
 
 @dataclass(frozen=True)
@@ -429,41 +447,48 @@ def certify_elimination(G: WeightedGraph, K: int = 4, budget: int = 100_000) -> 
     with backtracking; collapse fill-in can raise later degrees, which
     is why greedy alone is not complete. Exhausting the search space
     proves no such order exists; hitting the budget is inconclusive.
-    The search runs on weight dicts with an explicit stack.
+    The search edits G's positive support in place with an explicit
+    stack; collapsing vertex v of a graph on 1..n hands label n to v.
     """
     if K < 2:
         raise ValueError("K must be >= 2")
+    adj: list[set[int]] = [set() for _ in range(G.n + 1)]  # by input label; 0 unused
+    for i, j in G.positive_edges():
+        adj[i].add(j)
+        adj[j].add(i)
+    slot = list(range(G.n + 1))  # slot[v]: the input vertex that holds label v now
+    n = G.n
+    path = []  # (positive degree, label, input vertex, fill-in edges) of each removal
+
+    def lowest(degree=0, label=0):
+        """The least (positive degree, label) above (degree, label) whose
+        degree is below K, or None."""
+        degrees = [len(adj[x]) for x in slot[1 : n + 1]]  # label v at v - 1
+        for d in range(degree, min(K, n)):  # no degree reaches n
+            if d in degrees[label:]:
+                return d, degrees.index(d, label) + 1
+            label = 0
+        return None
+
     expanded = 0
-    steps: list[tuple[int, int]] = []  # steps[k] leads from frames[k] to the next state
-    frames = []  # (n, weights, untried (positive degree, vertex) candidates)
-    n, weights = G.n, G.weights
     while n > 2:
         if expanded >= budget:
             return EliminationResult("inconclusive", None, expanded)
         expanded += 1
-        frames.append((n, weights, iter(_elimination_candidates(n, weights, K - 1))))
-        while frames:
-            candidate = next(frames[-1][2], None)
-            if candidate is not None:
-                break
-            frames.pop()
-            if steps:
-                steps.pop()
-        else:
-            return EliminationResult("no_certificate", None, expanded)
-        degree, v = candidate
-        steps.append((v, degree))
-        top_n, top_weights, _ = frames[-1]
-        n, weights = top_n - 1, _collapse_weights(top_n, top_weights, v)
-    cert = EliminationCertificate(max_degree_bound=K - 1, steps=tuple(steps), graph=G)
+        step = lowest()
+        while step is None:  # this state fails; back up to the last choice
+            if not path:
+                return EliminationResult("no_certificate", None, expanded)
+            degree, v, x, fill = path.pop()
+            n += 1
+            slot[n], slot[v] = slot[v], x
+            _restore(adj, x, fill)
+            step = lowest(degree, v)
+        degree, v = step
+        x = slot[v]
+        path.append((degree, v, x, _remove(adj, x)[0]))
+        slot[v] = slot[n]
+        n -= 1
+    steps = tuple((v, degree) for degree, v, _, _ in path)
+    cert = EliminationCertificate(max_degree_bound=K - 1, steps=steps, graph=G)
     return EliminationResult("certified", cert, expanded)
-
-
-def _elimination_candidates(n: int, weights, max_degree: int) -> list[tuple[int, int]]:
-    """(positive degree, vertex) pairs with degree <= max_degree, lowest first."""
-    degrees = [0] * (n + 1)
-    for (i, j), w in weights.items():
-        if w > 0:
-            degrees[i] += 1
-            degrees[j] += 1
-    return sorted((d, v) for v, d in enumerate(degrees) if v and d <= max_degree)

@@ -142,10 +142,13 @@ def bipartite_laplacian_gap(B, total: float) -> float:
     four times as large against the width of the spectrum, and Lanczos
     converges in fewer steps than on L, with vectors half as long.
 
-    The solve starts from a fixed vector, so repeated calls give the
-    same bits. Its eigenvector v is lifted to L as (v, B^T v / (W - mu)),
-    and mu is accepted only when that pair's residual ||Lx - mu x|| / ||x||,
-    which bounds the distance from mu to the spectrum of L, is at most
+    The solve starts from a fixed vector, so repeated calls in one
+    process give the same bits. Separate processes need not: the zero
+    gap of a one-edge graph on 6 or 7 vertices has come back as
+    different rounding noise of about 1e-16 in two fresh processes. Its
+    eigenvector v is lifted to L as (v, B^T v / (W - mu)), and mu is
+    accepted only when that pair's residual ||Lx - mu x|| / ||x||, which
+    bounds the distance from mu to the spectrum of L, is at most
     SOLVER_TOL * (1 + |W|). Otherwise, or when ARPACK does not converge,
     it raises NoConvergence, and the caller chooses what to do instead.
     """

@@ -57,10 +57,6 @@ class Partition:
         cols = [sum(1 for p in self.parts if p >= c) for c in range(1, self.parts[0] + 1)]
         return Partition(tuple(cols))
 
-    def contains_box(self, row: int, col: int) -> bool:
-        """1-based box membership test."""
-        return 1 <= row <= len(self.parts) and 1 <= col <= self.parts[row - 1]
-
 
 def parse_partition(text: str) -> Partition:
     """Parse comma-separated parts with optional ``^`` exponents.
@@ -241,19 +237,9 @@ def last_letter_rows(parts: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...
 
 
 @lru_cache(maxsize=None)
-def syt_rows(parts: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Row tuples of every standard tableau of the shape, in dictionary order.
-
-    The unvalidated form behind `enumerate_syt`, for hot paths that only
-    need the fillings. Row tuples of one shape compare exactly as their
-    reading words do.
-    """
-    return tuple(sorted(last_letter_rows(parts)))
-
-
-@lru_cache(maxsize=None)
 def _syt_cached(parts: tuple[int, ...]) -> tuple[StandardTableau, ...]:
-    return tuple(StandardTableau(rows) for rows in syt_rows(parts))
+    # row tuples of one shape compare exactly as their reading words do
+    return tuple(StandardTableau(rows) for rows in sorted(last_letter_rows(parts)))
 
 
 def enumerate_syt(lam: Partition) -> tuple[StandardTableau, ...]:

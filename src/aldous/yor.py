@@ -70,7 +70,6 @@ from .tableaux import (
     enumerate_partitions,
     f_dim,
     last_letter_rows,
-    syt_rows,
 )
 
 
@@ -113,19 +112,13 @@ def _adjacent_tables(parts: tuple[int, ...]) -> tuple[tuple[np.ndarray, np.ndarr
     return tuple(tables)
 
 
-def _adjacent_table(parts: tuple[int, ...], i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n = sum(parts)
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"adjacent index must be in 1..{n - 1}, got {i}")
-    return _adjacent_tables(parts)[i - 1]
-
-
 @lru_cache(maxsize=None)
 def _dictionary_positions(parts: tuple[int, ...]) -> np.ndarray:
     """Last-letter position of each tableau of the shape, tableaux taken
-    in dictionary order."""
-    position = {t: q for q, t in enumerate(last_letter_rows(parts))}
-    return np.array([position[t] for t in syt_rows(parts)])
+    in dictionary order: row tuples of one shape compare exactly as their
+    reading words do."""
+    rows = last_letter_rows(parts)
+    return np.array(sorted(range(len(rows)), key=rows.__getitem__))
 
 
 def _in_dictionary_order(parts: tuple[int, ...], M: np.ndarray) -> np.ndarray:
@@ -245,11 +238,9 @@ def _require_matrices(lam: Partition, stacked: bool = False) -> None:
 
 def rho_adjacent(lam: Partition, i: int) -> np.ndarray:
     """Matrix of the adjacent transposition (i, i+1)."""
-    _require_matrices(lam)
-    diag, off, partner = _adjacent_table(lam.parts, i)
-    M = np.diag(diag)
-    M[np.arange(len(diag)), partner] += off
-    return _in_dictionary_order(lam.parts, M)
+    if not 1 <= i <= lam.n - 1:
+        raise ValueError(f"adjacent index must be in 1..{lam.n - 1}, got {i}")
+    return rho_sigma(lam, Permutation.transposition(lam.n, i, i + 1))
 
 
 def rho_transposition(lam: Partition, i: int, j: int) -> np.ndarray:
@@ -268,7 +259,7 @@ def rho_sigma(lam: Partition, sigma: Permutation) -> np.ndarray:
     M = np.eye(f_dim(lam))
     X = np.empty_like(M)  # scratch, freed before the reordered copy is made
     for i in sigma.adjacent_factorization():
-        diag, off, partner = _adjacent_table(lam.parts, i)
+        diag, off, partner = _adjacent_tables(lam.parts)[i - 1]
         np.take(M, partner, axis=1, out=X, mode="clip")  # "raise" would buffer `out`
         X *= off
         M *= diag

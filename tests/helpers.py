@@ -207,8 +207,7 @@ def reference_collapse(G, v):
                 w += work.weight(i, n) * work.weight(j, n) / s
             if w != 0 or (i, j) in work.weights:
                 new_weights[(i, j)] = w
-    labels = tuple(k if k != v else n for k in range(1, n))
-    return WeightedGraph(n - 1, new_weights, labels=labels)
+    return WeightedGraph(n - 1, new_weights)
 
 
 def reference_certify_elimination(G, K=4, budget=100_000):

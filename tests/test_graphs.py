@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from aldous.graphs import (
-    _GENERATORS,
+    _FAMILIES,
     WeightedGraph,
     collapse_last_vertex,
     complete_graph,
@@ -27,8 +27,8 @@ from helpers import reference_collapse
 
 
 def weight_bits(G):
-    """(n, edges in dict order with exact float bits, labels)."""
-    return G.n, [(key, w.hex()) for key, w in G.weights.items()], G.labels
+    """(n, edges in dict order with exact float bits)."""
+    return G.n, [(key, w.hex()) for key, w in G.weights.items()]
 
 
 class TestWeightedGraph:
@@ -107,13 +107,12 @@ class TestCollapse:
         assert H.n == 2 and H.weight(1, 2) == 1.5
 
     def test_collapse_arbitrary_vertex_relabels(self):
-        # collapsing vertex 1 of the path 1-2-3 joins its neighbors' side
-        G = path_graph(3)
+        # collapsing vertex 1 of the path 1-2-3 hands label 1 to vertex 3
+        G = path_graph(3, weights=[1.0, 2.0])
         H = collapse_last_vertex(G, 1)
         assert H.n == 2
-        assert H.labels == (3, 2)
         # vertex 1 had a single neighbor: restriction of the relabeled graph
-        assert H.weight(1, 2) == 1.0
+        assert H.weights == {(1, 2): 2.0}
 
     def test_needs_two_vertices(self):
         with pytest.raises(ValueError):
@@ -147,6 +146,11 @@ class TestCollapse:
         # ordinary rates keep the product form a_i a_j / s
         G = WeightedGraph(4, {(1, 4): 0.1, (2, 4): 0.7, (3, 4): 1.3})
         assert collapse_last_vertex(G, 4).weight(2, 3) == (0.7 * 1.3) / (0.1 + 0.7 + 1.3)
+
+    def test_small_rates_do_not_underflow(self):
+        # a_i a_j underflows to 0 at 1e-200, the fill-in a_i a_j / s does not
+        H = collapse_last_vertex(cycle_graph(4, weights=[1e-200] * 4), 4)
+        assert H.weights == {(1, 2): 1e-200, (1, 3): 5e-201, (2, 3): 1e-200}
 
     def test_interlacing_on_seeded_collapses(self):
         rng = np.random.default_rng(42)
@@ -227,7 +231,7 @@ class TestGenerators:
         with pytest.raises(ValueError):
             generate("nested_triangulation", 2)
 
-    @pytest.mark.parametrize("kind", sorted(_GENERATORS))
+    @pytest.mark.parametrize("kind", sorted(_FAMILIES))
     def test_generated_edges_counts_without_building(self, kind):
         if kind == "nested_triangulation":
             params = [(d, b) for d in range(4) for b in range(1, 4)]

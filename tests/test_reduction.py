@@ -289,6 +289,34 @@ class TestCertifyElimination:
         assert not replay_elimination(EliminationCertificate(3, extra, G))
         assert replay_elimination(EliminationCertificate(3, (), path_graph(2)))
 
+    def test_tiny_rates_keep_their_fill_in(self):
+        # K4 less the edge (1, 2), with vertex 5 joined to 1 and 2: removing
+        # 5 joins 1 and 2 however small its rates, and K4 has no order of
+        # positive degree at most 2
+        edges = {(1, 3): 1.0, (1, 4): 1.0, (2, 3): 1.0, (2, 4): 1.0, (3, 4): 1.0}
+        for rate in (1.0, 1e-200):
+            G = WeightedGraph(5, {**edges, (1, 5): rate, (2, 5): rate})
+            assert certify_elimination(G, K=3).status == "no_certificate", rate
+            # an order that holds only if the fill-in (1, 2) is lost
+            lost = EliminationCertificate(2, ((5, 2), (1, 2), (1, 2)), G)
+            assert not replay_elimination(lost), rate
+
+    def test_scale_invariance(self):
+        # the order depends only on which rates are positive, and every
+        # collapse along it stays positive where the rates were
+        graphs = seeded_graph_stream(11, 60, 5, 12, extra_edge_prob=0.35)
+        graphs += [nested_triangulation(2, 1), wheel_graph(8)]
+        for G in graphs:
+            for K in (3, 4, 5):
+                want = certify_elimination(G, K=K)
+                for c in (1e-300, 1e-160, 1e150, 1e300):
+                    got = certify_elimination(G.scaled(c), K=K)
+                    steps = got.certificate and got.certificate.steps
+                    assert (got.status, got.states_expanded, steps) == (
+                        want.status, want.states_expanded, want.certificate and want.certificate.steps
+                    ), (G, K, c)
+                    assert not got.certified or replay_elimination(got.certificate), (G, K, c)
+
     def test_fill_in_degrees_recorded(self):
         # collapsing the hub of a star fills in the leaf clique
         G = WeightedGraph(4, {(1, 4): 1.0, (2, 4): 1.0, (3, 4): 1.0})
@@ -327,15 +355,15 @@ def terminal(cert):
 
 
 def elimination_bits(result, collapse):
-    """Status, state count, steps and the float bits and labels of every
-    intermediate graph, derived from the input and the steps by `collapse`."""
+    """Status, state count, steps and the float bits of every intermediate
+    graph, derived from the input and the steps by `collapse`."""
     cert = result.certificate
     graphs = None
     if cert is not None:
         graphs = [cert.graph]
         for v, _ in cert.steps:
             graphs.append(collapse(graphs[-1], v))
-        graphs = [(H.n, [(k, w.hex()) for k, w in H.weights.items()], H.labels) for H in graphs]
+        graphs = [(H.n, [(k, w.hex()) for k, w in H.weights.items()]) for H in graphs]
         graphs = (cert.max_degree_bound, cert.steps, graphs)
     return result.status, result.states_expanded, graphs
 
@@ -343,7 +371,7 @@ def elimination_bits(result, collapse):
 class TestAgainstReference:
     """The elimination search matches its recursive all-pairs reference
     exactly: status, state count and steps, and every intermediate graph's
-    weights in dict order with their float bits, and labels, as
+    weights in dict order with their float bits, as
     `collapse_last_vertex` and the reference's all-pairs collapse derive
     them from the input and the steps. The reduction search
     decides the same question as its reference rule-order search by a
