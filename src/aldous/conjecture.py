@@ -30,7 +30,7 @@ import numpy as np
 from .graphs import SignedWeightedGraph
 from .spectral import DEFAULT_TOL
 from .tableaux import Partition, content_sum, max_corner_content
-from .yor import irrep_laplacian, s4_transposition_vectors, shape_spectra
+from .yor import _require_bytes, irrep_laplacian, s4_transposition_vectors, shape_spectra
 
 
 @dataclass(frozen=True)
@@ -72,16 +72,16 @@ def comparison_weights(gamma) -> SignedWeightedGraph:
     Laplacian on these weights. For k = 2 the clique sum is empty.
     """
     g = _as_gamma(gamma)
-    if g.k >= 3 and g.total <= 0:
+    k, total = g.k, g.total
+    if k >= 3 and total <= 0:
         raise ValueError("all-zero rates are only allowed for k = 2")
-    k = g.k
     weights: dict[tuple[int, int], float] = {}
     for i in range(1, k):
         weights[(i, k)] = g.gamma[i - 1]
-    if g.total > 0:
+    if total > 0:
         for i in range(1, k):
             for j in range(i + 1, k):
-                weights[(i, j)] = -g.gamma[i - 1] * g.gamma[j - 1] / g.total
+                weights[(i, j)] = -g.gamma[i - 1] * g.gamma[j - 1] / total
     return SignedWeightedGraph(k, weights)
 
 
@@ -129,6 +129,9 @@ def check_conjecture(k: int, gamma, tol: float = DEFAULT_TOL) -> ConjectureRepor
     g = _as_gamma(gamma)
     if g.k != k:
         raise ValueError(f"gamma has {g.k - 1} entries; expected k - 1 = {k - 1}")
+    # the blocks' stacks alone need 16 (k-1)! bytes, as `shape_spectra`
+    # counts them; refused from k, before the k^2/2 weights are built
+    _require_bytes(16 * math.factorial(min(k, 200) - 1), f"the per-shape blocks of {k} boxes")
     verdicts = []
     for lam, vals, norm in shape_spectra(comparison_weights(g)):
         min_eig = float(vals[0])

@@ -38,7 +38,10 @@ def _normalized_weights(n: int, weights, signed: bool) -> dict[tuple[int, int], 
         key = _edge_key(i, j)
         if key in normalized:
             raise ValueError(f"duplicate edge {key}")
-        w = float(w)
+        try:
+            w = float(w)
+        except OverflowError:  # an integer beyond the float range
+            w = math.inf if w > 0 else -math.inf
         if not math.isfinite(w) or (w < 0 and not signed):
             bound = "finite" if signed else "finite and >= 0"
             raise ValueError(f"weight for edge {key} must be {bound}, got {w}")
@@ -105,31 +108,36 @@ def rw_laplacian(G: WeightedGraph) -> np.ndarray:
     return L
 
 
-def _collapse_weights(
-    n: int, weights: dict[tuple[int, int], float], v: int
-) -> dict[tuple[int, int], float]:
-    """Edge weights after collapsing vertex v of a graph on 1..n.
+def collapse_last_vertex(G: WeightedGraph, v: int) -> WeightedGraph:
+    """Remove vertex v, redistributing its rates onto the remaining pairs.
 
-    `weights` is keyed (i, j), i < j. Vertex n takes label v; then each
-    pair of v's neighbours gains a_i a_j / s, s being the total rate into
-    v summed in ascending label order. Only v's edges and the pairs among
-    its neighbours are touched, in O(E + deg^2): every other pair would
-    gain an exact signed zero, which leaves a nonzero weight as it is but
-    can flip the sign of a zero one (-0.0 + 0.0 is 0.0), so zero weights
-    get the full update too. a_i (a_j / s) replaces a_i a_j / s only
-    where the product overflows or falls below the smallest normal
-    float, which would drop a positive fill-in to zero; the fill-in
-    itself is at most min(a_i, a_j). Keys come back sorted.
+    v is first relabeled to position n; then each remaining pair gains
+    a_in * a_jn / s where s is the total rate into v, summed in ascending
+    label order. When s == 0 the vertex is already isolated and the
+    result is the plain restriction.
+
+    Only v's edges and the pairs among its neighbours are touched, in
+    O(E + deg^2): every other pair would gain an exact signed zero, which
+    leaves a nonzero weight as it is but can flip the sign of a zero one
+    (-0.0 + 0.0 is 0.0), so zero weights get the full update too.
+    a_i (a_j / s) replaces a_i a_j / s only where the product overflows
+    or falls below the smallest normal float, which would drop a positive
+    fill-in to zero; the fill-in itself is at most min(a_i, a_j). Keys
+    come back sorted.
     """
+    if G.n < 2:
+        raise ValueError("collapse needs at least 2 vertices")
+    if not 1 <= v <= G.n:
+        raise ValueError(f"vertex {v} out of range for n={G.n}")
     rates: dict[int, float] = {}
     kept: dict[tuple[int, int], float] = {}
     zeros = []
-    for (i, j), w in weights.items():
+    for (i, j), w in G.weights.items():
         if i == v or j == v:
             u = i + j - v
-            rates[v if u == n else u] = w
+            rates[v if u == G.n else u] = w
             continue
-        if j == n:
+        if j == G.n:
             i, j = (i, v) if i < v else (v, i)
         kept[(i, j)] = w
         if w == 0:
@@ -146,21 +154,7 @@ def _collapse_weights(
             w = kept.get(key, 0.0) + fill
             if w != 0 or key in kept:
                 kept[key] = w
-    return dict(sorted(kept.items()))
-
-
-def collapse_last_vertex(G: WeightedGraph, v: int) -> WeightedGraph:
-    """Remove vertex v, redistributing its rates onto the remaining pairs.
-
-    v is first relabeled to position n; then each remaining pair gains
-    a_in * a_jn / s where s is the total rate into v. When s == 0 the
-    vertex is already isolated and the result is the plain restriction.
-    """
-    if G.n < 2:
-        raise ValueError("collapse needs at least 2 vertices")
-    if not 1 <= v <= G.n:
-        raise ValueError(f"vertex {v} out of range for n={G.n}")
-    return WeightedGraph(G.n - 1, _collapse_weights(G.n, G.weights, v))
+    return WeightedGraph(G.n - 1, dict(sorted(kept.items())))
 
 
 def rank1_identity_check(G: WeightedGraph, tol: float = 1e-9) -> bool:

@@ -52,7 +52,9 @@ block and what `eigvalsh` maps for `interchange_spectrum`,
 `spectral.iterative_solve_bytes` for `gap_interchange`), so a graph
 whose solve would not fit is refused with ValueError before anything
 is allocated; the fallback of `gap_interchange` frees its block and
-then makes the estimate of `interchange_spectrum`. The per-shape route
+then makes the estimate of `interchange_spectrum`. Past n = 200 the
+states are counted as 200!: that many bytes already print as inf GiB,
+and forming n! itself took 9 s at n = 10^6 (2-vCPU x86 host). The per-shape route
 (`spectrum_via_irreps`, `aldous_check`) makes one `yor.shape_spectra`
 pass, which refuses the same way a graph whose blocks would not fit.
 """
@@ -66,11 +68,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .graphs import WeightedGraph
+from .graphs import WeightedGraph, rw_laplacian
 from .spectral import DEFAULT_TOL, DENSE_CROSSOVER, DENSE_LIMIT, NoConvergence
 from .spectral import bipartite_laplacian_gap, iterative_solve_bytes
 from .tableaux import Partition, f_dim
-from .yor import _require_bytes, irrep_laplacian, shape_spectra
+from .yor import _require_bytes, shape_spectra
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -105,7 +107,7 @@ def _block_footprint(G: WeightedGraph) -> tuple[int, int]:
     three h-long temporaries. Both counts add 64 KiB for the small
     objects around the arrays.
     """
-    n, size = G.n, math.factorial(G.n)
+    n, size = G.n, math.factorial(min(G.n, 200))
     edges, half = sum(1 for w in G.weights.values() if w != 0), size // 2
     index = 4 if half * edges < 2**31 else 8
     rank = size * (n + 8 + 8 * n + 16)
@@ -184,7 +186,7 @@ def interchange_spectrum(G: WeightedGraph) -> np.ndarray:
     building anything, when the block, its dense copy and what the dense
     solve maps beside them would not fit in memory.
     """
-    size = math.factorial(G.n)
+    size = math.factorial(min(G.n, 200))
     if size > DENSE_LIMIT:
         raise ValueError(
             f"a dense spectrum is limited to {DENSE_LIMIT} states; "
@@ -224,7 +226,7 @@ def gap_interchange(G: WeightedGraph) -> float:
         raise ValueError("need at least 2 vertices")
     if not any(G.weights.values()):
         return 0.0
-    size = math.factorial(G.n)
+    size = math.factorial(min(G.n, 200))
     if size > DENSE_CROSSOVER:
         import scipy.sparse.linalg  # noqa: F401  (loaded first: the check counts it as mapped)
         peak, held = _block_footprint(G)
@@ -240,12 +242,11 @@ def gap_interchange(G: WeightedGraph) -> float:
 
 
 def gap_rw(G: WeightedGraph) -> float:
-    """Spectral gap of the single-label walk, computed as the smallest
-    eigenvalue of the two-row-shape block (n-1, 1)."""
+    """Spectral gap of the single-label walk: the second-smallest
+    eigenvalue of its n x n Laplacian `graphs.rw_laplacian`."""
     if G.n < 2:
         raise ValueError("need at least 2 vertices")
-    block = irrep_laplacian(Partition((G.n - 1, 1)), G)
-    return float(np.linalg.eigvalsh(block)[0])
+    return float(np.linalg.eigvalsh(rw_laplacian(G))[1])
 
 
 def spectrum_via_irreps(G: WeightedGraph) -> np.ndarray:

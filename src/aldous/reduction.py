@@ -9,12 +9,14 @@ available. The second works on weighted graphs and searches for a
 vertex elimination order in which every removed vertex touches at most
 K-1 strictly positive rates at removal time, applying the collapse
 update (with its fill-in) at each step. A certificate of either kind
-is its input and its steps. Replay re-applies the reduction's rule steps
-to its input skeleton and requires a single edge at the end, and
-collapses the elimination's input graph along its (vertex, positive
-degree) steps. Each collapse is fixed by the graph it acts on and the
-vertex removed, so the input and the order determine every intermediate
-graph, and none is recorded.
+is its input and its steps, written once from the order its search
+found, and checked once by its replay: `replay_reduction` re-applies
+the rule steps to the input skeleton through the validating
+`apply_rule` and requires a single edge at the end, and
+`replay_elimination` collapses the positive support of the input graph
+along its (vertex, positive degree) steps. Each collapse is fixed by the
+graph it acts on and the vertex removed, so the input and the order
+determine every intermediate graph, and none is recorded.
 
 A rule sequence is an elimination order on the skeleton's simple
 support in which every removed vertex has at most three neighbours, so
@@ -22,8 +24,12 @@ support in which every removed vertex has at most three neighbours, so
 search over sets of removed vertices that remembers the sets that
 failed, removes simplicial vertices without branching, and chooses the
 next vertex among those with at most three neighbours. An exhausted
-search is a proof. The order found becomes rule steps through
-`apply_rule`.
+search is a proof. The order found becomes rule steps through one
+count of edge multiplicities per pair: each removed vertex's pairs are
+taken out with a `Parallel` merge for every edge past the first, its
+rule follows, and each pair of its neighbours gains one edge; the last
+pair's merges end the certificate. Nothing is validated while building:
+that is the replay's job.
 
 Whether an elimination order qualifies depends only on which rates are
 positive: a collapse joins every two positive neighbours of the removed
@@ -34,9 +40,12 @@ first, ties by current label, no memoisation), and keeps the collapse's
 relabelling in a slot list. Both searches edit one adjacency structure
 in place through `_remove` and `_restore`: a removal and its undo cost
 O(deg^2) set operations, plus a lookup of the common neighbours of each
-fill-in edge. Both keep an explicit stack. Only `replay_elimination`
-collapses float weights, with `graphs._collapse_weights`, as the
-independent check of a certificate.
+fill-in edge. Both keep an explicit stack. `replay_elimination` checks
+a certificate on the same positive support, without `_remove`: it joins
+the neighbours of each removed vertex with set unions of its own and
+relabels through a map of slots. No float collapse enters it, because a
+fill-in a_i a_j / s below the smallest subnormal rounds to 0.0 although
+it is positive (rates 1e-200 on a_i and a_j give 1e-400).
 """
 
 from __future__ import annotations
@@ -45,7 +54,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Union
 
-from .graphs import WeightedGraph, _collapse_weights, _component_count, _edge_key
+from .graphs import WeightedGraph, _component_count, _edge_key
 
 
 class InapplicableRule(ValueError):
@@ -99,11 +108,8 @@ class Skeleton:
                 out.add(i)
         return sorted(out)
 
-    def edge_count(self) -> int:
-        return sum(self._edges.values())
-
     def is_single_edge(self) -> bool:
-        return len(self.vertices) == 2 and self.edge_count() == 1
+        return len(self.vertices) == 2 and sum(self._edges.values()) == 1
 
     def is_connected(self) -> bool:
         return _component_count(self.vertices, self._edges) == 1
@@ -242,8 +248,10 @@ def reduce_to_edge(S: Skeleton, budget: int = 100_000) -> ReductionResult:
     most three distinct neighbours and joins them pairwise (`Series` and
     `YDelta` add the fill-in, `DegreeOne` needs none), until one pair is
     left. `_elimination_game` searches those orders; the order found is
-    then replayed through `apply_rule` into the certificate, merging
-    parallel edges at each removed vertex and on the last pair.
+    written into the certificate through one multiplicity count per
+    pair, merging parallel edges at each removed vertex and on the last
+    pair. An input that is already a single edge gets an empty order and
+    so no steps.
 
     An exhausted search is a proof that no sequence exists and reports
     "irreducible"; the reason is "no applicable rule" when no rule
@@ -252,8 +260,6 @@ def reduce_to_edge(S: Skeleton, budget: int = 100_000) -> ReductionResult:
     """
     if not S.is_connected():
         raise ValueError("skeleton must be connected")
-    if S.is_single_edge():
-        return ReductionResult("reduced", "already a single edge", ReductionCertificate(S, ()), 0)
     labels = sorted(S.vertices)
     index = {v: k for k, v in enumerate(labels)}
     adj: list[set[int]] = [set() for _ in labels]
@@ -268,24 +274,18 @@ def reduce_to_edge(S: Skeleton, budget: int = 100_000) -> ReductionResult:
     if status == "exhausted":
         return ReductionResult("irreducible", "search exhausted without success", None, expanded)
 
-    state, steps = S, []
+    counts, steps = S.edge_multiplicities(), []
     for v, ends in order:
         v, ends = labels[v], [labels[u] for u in ends]
-        rule = DegreeOne(v) if len(ends) == 1 else Series(v, *ends) if len(ends) == 2 else YDelta(v, *ends)
-        for step in _merges(state, v, ends) + [rule]:
-            steps.append(step)
-            state = apply_rule(state, step)
-    ((i, j),) = state.edge_multiplicities()
-    for step in _merges(state, i, [j]):
-        steps.append(step)
-        state = apply_rule(state, step)
+        for u in ends:
+            steps += [Parallel(*_edge_key(v, u))] * (counts.pop(_edge_key(v, u)) - 1)
+        steps.append(DegreeOne(v) if len(ends) == 1 else Series(v, *ends) if len(ends) == 2 else YDelta(v, *ends))
+        for a, b in combinations(ends, 2):
+            counts[a, b] = counts.get((a, b), 0) + 1
+    ((pair, m),) = counts.items()
+    steps += [Parallel(*pair)] * (m - 1)
     cert = ReductionCertificate(S, tuple(steps))
     return ReductionResult("reduced", "single edge reached", cert, expanded)
-
-
-def _merges(S: Skeleton, v: int, ends: list[int]) -> list[Parallel]:
-    """`Parallel` steps that leave one edge from v to each of `ends`."""
-    return [Parallel(*_edge_key(v, u)) for u in ends for _ in range(1, S.multiplicity(v, u))]
 
 
 def _elimination_game(adj: list[set[int]], budget: int) -> tuple[str, int, list[tuple[int, list[int]]]]:
@@ -412,19 +412,34 @@ class EliminationCertificate:
 
 
 def replay_elimination(cert: EliminationCertificate) -> bool:
-    """Collapse the input along the steps with `graphs._collapse_weights`.
+    """Collapse the input's positive support along the steps.
 
     Each step must remove a vertex of a graph with more than two
     vertices, whose positive degree there is the recorded one and at
     most the bound; at most two vertices may be left at the end.
+    Removing a vertex joins its positive neighbours pairwise, as a
+    collapse does with its positive fill-in a_i a_j / s, however small
+    that is as a float; removing label v hands label n to v. Memory
+    and time grow with the positive edges and the steps, not with n.
     """
-    n, weights = cert.graph.n, cert.graph.weights
+    n = cert.graph.n
+    adj: dict[int, set[int]] = {}  # by input vertex, for those with a positive rate
+    for i, j in cert.graph.positive_edges():
+        adj.setdefault(i, set()).add(j)
+        adj.setdefault(j, set()).add(i)
+    slot: dict[int, int] = {}  # label -> the input vertex holding it, where they differ
     for v, degree in cert.steps:
         if n <= 2 or not 1 <= v <= n or degree > cert.max_degree_bound:
             return False
-        if sum(w > 0 and v in key for key, w in weights.items()) != degree:
+        x = slot.get(v, v)
+        ends = adj.get(x, set())
+        if len(ends) != degree:
             return False
-        n, weights = n - 1, _collapse_weights(n, weights, v)
+        for u in ends:
+            adj[u] |= ends
+            adj[u] -= {u, x}
+        slot[v] = slot.get(n, n)
+        n -= 1
     return n <= 2
 
 

@@ -343,10 +343,13 @@ def shape_spectra(graph) -> list[tuple[Partition, np.ndarray, float]]:
     # dimension squared: the block being built and the conjugation's
     # scratch array, then the block and the eigensolver's copy of it. The
     # stacks alone are checked first: finding the largest dimension
-    # enumerates the partitions of n, which takes minutes at n = 70.
+    # enumerates the partitions of n, which takes minutes at n = 70. Past
+    # n = 200 the stacks are counted as 2 * 199! entries: that many bytes
+    # already print as inf GiB, and forming (n-1)! itself took 9 s at
+    # n = 10^6 (2-vCPU x86 host).
     edges = sum(1 for w in graph.weights.values() if w != 0)
     what = f"the per-shape blocks of a {graph.n}-vertex graph with {edges} edges"
-    need = 2 * math.factorial(graph.n - 1) * 8
+    need = 2 * math.factorial(min(graph.n, 200) - 1) * 8
     _require_bytes(need, what)
     shapes = enumerate_partitions(graph.n)
     _require_bytes(need + 2 * max(f_dim(lam) for lam in shapes) ** 2 * 8, what)

@@ -21,6 +21,8 @@ from aldous.reduction import (
     Series,
     Skeleton,
     YDelta,
+    _elimination_game,
+    _edge_key,
     apply_rule,
 )
 
@@ -301,3 +303,54 @@ def reference_reduce_to_edge(S, budget=100_000):
     if status == "budget":
         return ReductionResult("inconclusive", "budget exhausted", None, expanded)
     return ReductionResult("inconclusive", "search exhausted without success", None, expanded)
+
+
+def stepped_reduce_to_edge(S, budget=100_000):
+    """`reduce_to_edge` with its rule steps built one at a time through the
+    validating `apply_rule`, each merge count read off the skeleton it
+    acts on: `Parallel` merges of v's edges, then v's rule, for each
+    vertex of the elimination game's order, and the last pair's merges."""
+    if not S.is_connected():
+        raise ValueError("skeleton must be connected")
+    labels = sorted(S.vertices)
+    index = {v: k for k, v in enumerate(labels)}
+    adj = [set() for _ in labels]
+    for i, j in S.edge_multiplicities():
+        adj[index[i]].add(index[j])
+        adj[index[j]].add(index[i])
+    if all(m == 1 for m in S.edge_multiplicities().values()) and not any(1 <= len(e) <= 3 for e in adj):
+        return ReductionResult("irreducible", "no applicable rule", None, 0)
+    status, expanded, order = _elimination_game(adj, budget)
+    if status == "budget":
+        return ReductionResult("inconclusive", "budget exhausted", None, expanded)
+    if status == "exhausted":
+        return ReductionResult("irreducible", "search exhausted without success", None, expanded)
+
+    def merges(state, v, ends):
+        return [Parallel(*_edge_key(v, u)) for u in ends for _ in range(1, state.multiplicity(v, u))]
+
+    state, steps = S, []
+    for v, ends in order:
+        v, ends = labels[v], [labels[u] for u in ends]
+        rule = DegreeOne(v) if len(ends) == 1 else Series(v, *ends) if len(ends) == 2 else YDelta(v, *ends)
+        for step in merges(state, v, ends) + [rule]:
+            steps.append(step)
+            state = apply_rule(state, step)
+    ((i, j),) = state.edge_multiplicities()
+    for step in merges(state, i, [j]):
+        steps.append(step)
+        state = apply_rule(state, step)
+    return ReductionResult("reduced", "single edge reached", ReductionCertificate(S, tuple(steps)), expanded)
+
+
+def forbid_large_factorials(monkeypatch):
+    """Make `math.factorial` fail above 1000: forming (10^6)! took 9 s,
+    so a refusal of a huge n must be decided without it."""
+    factorial = math.factorial
+
+    def guarded(n):
+        if n > 1000:
+            raise AssertionError(f"formed {n}!")
+        return factorial(n)
+
+    monkeypatch.setattr(math, "factorial", guarded)

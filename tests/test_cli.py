@@ -3,9 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from aldous import cli, yor
+from aldous import cli, conjecture, yor
 from aldous.cli import main
 from aldous.graphs import collapse_last_vertex, graph_from_json_dict, graph_to_json_dict
+from helpers import forbid_large_factorials
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -365,6 +366,35 @@ def test_invalid_global_option_exits_2(capsys, option):
     code, out, err = run_cli(capsys, *option, "check-conjecture", "--k", "4", "--gamma", "1,2,3")
     assert code == 2 and out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["gap"], ["certify"], ["decompose"], ["certify", "--replay"]])
+def test_integer_weight_beyond_the_float_range_exits_2(capsys, tmp_path, argv):
+    """float() of a 401-digit JSON integer raises OverflowError, which
+    once escaped as a traceback with exit 1."""
+    graph = {"n": 3, "edges": [[1, 2, 10**400], [2, 3, 1.0]]}
+    replay = "--replay" in argv
+    payload = {"certificate": {"max_degree_bound": 1, "steps": [[1, 1]], "graph": graph}} if replay else graph
+    code, out, err = run_cli(capsys, *argv, write_graph(tmp_path, payload))
+    assert code == 2 and out == ""
+    prefix = "error: malformed certificate: " if replay else "error: "
+    assert err.startswith(prefix + "weight for edge (1, 2) must be finite")
+
+
+@pytest.mark.parametrize("command", ["gap", "decompose", "check-conjecture"])
+def test_refused_from_the_size_alone(capsys, tmp_path, monkeypatch, command):
+    """`gap` once formed (n-1)! before refusing, 9 s at n = 10^6, and
+    `check-conjecture` its k^2/2 comparison weights, 9.9 s and 355 MB at
+    k = 1500."""
+    forbid_large_factorials(monkeypatch)
+    monkeypatch.setattr(conjecture, "comparison_weights", lambda gamma: pytest.fail("built the weights"))
+    if command == "check-conjecture":
+        argv = [command, "--k", "3000", "--gamma", ",".join(["1"] * 2999)]
+    else:
+        argv = [command, write_graph(tmp_path, {"n": 10**8, "edges": [[1, 2, 1.0]]})]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: the per-shape blocks of ") and "need about inf GiB" in err
 
 
 class TestGoldenStdout:

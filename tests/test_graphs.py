@@ -3,6 +3,7 @@ import pytest
 
 from aldous.graphs import (
     _FAMILIES,
+    SignedWeightedGraph,
     WeightedGraph,
     collapse_last_vertex,
     complete_graph,
@@ -47,6 +48,13 @@ class TestWeightedGraph:
             WeightedGraph(3, {(1, 2): -0.5})
         with pytest.raises(ValueError):
             WeightedGraph(0, {})
+
+    def test_rejects_integers_beyond_the_float_range(self):
+        # float() of a 401-digit integer raises OverflowError
+        for graph in (WeightedGraph, SignedWeightedGraph):
+            for w in (10**400, -(10**400)):
+                with pytest.raises(ValueError, match=r"must be finite.*got -?inf"):
+                    graph(3, {(1, 2): w})
 
     def test_rejects_duplicate_unordered_pair(self):
         with pytest.raises(ValueError):
@@ -322,6 +330,7 @@ class TestJson:
             {"n": 3, "edges": [[1, 4, 1.0]]},
             {"n": 3, "edges": [[1, 2]]},
             "nope",
+            {"n": 3, "edges": [[1, 2, 10**400]]},
         ],
     )
     def test_rejects_malformed(self, data):

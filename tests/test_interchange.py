@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -31,6 +32,7 @@ from aldous.interchange import (
     interchange_spectrum,
     spectrum_via_irreps,
 )
+import aldous.conjecture as conjecture
 import aldous.interchange as interchange
 import aldous.yor as yor
 from aldous.conjecture import check_conjecture, comparison_weights
@@ -42,7 +44,7 @@ from aldous.spectral import (
 )
 from aldous.tableaux import Partition, enumerate_partitions, enumerate_syt
 from aldous.yor import irrep_laplacian, shape_spectra
-from helpers import loop_interchange_laplacian, no_convergence, wrong_eigenpair
+from helpers import forbid_large_factorials, loop_interchange_laplacian, no_convergence, wrong_eigenpair
 
 
 @st.composite
@@ -581,6 +583,32 @@ class TestMemoryGuard:
         assert main(["--format", "csv", "rep", "4,2,1,1", "(1 2)"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "90 x 90 arrays of shape (4,2,1,1)" in captured.err
+
+    def test_huge_n_refused_before_forming_its_factorial(self, monkeypatch):
+        forbid_large_factorials(monkeypatch)
+        G = WeightedGraph(10**6, {(1, 2): 1.0})
+        subject = "the per-shape blocks of a 1000000-vertex graph with 1 edges need about inf GiB"
+        for run in (aldous_check, spectrum_via_irreps, shape_spectra):
+            with pytest.raises(ValueError, match=subject):
+                run(G)
+        with pytest.raises(ValueError, match=r"limited to 6000 states; a 1000000-vertex graph has 1000000! states"):
+            interchange_spectrum(G)
+        subject = r"the 1000000! states .* with 1 edges and its eigensolve need about inf GiB"
+        with pytest.raises(ValueError, match=subject):
+            gap_interchange(G)
+
+    @pytest.mark.parametrize("n", [100, 199, 200, 201, 5000])
+    def test_refusal_counts_the_stacks_as_before(self, n):
+        need = 16 * math.factorial(n - 1)
+        gib = need / 2**30 if need < 2**1000 else math.inf
+        with pytest.raises(ValueError, match=f"need about {re.escape(f'{gib:.3g}')} GiB"):
+            aldous_check(WeightedGraph(n, {(1, 2): 1.0}))
+
+    def test_check_conjecture_refuses_large_k_before_the_weights(self, monkeypatch):
+        forbid_large_factorials(monkeypatch)
+        monkeypatch.setattr(conjecture, "comparison_weights", lambda gamma: pytest.fail("built the weights"))
+        with pytest.raises(ValueError, match="the per-shape blocks of 3000 boxes need about inf GiB"):
+            check_conjecture(3000, [1.0] * 2999)
 
     def test_thirty_vertices_refused_without_a_cap(self):
         for run in (gap_interchange, interchange_spectrum):

@@ -12,6 +12,7 @@ from aldous.graphs import (
     is_connected,
     nested_triangulation,
     path_graph,
+    random_connected_graph,
     wheel_graph,
 )
 from aldous.reduction import (
@@ -37,6 +38,7 @@ from helpers import (
     reference_collapse,
     reference_reduce_to_edge,
     seeded_graph_stream,
+    stepped_reduce_to_edge,
     tree_canonical,
     tree_graph,
 )
@@ -110,7 +112,7 @@ class TestApplyRule:
 class TestReduceToEdge:
     def test_already_an_edge(self):
         result = reduce_to_edge(Skeleton([1, 2], [(1, 2)]))
-        assert result.reduced and result.certificate.steps == ()
+        assert result.reduced and result.certificate.steps == () and result.states_expanded == 0
 
     def test_wheels(self):
         for n in range(4, 10):
@@ -301,6 +303,48 @@ class TestCertifyElimination:
             lost = EliminationCertificate(2, ((5, 2), (1, 2), (1, 2)), G)
             assert not replay_elimination(lost), rate
 
+    def test_replay_keeps_a_fill_in_below_the_float_range(self):
+        # removing vertex 1 joins 4 and 5 at 1e-200 * 1e-200 / s, which
+        # rounds to 0.0 as a float, but is a positive rate all the same
+        strong = {(1, 3): 1.0, (2, 4): 1.0, (3, 4): 1.0}
+        weak = {(1, 4): 1e-200, (1, 5): 1e-200, (2, 3): 1e-200, (2, 5): 1e-200, (3, 5): 1e-200}
+        result = certify_elimination(WeightedGraph(5, {**strong, **weak}), K=4)
+        assert result.certified and result.certificate.steps == ((1, 3), (1, 3), (1, 2))
+        assert replay_elimination(result.certificate)
+
+    def test_mixed_scale_certificates_replay(self):
+        # rates 180-200 orders of magnitude apart within one graph
+        rng = np.random.default_rng(7)
+        certified = 0
+        for _ in range(1000):
+            n = int(rng.integers(5, 10))
+            G = random_connected_graph(n, rng)
+            rates = rng.choice([1.0, 1e-180, 1e-200], size=len(G.weights)).tolist()
+            G = WeightedGraph(n, dict(zip(G.weights, rates)))
+            for K in (3, 4):
+                result = certify_elimination(G, K=K)
+                certified += result.certified
+                assert not result.certified or replay_elimination(result.certificate), (G, K)
+        assert certified == 1274
+
+    def test_replay_matches_the_float_collapse_at_one_scale(self):
+        # with every rate in [0.25, 2] no fill-in underflows, so replay
+        # accepts a step list exactly when the recorded degrees are the
+        # positive degrees along the float collapse and within the bound
+        rng = np.random.default_rng(5)
+        for G in seeded_graph_stream(13, 200, 3, 9):
+            H, steps = G, []
+            while H.n > 2:
+                v = int(rng.integers(1, H.n + 1))
+                steps.append((v, H.positive_degree(v)))
+                H = collapse_last_vertex(H, v)
+            bound = int(rng.integers(1, G.n))
+            want = all(d <= bound for _, d in steps)
+            assert replay_elimination(EliminationCertificate(bound, tuple(steps), G)) == want, G
+            k = int(rng.integers(len(steps)))
+            off = steps[:k] + [(steps[k][0], steps[k][1] + 1)] + steps[k + 1 :]
+            assert not replay_elimination(EliminationCertificate(G.n, tuple(off), G)), (G, k)
+
     def test_scale_invariance(self):
         # the order depends only on which rates are positive, and every
         # collapse along it stays positive where the rates were
@@ -414,6 +458,21 @@ class TestAgainstReference:
                 if got.reduced:
                     assert replay_reduction(got.certificate)
                     assert terminal(got.certificate).is_single_edge()
+
+    def test_reduction_steps_match_the_stepped_construction(self):
+        rng = np.random.default_rng(17)
+        skeletons = [skeleton_of(wheel_graph(n)) for n in range(4, 12)]
+        skeletons += [skeleton_of(cycle_graph(n)) for n in range(3, 12)]
+        skeletons += [skeleton_of(tree_graph(n, edges)) for n in range(2, 8) for edges in all_trees(n)]
+        skeletons += [skeleton_of(nested_triangulation(d, 1)) for d in range(5)]
+        skeletons += [skeleton_of(nested_triangulation(d, 2)) for d in range(3)]
+        for G in seeded_graph_stream(37, 80, 2, 14, extra_edge_prob=0.35):
+            S = skeleton_of(G)
+            skeletons += [S, Skeleton(S.vertices, {e: int(rng.integers(1, 4)) for e in S.edge_multiplicities()})]
+        for S in skeletons:
+            for budget in (100_000, 3, 0):
+                got, want = reduce_to_edge(S, budget), stepped_reduce_to_edge(S, budget)
+                assert got == want, (S, budget)
 
     def test_reduction_decides_the_k4_elimination_question(self):
         # a rule sequence is an elimination order with at most three neighbours per removal
