@@ -30,7 +30,13 @@ import numpy as np
 from .graphs import SignedWeightedGraph
 from .spectral import DEFAULT_TOL
 from .tableaux import Partition, content_sum, max_corner_content
-from .yor import _require_bytes, irrep_laplacian, s4_transposition_vectors, shape_spectra
+from .yor import (
+    _require_bytes,
+    _stacks_bytes,
+    irrep_laplacian,
+    s4_transposition_vectors,
+    shape_spectra,
+)
 
 
 @dataclass(frozen=True)
@@ -129,9 +135,8 @@ def check_conjecture(k: int, gamma, tol: float = DEFAULT_TOL) -> ConjectureRepor
     g = _as_gamma(gamma)
     if g.k != k:
         raise ValueError(f"gamma has {g.k - 1} entries; expected k - 1 = {k - 1}")
-    # the blocks' stacks alone need 16 (k-1)! bytes, as `shape_spectra`
-    # counts them; refused from k, before the k^2/2 weights are built
-    _require_bytes(16 * math.factorial(min(k, 200) - 1), f"the per-shape blocks of {k} boxes")
+    # the blocks' stacks alone, refused from k before the k^2/2 weights are built
+    _require_bytes(_stacks_bytes(k), f"the per-shape blocks of {k} boxes")
     verdicts = []
     for lam, vals, norm in shape_spectra(comparison_weights(g)):
         min_eig = float(vals[0])

@@ -7,17 +7,26 @@ tableaux: read each tableau row by row, top row first, and compare the
 resulting words; the tableau whose word is larger at the first
 disagreement is the larger tableau. `enumerate_syt` returns tableaux in
 this order, and every matrix that `aldous.yor` returns uses it as the
-basis order; inside, `aldous.yor` builds on Young's last-letter order
-(`last_letter_rows`), where the tableaux with n in one corner are
-contiguous.
+basis order.
+
+Inside, tableaux are one integer array per shape, `last_letter_rows`:
+row t holds the row of each value 1..n in tableau t, and the tableaux
+come in Young's last-letter order, where those with n in one corner are
+contiguous. `aldous.yor` builds on that array directly. The dictionary
+order is a sort of its reading words (`_dictionary_positions`), and only
+`enumerate_syt` turns it into row tuples, for validated
+`StandardTableau` objects.
 """
 
 from __future__ import annotations
 
 import math
+from collections import ChainMap
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -211,35 +220,56 @@ def max_corner_content(lam: Partition) -> int:
     return max(col - row for row, col in removable_corners(lam))
 
 
-@lru_cache(maxsize=None)
-def last_letter_rows(parts: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Row tuples of every standard tableau of the shape, in Young's
-    last-letter order: grouped by the corner holding n, corner rows
-    ascending (the `covers_below` order), and each group in the
-    last-letter order of the shape one box below. Equivalently, sorted by
-    the row of n, then the row of n - 1, and so on down to 1.
+# 32-bit rows hold every row index of a shape whose arrays fit in memory
+_LAST_LETTER: dict[tuple[int, ...], np.ndarray] = {(1,): np.zeros((1, 1), np.int32)}
 
-    Memoized per shape, so the recursion over the shapes one box below
-    is shared across all shapes.
+
+def last_letter_rows(parts: tuple[int, ...]) -> np.ndarray:
+    """Every standard tableau of the shape as one read-only f x n array
+    R in Young's last-letter order, where R[t, v - 1] is the row (0-based)
+    of the box holding v in tableau t. Tableaux are grouped by the corner
+    holding n, corner rows ascending (the `covers_below` order), and each
+    group is in the last-letter order of the shape one box below; so the
+    reversed rows of R (row of n, row of n - 1, ..., row of 1) ascend.
+
+    R stacks the arrays of the shapes one box below, each with a column
+    for n. The missing shapes under `parts` are built level by level,
+    smallest first, so no recursion grows with n, and each level is
+    dropped once the next is built: only the asked-for shape is kept, as
+    the shapes under (2, 2, 1^255) would hold 2.1 GiB against its 33 MiB.
     """
-    m = sum(parts)
-    if m == 0:
-        return ((),)
-    out = []
-    for j, p in enumerate(parts):
-        below = parts[j + 1] if j + 1 < len(parts) else 0
-        if p > below:
-            smaller = parts[:j] + ((p - 1,) if p > 1 else ()) + parts[j + 1 :]
-            for sub in last_letter_rows(smaller):
-                rows = sub if j < len(sub) else sub + ((),)
-                out.append(rows[:j] + (rows[j] + (m,),) + rows[j + 1 :])
-    return tuple(out)
+    if parts not in _LAST_LETTER:
+        levels = [{Partition(parts)}]
+        while levels[-1]:
+            under = {mu for lam in levels[-1] for mu in covers_below(lam)}
+            levels.append({mu for mu in under if mu.parts not in _LAST_LETTER})
+        built: dict[tuple[int, ...], np.ndarray] = {}
+        for level in reversed(levels):
+            below, built = ChainMap(built, _LAST_LETTER), {}
+            for lam in level:
+                subs = [below[mu.parts] for mu in covers_below(lam)]
+                corners = np.array([row - 1 for row, _ in removable_corners(lam)], np.int32)
+                R = np.column_stack((np.concatenate(subs), corners.repeat([len(S) for S in subs])))
+                built[lam.parts] = R
+        built[parts].flags.writeable = False
+        _LAST_LETTER[parts] = built[parts]
+    return _LAST_LETTER[parts]
+
+
+@lru_cache(maxsize=None)
+def _dictionary_positions(parts: tuple[int, ...]) -> np.ndarray:
+    """Last-letter position of each tableau of the shape, tableaux taken
+    in dictionary order: a sort of their reading words, which a stable
+    sort of each row of `last_letter_rows` by row gives."""
+    return np.lexsort(np.argsort(last_letter_rows(parts), axis=1, kind="stable").T[::-1])
 
 
 @lru_cache(maxsize=None)
 def _syt_cached(parts: tuple[int, ...]) -> tuple[StandardTableau, ...]:
-    # row tuples of one shape compare exactly as their reading words do
-    return tuple(StandardTableau(rows) for rows in sorted(last_letter_rows(parts)))
+    R = last_letter_rows(parts)[_dictionary_positions(parts)]
+    return tuple(
+        StandardTableau(tuple(np.flatnonzero(t == j) + 1 for j in range(len(parts)))) for t in R
+    )
 
 
 def enumerate_syt(lam: Partition) -> tuple[StandardTableau, ...]:

@@ -13,9 +13,12 @@ rules:
   r the axial distance (content of i+1 minus content of i), the pair
   {t, s} carries the 2x2 block [[1/r, sqrt(1-1/r^2)], [sqrt(1-1/r^2), -1/r]].
 
-All other entries vanish, so each adjacent transposition is stored per
-shape as integer-indexed arrays (diag, off, partner), one nonzero pair
-per row, built from the raw tableau rows without tableau objects.
+All other entries vanish, so each adjacent transposition is stored as
+integer-indexed arrays (diag, off, partner), one nonzero pair per row.
+Each (shape, i) table is built when first asked for, with array
+operations on the shape's row array `last_letter_rows` and no tableau
+objects: contents give the axial distance, and a binary search of the
+row words, which ascend in last-letter order, gives the partner.
 Arbitrary permutations come from a deterministic bubble-sort
 factorization, so the map stays a group homomorphism (products compose
 right to left).
@@ -66,6 +69,7 @@ import numpy as np
 from .permutations import Permutation
 from .tableaux import (
     Partition,
+    _dictionary_positions,
     covers_below,
     enumerate_partitions,
     f_dim,
@@ -73,52 +77,37 @@ from .tableaux import (
 )
 
 
-@lru_cache(maxsize=None)
-def _adjacent_tables(parts: tuple[int, ...]) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Sparse form of every adjacent transposition of the shape, on the
-    last-letter basis.
+def _words(R: np.ndarray) -> np.ndarray:
+    """Each row of R reversed (row of n first) as one byte string, which
+    ascend in last-letter order: big-endian, so that byte strings compare
+    as their numbers do."""
+    return np.ascontiguousarray(R[:, ::-1], dtype=">i4").view(f"V{4 * R.shape[1]}").ravel()
 
-    Entry i-1 holds arrays (diag, off, partner) with
-    rho_{(i, i+1)} x = diag * x + off * x[partner]. The axial distance r
-    of i and i+1 is +1 in a row and -1 in a column, so diag = 1/r and
-    off = sqrt(1 - 1/r^2) cover all three rules; the partner of a
-    tableau is found through its row-of-value word, with i and i+1
-    exchanged.
+
+@lru_cache(maxsize=None)
+def _adjacent_table(parts: tuple[int, ...], i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sparse form of the adjacent transposition (i, i+1) of the shape,
+    on the last-letter basis: arrays (diag, off, partner) with
+    rho x = diag * x + off * x[partner].
+
+    The axial distance r of i and i+1 is +1 in a row and -1 in a column,
+    so diag = 1/r and off = sqrt(1 - 1/r^2) cover all three rules. The
+    content of a value is its column (the smaller values in its row)
+    minus its row. The partner of a tableau with |r| > 1 is found by a
+    binary search for its word with i and i+1 exchanged; every other
+    tableau is its own partner, with off = 0.
     """
-    tabs = last_letter_rows(parts)
-    n = sum(parts)
-    rows = np.zeros((len(tabs), n), dtype=np.int8)
-    cols = np.zeros((len(tabs), n), dtype=np.int8)
-    for k, t in enumerate(tabs):
-        for r, row in enumerate(t):
-            for c, v in enumerate(row):
-                rows[k, v - 1] = r
-                cols[k, v - 1] = c
-    index = {rows[k].tobytes(): k for k in range(len(tabs))}
-    content = cols.astype(np.int64) - rows
-    tables = []
-    for i in range(1, n):
-        r = content[:, i] - content[:, i - 1]  # axial distance
-        diag = 1.0 / r
-        off = np.sqrt(1.0 - 1.0 / r**2)
-        partner = np.arange(len(tabs))
-        swapped = rows.copy()
-        swapped[:, [i - 1, i]] = rows[:, [i, i - 1]]
-        for k in np.flatnonzero(np.abs(r) > 1):
-            partner[k] = index[swapped[k].tobytes()]
-        for a in (diag, off, partner):
-            a.flags.writeable = False
-        tables.append((diag, off, partner))
-    return tuple(tables)
-
-
-@lru_cache(maxsize=None)
-def _dictionary_positions(parts: tuple[int, ...]) -> np.ndarray:
-    """Last-letter position of each tableau of the shape, tableaux taken
-    in dictionary order: row tuples of one shape compare exactly as their
-    reading words do."""
-    rows = last_letter_rows(parts)
-    return np.array(sorted(range(len(rows)), key=rows.__getitem__))
+    R = last_letter_rows(parts)
+    content = [np.count_nonzero(R[:, :v] == R[:, [v]], axis=1) - R[:, v] for v in (i - 1, i)]
+    r = content[1] - content[0]  # axial distance
+    diag = 1.0 / r
+    off = np.sqrt(1.0 - 1.0 / r**2)
+    swapped = R.copy()
+    swapped[:, [i - 1, i]] = R[:, [i, i - 1]]
+    partner = np.where(abs(r) > 1, np.searchsorted(_words(R), _words(swapped)), np.arange(len(R)))
+    for a in (diag, off, partner):
+        a.flags.writeable = False
+    return diag, off, partner
 
 
 def _in_dictionary_order(parts: tuple[int, ...], M: np.ndarray) -> np.ndarray:
@@ -156,7 +145,7 @@ def _grow(lam: tuple[int, ...], below: dict, weights: dict, n: int) -> list:
     """The stack of shape `lam` (k boxes) from the stacks `below` of level
     k - 1: [slot 0, column k+1, ..., column n], None for a zero slot."""
     k = sum(lam)
-    diag, off, partner = table = _adjacent_tables(lam)[k - 2]  # (k-1, k)
+    diag, off, partner = table = _adjacent_table(lam, k - 1)
     f = len(diag)
     groups = [(below[mu], rows) for mu, rows in _corner_groups(lam)]
 
@@ -259,7 +248,7 @@ def rho_sigma(lam: Partition, sigma: Permutation) -> np.ndarray:
     M = np.eye(f_dim(lam))
     X = np.empty_like(M)  # scratch, freed before the reordered copy is made
     for i in sigma.adjacent_factorization():
-        diag, off, partner = _adjacent_tables(lam.parts)[i - 1]
+        diag, off, partner = _adjacent_table(lam.parts, i)
         np.take(M, partner, axis=1, out=X, mode="clip")  # "raise" would buffer `out`
         X *= off
         M *= diag
@@ -324,6 +313,16 @@ def _require_bytes(need: int, what: str) -> None:
         )
 
 
+def _stacks_bytes(n: int) -> int:
+    """Bytes of the stacks that `_rho_sums` holds while it builds the top
+    blocks of n boxes: two f x f slots for each shape of n - 1 boxes, at
+    most 2 (n-1)! entries since f^2 sums to (n-1)!. Past n = 200 they are
+    counted as 2 * 199! entries: that many bytes already print as inf
+    GiB, and forming (n-1)! itself took 9 s at n = 10^6 (2-vCPU x86
+    host)."""
+    return 16 * math.factorial(min(n, 200) - 1)
+
+
 def shape_spectra(graph) -> list[tuple[Partition, np.ndarray, float]]:
     """(shape, ascending block spectrum, largest |entry| of the block) for
     every shape of `graph.n` boxes, in `enumerate_partitions` order; the
@@ -337,19 +336,14 @@ def shape_spectra(graph) -> list[tuple[Partition, np.ndarray, float]]:
     2W minus the reversed spectrum of L^{lam}, with the same largest
     entry.
     """
-    # While `_rho_sums` builds the top blocks it holds two f x f stack
-    # slots for each shape of n - 1 boxes, at most 2 (n-1)! entries since
-    # f^2 sums to (n-1)!, and beside them two arrays of the largest top
+    # Beside the stacks, `_rho_sums` holds two arrays of the largest top
     # dimension squared: the block being built and the conjugation's
     # scratch array, then the block and the eigensolver's copy of it. The
     # stacks alone are checked first: finding the largest dimension
-    # enumerates the partitions of n, which takes minutes at n = 70. Past
-    # n = 200 the stacks are counted as 2 * 199! entries: that many bytes
-    # already print as inf GiB, and forming (n-1)! itself took 9 s at
-    # n = 10^6 (2-vCPU x86 host).
+    # enumerates the partitions of n, which takes minutes at n = 70.
     edges = sum(1 for w in graph.weights.values() if w != 0)
     what = f"the per-shape blocks of a {graph.n}-vertex graph with {edges} edges"
-    need = 2 * math.factorial(min(graph.n, 200) - 1) * 8
+    need = _stacks_bytes(graph.n)
     _require_bytes(need, what)
     shapes = enumerate_partitions(graph.n)
     _require_bytes(need + 2 * max(f_dim(lam) for lam in shapes) ** 2 * 8, what)

@@ -347,6 +347,16 @@ class TestRep:
         assert payload["lambda"] == "2,1,1"
         assert payload["dim"] == 3
 
+    @pytest.mark.parametrize(
+        ("partition", "entry"), [("130", 1.0), ("1^130", -1.0), ("1000", 1.0)]
+    )
+    def test_long_shapes_print_their_one_entry(self, capsys, partition, entry):
+        # more columns or rows than an int8 index holds, and a row longer
+        # than the interpreter's recursion limit
+        code, out, _ = run_cli(capsys, "rep", partition, "(1 2)")
+        assert code == 0
+        assert json.loads(out)["matrix"] == [[entry]]
+
     def test_bad_sigma_exits_2(self, capsys):
         code, *_ = run_cli(capsys, "rep", "3,1", "(1 9)")
         assert code == 2

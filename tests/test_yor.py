@@ -398,9 +398,28 @@ class TestSparseKernel:
             raise AssertionError("StandardTableau constructed on the kernel path")
 
         monkeypatch.setattr(tableaux.StandardTableau, "__post_init__", refuse)
-        tables = yor._adjacent_tables.__wrapped__((4, 3, 2))
-        assert len(tables) == 8
-        assert f_dim(Partition((4, 3, 2))) == len(tables[0][0])
+        # an empty cache, so that the tableaux are enumerated under the refusal too
+        monkeypatch.setattr(tableaux, "_LAST_LETTER", {(1,): tableaux._LAST_LETTER[(1,)]})
+        for i in range(1, 9):
+            diag, off, partner = yor._adjacent_table.__wrapped__((4, 3, 2), i)
+            assert len(diag) == len(off) == len(partner) == f_dim(Partition((4, 3, 2)))
+
+    def test_long_shapes_match_dense_oracle(self):
+        # past 128 rows or columns an int8 row index overflows
+        for parts in ((2,) + (1,) * 255, (256, 1)):
+            lam = Partition(parts)
+            for i in (1, 2, 127, 128, 255, lam.n - 1):
+                assert np.array_equal(rho_adjacent(lam, i), dense_adjacent_oracle(lam, i))
+        # with 257 rows, partners are found by words that first differ
+        # above their lowest byte (a hook's words always differ against 0)
+        parts = (2, 2) + (1,) * 255
+        R = tableaux.last_letter_rows(parts)
+        for i in (2, 128, 256, 258):
+            _, _, partner = yor._adjacent_table(parts, i)
+            moved = np.flatnonzero(partner != np.arange(len(R)))
+            swapped = R[moved]
+            swapped[:, [i - 1, i]] = swapped[:, [i, i - 1]]
+            assert len(moved) > 0 and np.array_equal(R[partner[moved]], swapped)
 
     def test_rho_sigma_matches_dense_product(self):
         lam = Partition((3, 2, 1))
