@@ -35,12 +35,16 @@ Whether an elimination order qualifies depends only on which rates are
 positive: a collapse joins every two positive neighbours of the removed
 vertex by a positive fill-in a_i a_j / s and leaves the sign of every
 other rate as it was. So `certify_elimination` searches the positive
-support too, by a plain depth-first search (lowest positive degree
-first, ties by current label, no memoisation), and keeps the collapse's
-relabelling in a slot list. Both searches edit one adjacency structure
-in place through `_remove` and `_restore`: a removal and its undo cost
-O(deg^2) set operations, plus a lookup of the common neighbours of each
-fill-in edge. Both keep an explicit stack. `replay_elimination` checks
+support too, by a depth-first search (lowest positive degree first,
+ties by current label), and keeps the collapse's relabelling in a slot
+list. It remembers each failed set of removed vertices with the number
+of states its search took, and adds that number on a later visit
+instead of searching again, so its state counts, budget stops and
+steps are those of the plain search. Both searches edit one adjacency
+structure in place through `_remove` and `_restore`: a removal and its
+undo cost O(deg^2) set operations; the elimination game also looks up
+the common neighbours of each fill-in edge, to refresh its simplicial
+vertices. Both keep an explicit stack. `replay_elimination` checks
 a certificate on the same positive support, without `_remove`: it joins
 the neighbours of each removed vertex with set unions of its own and
 relabels through a map of slots. No float collapse enters it, because a
@@ -327,7 +331,12 @@ def _elimination_game(adj: list[set[int]], budget: int) -> tuple[str, int, list[
     def remove(v, forced):
         low.discard(v)
         simplicial.discard(v)
-        fill, touched = _remove(adj, v)
+        fill = _remove(adj, v)
+        # a neighbourhood can stop or start being a clique only at v's
+        # neighbours and at the common neighbours of a fill-in edge
+        touched = set(adj[v])
+        for a, b in fill:
+            touched |= adj[a] & adj[b]
         for u in touched:
             refresh(u)
         path.append((v, forced, fill, touched))
@@ -371,11 +380,9 @@ def _elimination_game(adj: list[set[int]], budget: int) -> tuple[str, int, list[
     return "reduced", expanded, [(v, sorted(adj[v])) for v, *_ in path]
 
 
-def _remove(adj: list[set[int]], v: int) -> tuple[list[tuple[int, int]], set[int]]:
+def _remove(adj: list[set[int]], v: int) -> list[tuple[int, int]]:
     """Remove vertex v from the simple graph `adj` in place and join its
-    neighbours pairwise. Returns the fill-in edges added and the vertices
-    whose neighbourhood may have stopped or started being a clique: v's
-    neighbours and the common neighbours of each fill-in edge.
+    neighbours pairwise. Returns the fill-in edges added.
 
     adj[v] is left intact: no later removal touches it while v is out,
     so `_restore(adj, v, fill)` undoes this removal once every later one
@@ -384,12 +391,10 @@ def _remove(adj: list[set[int]], v: int) -> tuple[list[tuple[int, int]], set[int
     for u in ends:
         adj[u].discard(v)
     fill = [(a, b) for a, b in combinations(ends, 2) if b not in adj[a]]
-    touched = set(ends)
     for a, b in fill:
         adj[a].add(b)
         adj[b].add(a)
-        touched |= adj[a] & adj[b]
-    return fill, touched
+    return fill
 
 
 def _restore(adj: list[set[int]], v: int, fill: list[tuple[int, int]]) -> None:
@@ -464,6 +469,17 @@ def certify_elimination(G: WeightedGraph, K: int = 4, budget: int = 100_000) -> 
     proves no such order exists; hitting the budget is inconclusive.
     The search edits G's positive support in place with an explicit
     stack; collapsing vertex v of a graph on 1..n hands label n to v.
+
+    `states_expanded` and the budget count the states of the plain
+    depth-first search, one per visit of a set of removed vertices, as
+    if no set were skipped. The support left after removing a set does
+    not depend on the order, and a failed search tries every candidate,
+    so the states it takes depend on the set alone: each failed set is
+    kept (as a bitmask of input vertices) with that count, and a later
+    visit adds the count instead of searching again. When the count
+    would pass the budget, the plain search would stop inside it, so the
+    result is "inconclusive" at exactly `budget` states. The memo holds
+    one entry per set searched, so at most `budget` entries.
     """
     if K < 2:
         raise ValueError("K must be >= 2")
@@ -473,7 +489,7 @@ def certify_elimination(G: WeightedGraph, K: int = 4, budget: int = 100_000) -> 
         adj[j].add(i)
     slot = list(range(G.n + 1))  # slot[v]: the input vertex that holds label v now
     n = G.n
-    path = []  # (positive degree, label, input vertex, fill-in edges) of each removal
+    path = []  # per removal: (positive degree, label, input vertex, fill-in edges, states before the next)
 
     def lowest(degree=0, label=0):
         """The least (positive degree, label) above (degree, label) whose
@@ -485,25 +501,37 @@ def certify_elimination(G: WeightedGraph, K: int = 4, budget: int = 100_000) -> 
             label = 0
         return None
 
+    failed: dict[int, int] = {}  # failed set of removed input vertices (bitmask) -> states its search took
+    removed = 0  # bitmask of the removed input vertices
     expanded = 0
     while n > 2:
-        if expanded >= budget:
-            return EliminationResult("inconclusive", None, expanded)
-        expanded += 1
-        step = lowest()
+        size = failed.get(removed)
+        if size is None:
+            if expanded >= budget:
+                return EliminationResult("inconclusive", None, expanded)
+            expanded += 1
+            step = lowest()
+        elif expanded + size > budget:  # the search would stop inside this subtree
+            return EliminationResult("inconclusive", None, budget)
+        else:
+            expanded += size
+            step = None
         while step is None:  # this state fails; back up to the last choice
             if not path:
                 return EliminationResult("no_certificate", None, expanded)
-            degree, v, x, fill = path.pop()
+            degree, v, x, fill, start = path.pop()
+            failed[removed] = expanded - start
+            removed ^= 1 << x
             n += 1
             slot[n], slot[v] = slot[v], x
             _restore(adj, x, fill)
             step = lowest(degree, v)
         degree, v = step
         x = slot[v]
-        path.append((degree, v, x, _remove(adj, x)[0]))
+        removed |= 1 << x
+        path.append((degree, v, x, _remove(adj, x), expanded))
         slot[v] = slot[n]
         n -= 1
-    steps = tuple((v, degree) for degree, v, _, _ in path)
+    steps = tuple((v, degree) for degree, v, *_ in path)
     cert = EliminationCertificate(max_degree_bound=K - 1, steps=steps, graph=G)
     return EliminationResult("certified", cert, expanded)

@@ -1,3 +1,4 @@
+import math
 from functools import reduce
 from itertools import combinations
 
@@ -258,6 +259,16 @@ class TestCertifyElimination:
         assert result.certified
         assert all(d <= 1 for _, d in result.certificate.steps)
 
+    @pytest.mark.parametrize("p", range(6, 11))
+    def test_k5_with_leaves_counts_every_leaf_order(self, p):
+        # the plain search visits every ordering of every subset of the
+        # leaves; the memo searches each of the 2^p subsets once
+        edges = {(i, j): 1.0 for i in range(1, 6) for j in range(i + 1, 6)}
+        edges.update({(1 + k % 5, 5 + k): 1.0 for k in range(1, p + 1)})
+        result = certify_elimination(WeightedGraph(5 + p, edges), K=4, budget=10**9)
+        assert result.status == "no_certificate"
+        assert result.states_expanded == sum(math.perm(p, k) for k in range(p + 1))
+
     def test_budget_inconclusive(self):
         result = certify_elimination(complete_graph(6, seed=3), K=5, budget=0)
         assert result.status == "inconclusive"
@@ -425,6 +436,21 @@ class TestAgainstReference:
     def test_elimination(self, K):
         for G in search_suite():
             for budget in (2000, 7, 0):
+                got = certify_elimination(G, K=K, budget=budget)
+                want = reference_certify_elimination(G, K=K, budget=budget)
+                assert elimination_bits(got, collapse_last_vertex) == elimination_bits(
+                    want, reference_collapse
+                ), (G, K, budget)
+
+    @pytest.mark.parametrize("K", [3, 4, 5])
+    def test_elimination_at_every_budget(self, K):
+        # the memo's skipped subtrees count as searched, and one that would
+        # pass the budget stops the search exactly where the reference stops
+        rng = np.random.default_rng(31)
+        graphs = [pendant_core(p, rng) for p in range(1, 6)] + [search_suite()[-1]]
+        for G in graphs:
+            full = reference_certify_elimination(G, K=K, budget=10**6).states_expanded
+            for budget in range(full + 2):
                 got = certify_elimination(G, K=K, budget=budget)
                 want = reference_certify_elimination(G, K=K, budget=budget)
                 assert elimination_bits(got, collapse_last_vertex) == elimination_bits(
