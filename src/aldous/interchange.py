@@ -15,9 +15,10 @@ A = W I - L the rate matrix, A only links the n!/2 even words to the
 n!/2 odd ones, through one block B (`_even_odd_block`), and with the
 even words first the Laplacian is L = [[W I, -B], [-B^T, W I]]. B is
 built straight into its CSR arrays, one array operation per edge: the
-words are numbers in base n, so a binary search over their sorted
-numbers ranks (i j) sigma, and every row holds one entry per edge, so
-each edge fills one column of the index table. B equals its transpose.
+words, an int8 table built level by level (`_lex_words`), are numbers
+in base n, so a binary search over their sorted numbers ranks
+(i j) sigma, and every row holds one entry per edge, so each edge fills
+one column of the index table. B equals its transpose.
 
 `interchange_spectrum` therefore takes the whole n!-point spectrum,
 {W - beta} and {W + beta} over the eigenvalues beta of B, from one
@@ -37,9 +38,9 @@ eigenvalue of W^2 I - B B^T on the even words. Against a solve of L
 on all n! states, Lanczos needs 21-51 matrix-vector products at n = 8
 instead of 21-101, on vectors half as long, and each product still
 touches every stored rate once. On a 2-vCPU x86 host with two OpenBLAS
-threads, `gap_interchange` takes 0.08-0.15 s at n = 8 (0.15-0.24 s on
-all states), 1.7-1.9 s at 179 MB peak RSS on K_9 (2.6-3.0 s at 300 MB)
-and 21-23 s at 1.4 GB on K_10 (26-43 s at 2.8 GB). Up to
+threads, `gap_interchange` takes 45-78 ms at n = 8 (medians of 48-67 ms
+on paths, wheels, complete and random graphs), 1.2-1.5 s at 180 MB peak
+RSS on K_9 and 15 s at 1.4 GB on K_10, each in a fresh process. Up to
 `spectral.DENSE_CROSSOVER` states (n <= 5), and when that solve fails
 its residual check, the gap is read off `interchange_spectrum`, the one
 dense solve of B.
@@ -63,7 +64,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, permutations
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -100,7 +100,10 @@ def _block_footprint(G: WeightedGraph) -> tuple[int, int]:
     With E edges and h = n!/2 rows, it returns E columns (int32 below
     2^31 entries, else int64) and E float64 values per row and the row
     pointers, beside two freed h-long int64 temporaries the allocator
-    may keep mapped. While the place table is filled, it holds the int8
+    may keep mapped. The int8 word table is built level by level
+    (`_lex_words`): the last level holds the (n! x n) table beside the
+    ((n-1)! x (n-1)) table below it and a boolean copy of that, under
+    n! (n + 2) bytes. While the place table is filled, it holds the
     words, the int64 codes, the (n! x n) int64 place table and two
     n!-long temporaries; while the columns are filled, the codes, the
     place table, a copy of the odd-rank codes, the column table and
@@ -114,6 +117,25 @@ def _block_footprint(G: WeightedGraph) -> tuple[int, int]:
     fill = size * (8 + 8 * n) + half * (8 + index * edges + 24)
     held = half * (edges * (index + 8) + index + 16) + index
     return max(rank, fill, held) + 2**16, held + 2**16
+
+
+def _lex_words(n: int) -> np.ndarray:
+    """The n! words of the letters 0..n-1 as rows of an int8 table, in
+    lexicographic order, as `itertools.permutations(range(n))` gives them.
+
+    The table is built level by level: the words of length m that begin
+    with f are f followed by the words of length m - 1 with every letter
+    >= f raised by one, which keeps their order.
+    """
+    words = np.zeros((1, 0), dtype=np.int8)
+    for m in range(1, n + 1):
+        shorter, words = words, np.empty((math.factorial(m), m), dtype=np.int8)
+        block = len(shorter)
+        for f in range(m):
+            rows = words[f * block:(f + 1) * block]
+            rows[:, 0] = f
+            np.add(shorter, shorter >= f, out=rows[:, 1:])
+    return words
 
 
 def _even_odd_block(G: WeightedGraph) -> sp.csr_matrix:
@@ -149,16 +171,15 @@ def _even_odd_block(G: WeightedGraph) -> sp.csr_matrix:
     size = math.factorial(n)
     half = size // 2
     edges = [(i, j, w) for (i, j), w in sorted(G.weights.items()) if w != 0]
-    # the words back to back, in lexicographic order: words[k::n] holds
-    # letter k of each; codes are their numbers in base n (ascending), and
+    # codes are the numbers of the words in base n (ascending), and
     # placed[r, v] is the place value of the position holding v in word r
-    words = np.fromiter(chain.from_iterable(permutations(range(n))), np.int8, size * n)
+    words = _lex_words(n)
     codes = np.zeros(size, dtype=np.int64)
     placed = np.empty((size, n), dtype=np.int64)
     for k in range(n):
         codes *= n
-        codes += words[k::n]
-        placed[np.arange(size), words[k::n]] = n ** (n - 1 - k)
+        codes += words[:, k]
+        placed[np.arange(size), words[:, k]] = n ** (n - 1 - k)
     del words
     upper = codes[1::2].copy()  # ascending: the larger number of each pair
     index = np.int32 if half * len(edges) < 2**31 else np.int64

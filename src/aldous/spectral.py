@@ -10,26 +10,42 @@ do, by running ARPACK on the first half only, on W^2 I - B B^T with its
 all-ones kernel direction shifted away. `interchange.gap_interchange`
 reads the gap off a dense spectrum up to DENSE_CROSSOVER states instead.
 The crossover was measured on a 2-vCPU x86 host with two OpenBLAS
-threads, as medians of alternating calls of a dense solve of the whole
-Laplacian and of this one (blocks of random weighted permutations stand
-in between the interchange sizes):
+threads, each solver in its own process, as the range of three medians
+of 40 solves: `eigvalsh` of the dense n!/2-row block B against this
+function on B (blocks of five random weighted permutations and their
+transposes stand in between the interchange sizes):
 
-    rows                      dense      iterative
-    120 (interchange, n = 5)  0.8-3.6 ms 1.5 ms
-    200 (random block)        2.2 ms     2.8 ms
-    300 (random block)        6.0 ms     4.6 ms
-    400 (random block)        10.8 ms    4.3 ms
-    720 (interchange, n = 6)  35 ms      3.0 ms
-    5040 (interchange, n = 7) 6.8-7.0 s  6.0 ms
+    states                    dense        iterative
+    120 (interchange, n = 5)  0.13-0.18 ms 0.72-1.44 ms
+    200 (random block)        0.40-0.55 ms 1.49-2.23 ms
+    300 (random block)        0.94-1.28 ms 2.15-3.11 ms
+    400 (random block)        2.14-2.29 ms 2.29-3.73 ms
+    720 (interchange, n = 6)  6.0-6.5 ms   1.4-2.2 ms
+    5040 (interchange, n = 7) 0.88-0.94 s  5.8-6.0 ms
 
-Dense solves of 100-240 rows also ran at 13-40 ms for seconds at a
-time on that host; with one thread the 120-row solve takes 0.8 ms.
-`interchange_spectrum` solves only the n!/2-row block: 1.2 ms at n = 5
-and 7.3 ms at n = 6 with the block built, against 1.9 ms and 2.9 ms
-here, so the crossover still falls between n = 5 and n = 6. DENSE_LIMIT
+With the block built, `interchange_spectrum` takes 0.49-0.61 ms at
+n = 5 and 7.9-8.1 ms at n = 6, against 0.93-1.64 ms and 1.7-2.5 ms
+here, so the crossover falls between n = 5 and n = 6. DENSE_LIMIT
 (6000, so n <= 7) bounds the states of that dense solve, behind the
 direct check of `aldous decompose`, the Dirichlet-form oracle of the
 tests and the fallback of `gap_interchange`.
+
+numpy and scipy each load their own OpenBLAS (numpy.libs and
+scipy.libs), and each runs its own pool of threads. After a threaded
+call, a worker of that pool spins for about 0.13 s: in the 0.5 s after
+`eigsh` or after a 240-row `eigvalsh`, the process burns 124-129 ms of
+CPU while its main thread sleeps. On two CPUs, a threaded call into
+the other library then waits for a CPU. A 240-row `eigvalsh` took
+2.4-3.3 ms (median) alone, and 4.1-6.5 ms (median; mean 7.3-14.7 ms,
+up to 0.13 s) alternating with ARPACK in one process; with one thread,
+3.3 ms alternating. A numpy dot of two 20160-long vectors (n = 8)
+right after `eigsh` took 6.8 ms (median, up to 16 ms), against 0.03 ms
+with one thread and 0.07 ms as a sum of squares. So
+`bipartite_laplacian_gap` makes no numpy BLAS call after `eigsh`; only the dense fallback of `gap_interchange`, which
+runs `eigvalsh` right after a failed ARPACK, pays the wait. Two threads
+wait too whenever anything else holds the second CPU: 100-row solves in
+processes that never ran ARPACK took 10-16 ms through one run out of
+eight, and never above 1.1 ms with one thread.
 """
 
 from __future__ import annotations
@@ -162,7 +178,7 @@ def bipartite_laplacian_gap(B, total: float) -> float:
     BT = B.T
 
     def matvec(x):
-        return square * x - B @ (BT @ x) + shift * x.mean() * np.ones(half)
+        return square * x - B @ (BT @ x) + shift * x.mean()
 
     op = spla.LinearOperator((half, half), matvec=matvec, dtype=float)
     # any fixed start but the all-ones vector, an eigenvector of op whose
@@ -181,7 +197,10 @@ def bipartite_laplacian_gap(B, total: float) -> float:
         u = (BT @ v) / root if root > 0 else np.zeros(half)
         even = total * v - B @ u - mu * v
         odd = root * u - BT @ v
-        residual = math.sqrt((even @ even + odd @ odd) / (v @ v + u @ u))
+        # sums of squares, not `@`: numpy's BLAS dot would wait for the CPUs
+        # that scipy's OpenBLAS threads spin on after eigsh (module docstring)
+        lifted = np.square(even).sum() + np.square(odd).sum()
+        residual = math.sqrt(lifted / (np.square(v).sum() + np.square(u).sum()))
     if residual <= SOLVER_TOL * (1.0 + abs(total)):
         return mu
     raise NoConvergence(

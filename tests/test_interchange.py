@@ -5,7 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from itertools import permutations
+from itertools import chain, permutations
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +217,15 @@ class TestGaps:
 
 
 class TestEvenOddBlock:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_words_are_itertools_permutations(self, n):
+        """The word table is `permutations(range(n))`, bit for bit as int8
+        and in the same order."""
+        expected = np.fromiter(chain.from_iterable(permutations(range(n))), np.int8)
+        words = interchange._lex_words(n)
+        assert words.dtype == np.int8 and words.shape == (math.factorial(n), n)
+        assert words.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("family, n", gap_cases(2, 6))
     def test_is_the_odd_columns_of_the_even_rows(self, family, n):
         """Each row holds one entry per edge, and B is the negated block of
