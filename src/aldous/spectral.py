@@ -41,8 +41,9 @@ up to 0.13 s) alternating with ARPACK in one process; with one thread,
 3.3 ms alternating. A numpy dot of two 20160-long vectors (n = 8)
 right after `eigsh` took 6.8 ms (median, up to 16 ms), against 0.03 ms
 with one thread and 0.07 ms as a sum of squares. So
-`bipartite_laplacian_gap` makes no numpy BLAS call after `eigsh`; only the dense fallback of `gap_interchange`, which
-runs `eigvalsh` right after a failed ARPACK, pays the wait. Two threads
+`bipartite_laplacian_gap` makes no numpy BLAS call after `eigsh`; only
+the dense fallback of `gap_interchange`, which runs `eigvalsh` right
+after a failed ARPACK, pays the wait. Two threads
 wait too whenever anything else holds the second CPU: 100-row solves in
 processes that never ran ARPACK took 10-16 ms through one run out of
 eight, and never above 1.1 ms with one thread.
