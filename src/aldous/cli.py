@@ -15,13 +15,14 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
 from .conjecture import check_conjecture
 from .graphs import _FAMILIES, WeightedGraph, generate, generated_edges
 from .graphs import graph_from_json_dict, graph_to_json_dict
-from .interchange import aldous_check, interchange_spectrum
+from .interchange import aldous_check, interchange_spectrum, spectrum_via_irreps
 from .permutations import parse_permutation
 from .reduction import EliminationCertificate, certify_elimination, replay_elimination
 from .spectral import DEFAULT_TOL, DENSE_LIMIT, multiset_equal
@@ -33,6 +34,14 @@ from .yor import _require_bytes, rho_sigma, shape_spectra
 # joined text. Measured at f = 1430 (shape 8,8) as 42 and 83 for JSON,
 # 11 and 63 for CSV.
 _REP_BYTES = {"json": (46, 90), "csv": (16, 72)}
+# Peak bytes per state while `decompose` makes its CSV: the per-shape
+# spectra tiled, their concatenation, its sorted copy and the sort's
+# buffer. Beside them stay 64 MiB: the 32 MiB work buffer that numpy's
+# OpenBLAS maps on the first per-shape solve, and the text of one chunk
+# of _CSV_CHUNK values at a time. Measured as 21.7 (wheel 11) and 22.7
+# (wheel 10) bytes of address space per state beyond that buffer.
+_DECOMPOSE_CSV_BYTES = 22
+_CSV_CHUNK = 2**16
 # Peak bytes per edge while `generate` makes a graph, its JSON object and
 # text: 600-710 resident bytes per edge measured at 0.27-1.1 million edges
 # (complete, star, nested_triangulation; with and without --seed).
@@ -144,12 +153,23 @@ def _cmd_generate(args) -> tuple[str, int]:
     return _dump_json(graph_to_json_dict(G)), 0
 
 
-def _cmd_decompose(args) -> tuple[str, int]:
+def _cmd_decompose(args) -> tuple[str | Iterator[str], int]:
     G = _load_graph(args.graph)
-    spectra = shape_spectra(G)
-    merged = sorted(v for _, vals, _ in spectra for v in vals.tolist() * len(vals))
+    states = math.factorial(min(G.n, 200))  # 200! bytes already print as inf GiB
     if args.format == "csv":
-        return "".join(f"{v:.17g}\n" for v in merged), 0
+        what = f"the {G.n}! eigenvalues of the merged spectrum and their CSV text"
+        _require_bytes(states * _DECOMPOSE_CSV_BYTES + 2**26, what)
+        spectrum = spectrum_via_irreps(G)
+        chunks = (tuple(spectrum[k : k + _CSV_CHUNK].tolist()) for k in range(0, len(spectrum), _CSV_CHUNK))
+        # one %-format per chunk: the bytes of f"{v:.17g}\n" per value, in
+        # two thirds of the time
+        return (("%.17g\n" * len(chunk)) % chunk for chunk in chunks), 0
+    matches = None
+    if states <= DENSE_LIMIT:
+        # before the per-shape solves: the dense solve's estimate counts
+        # the OpenBLAS work buffer that numpy's first solve would map
+        matches = multiset_equal(interchange_spectrum(G), spectrum_via_irreps(G), tol=1e-8)
+    spectra = shape_spectra(G)  # refuses a huge n before n! is formed below
     payload = {
         "n": G.n,
         "state_count": math.factorial(G.n),
@@ -161,14 +181,8 @@ def _cmd_decompose(args) -> tuple[str, int]:
             }
             for lam, vals, _ in spectra
         ],
+        "direct_check": {"performed": matches is not None, "matches": matches},
     }
-    if math.factorial(G.n) <= DENSE_LIMIT:
-        payload["direct_check"] = {
-            "performed": True,
-            "matches": multiset_equal(interchange_spectrum(G), merged, tol=1e-8),
-        }
-    else:
-        payload["direct_check"] = {"performed": False, "matches": None}
     return _dump_json(payload), 0
 
 
@@ -272,7 +286,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(output)
+    # CSV `decompose` hands over its text in chunks, each made as it is written
+    sys.stdout.writelines([output] if isinstance(output, str) else output)
     return code
 
 

@@ -272,9 +272,12 @@ def gap_rw(G: WeightedGraph) -> float:
 
 def spectrum_via_irreps(G: WeightedGraph) -> np.ndarray:
     """The full n!-point spectrum assembled from the per-shape blocks,
-    each repeated as many times as its dimension. Sorted ascending.
-    Raises ValueError when the blocks would not fit in memory."""
-    return np.sort(np.concatenate([np.tile(vals, len(vals)) for _, vals, _ in shape_spectra(G)]))
+    each repeated as many times as its dimension. Sorted ascending and
+    stably, so equal values (0.0 and -0.0 among them) keep the order of
+    the shapes. Raises ValueError when the blocks would not fit in
+    memory."""
+    repeated = np.concatenate([np.tile(vals, len(vals)) for _, vals, _ in shape_spectra(G)])
+    return np.sort(repeated, kind="stable")
 
 
 @dataclass(frozen=True)

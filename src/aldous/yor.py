@@ -233,8 +233,8 @@ def rho_adjacent(lam: Partition, i: int) -> np.ndarray:
 
 
 def rho_transposition(lam: Partition, i: int, j: int) -> np.ndarray:
-    """Matrix of the transposition (i, j): (i, i+1) conjugated up the
-    chain of adjacent transpositions to j."""
+    """Matrix of the transposition (i, j), built by the branching rule
+    as the weighted sum with the one weight w_ij = 1 (`_rho_sum`)."""
     if not 1 <= i < j <= lam.n:
         raise ValueError(f"need 1 <= i < j <= {lam.n}, got ({i}, {j})")
     return _rho_sum(lam, {(i, j): 1.0})

@@ -1,9 +1,11 @@
 import json
+import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from aldous import cli, conjecture, yor
+from aldous import cli, conjecture, interchange, yor
 from aldous.cli import main
 from aldous.graphs import collapse_last_vertex, graph_from_json_dict, graph_to_json_dict
 from helpers import forbid_large_factorials
@@ -305,21 +307,57 @@ class TestDecompose:
         ids=["zero_weight_edge", "all_zero"],
     )
     def test_matches_library_spectrum_and_dimensions(self, capsys, tmp_path, payload):
-        from aldous.graphs import graph_from_json_dict
-        from aldous.interchange import spectrum_via_irreps
         from aldous.tableaux import f_dim, parse_partition
 
         path = write_graph(tmp_path, payload)
         code, out, err = run_cli(capsys, "--format", "csv", "decompose", path)
         assert code == 0 and err == ""
-        spectrum = spectrum_via_irreps(graph_from_json_dict(payload))
-        assert out == "".join(f"{v:.17g}\n" for v in spectrum)
+        # the reference merge: every block's spectrum repeated as often as
+        # its dimension, in one stable sort of Python floats
+        spectra = yor.shape_spectra(graph_from_json_dict(payload))
+        merged = sorted(v for _, vals, _ in spectra for v in vals.tolist() * len(vals))
+        assert out == "".join(f"{v:.17g}\n" for v in merged)
         code, out, _ = run_cli(capsys, "decompose", path)
         assert code == 0
         per_lambda = json.loads(out)["per_lambda"]
         assert [entry["dim"] for entry in per_lambda] == [
             f_dim(parse_partition(entry["lambda"])) for entry in per_lambda
         ]
+
+    def test_json_holds_only_the_blocks(self, capsys, tmp_path):
+        """JSON output once built a sorted list of all n! eigenvalues that
+        it never printed: 537 MB peak RSS on wheel 11 against 167 MB for
+        `aldous gap`."""
+        edges = [[1, i, 1.0] for i in range(2, 10)] + [[i, i + 1, 1.0] for i in range(2, 9)] + [[2, 9, 1.0]]
+        payload = {"n": 9, "edges": edges}
+        path = write_graph(tmp_path, payload)
+        graph = graph_from_json_dict(payload)
+        yor.shape_spectra(graph)  # fills the caches of tableaux and tables
+        tracemalloc.start()
+        try:
+            yor.shape_spectra(graph)
+            _, blocks = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            code, out, _ = run_cli(capsys, "decompose", path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and json.loads(out)["state_count"] == math.factorial(9)
+        # an n!-long array of pointers or floats alone would be 8 * 9! bytes
+        assert peak - blocks < 8 * math.factorial(9) / 4
+
+    def test_csv_refused_before_any_block(self, capsys, tmp_path, monkeypatch):
+        path = write_graph(tmp_path, {"n": 9, "edges": [[1, 2, 1.0], [2, 9, 0.5]]})
+        need = math.factorial(9) * cli._DECOMPOSE_CSV_BYTES + 2**26
+        monkeypatch.setattr(yor, "_available_bytes", lambda: need - 1)
+        monkeypatch.setattr(interchange, "shape_spectra", lambda graph: pytest.fail("built the blocks"))
+        code, out, err = run_cli(capsys, "--format", "csv", "decompose", path)
+        assert code == 2 and out == ""
+        assert err.startswith("error: the 9! eigenvalues of the merged spectrum and their CSV text need")
+        monkeypatch.setattr(yor, "_available_bytes", lambda: need)
+        monkeypatch.setattr(interchange, "shape_spectra", yor.shape_spectra)
+        code, out, _ = run_cli(capsys, "--format", "csv", "decompose", path)
+        assert code == 0 and len(out.splitlines()) == math.factorial(9)
 
 
 class TestRep:
@@ -391,20 +429,29 @@ def test_integer_weight_beyond_the_float_range_exits_2(capsys, tmp_path, argv):
     assert err.startswith(prefix + "weight for edge (1, 2) must be finite")
 
 
-@pytest.mark.parametrize("command", ["gap", "decompose", "check-conjecture"])
-def test_refused_from_the_size_alone(capsys, tmp_path, monkeypatch, command):
+@pytest.mark.parametrize(
+    "command, subject",
+    [
+        (["gap"], "the per-shape blocks of "),
+        (["decompose"], "the per-shape blocks of "),
+        (["--format", "csv", "decompose"], "the 100000000! eigenvalues of the merged spectrum "),
+        (["check-conjecture"], "the per-shape blocks of "),
+    ],
+    ids=["gap", "decompose", "decompose-csv", "check-conjecture"],
+)
+def test_refused_from_the_size_alone(capsys, tmp_path, monkeypatch, command, subject):
     """`gap` once formed (n-1)! before refusing, 9 s at n = 10^6, and
     `check-conjecture` its k^2/2 comparison weights, 9.9 s and 355 MB at
     k = 1500."""
     forbid_large_factorials(monkeypatch)
     monkeypatch.setattr(conjecture, "comparison_weights", lambda gamma: pytest.fail("built the weights"))
-    if command == "check-conjecture":
-        argv = [command, "--k", "3000", "--gamma", ",".join(["1"] * 2999)]
+    if command == ["check-conjecture"]:
+        argv = [*command, "--k", "3000", "--gamma", ",".join(["1"] * 2999)]
     else:
-        argv = [command, write_graph(tmp_path, {"n": 10**8, "edges": [[1, 2, 1.0]]})]
+        argv = [*command, write_graph(tmp_path, {"n": 10**8, "edges": [[1, 2, 1.0]]})]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert err.startswith("error: the per-shape blocks of ") and "need about inf GiB" in err
+    assert err.startswith("error: " + subject) and "need about inf GiB" in err
 
 
 class TestGoldenStdout:
