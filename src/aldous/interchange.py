@@ -14,11 +14,13 @@ parity of a word, so the chain is bipartite: with W the total rate and
 A = W I - L the rate matrix, A only links the n!/2 even words to the
 n!/2 odd ones, through one block B (`_even_odd_block`), and with the
 even words first the Laplacian is L = [[W I, -B], [-B^T, W I]]. B is
-built straight into its CSR arrays, one array operation per edge: the
-words, an int8 table built level by level (`_lex_words`), are numbers
-in base n, so a binary search over their sorted numbers ranks
-(i j) sigma, and every row holds one entry per edge, so each edge fills
-one column of the index table. B equals its transpose.
+built straight into its CSR arrays from pair maps: the words of ranks
+2k and 2k + 1 form pair k, each letter swap maps pairs to pairs, an
+adjacent swap (a a+1) shifts k by half a factorial read off the first
+position of a or a+1, and the map of (a b) is that of (a b-1)
+conjugated by the adjacent swap (b-1 b), two gathers per step. Every
+row holds one entry per edge, so each edge's map fills one column of
+the index table. B equals its transpose.
 
 `interchange_spectrum` therefore takes the whole n!-point spectrum,
 {W - beta} and {W + beta} over the eigenvalues beta of B, from one
@@ -38,9 +40,11 @@ eigenvalue of W^2 I - B B^T on the even words. Against a solve of L
 on all n! states, Lanczos needs 21-51 matrix-vector products at n = 8
 instead of 21-101, on vectors half as long, and each product still
 touches every stored rate once. On a 2-vCPU x86 host with two OpenBLAS
-threads, `gap_interchange` takes 45-78 ms at n = 8 (medians of 48-67 ms
-on paths, wheels, complete and random graphs), 1.2-1.5 s at 180 MB peak
-RSS on K_9 and 15 s at 1.4 GB on K_10, each in a fresh process. Up to
+threads, each in a fresh process, `gap_interchange` takes 39-81 ms at
+n = 8 on paths, wheels, complete and random graphs (58-115 ms when B
+was ranked by binary search and ARPACK kept 20 vectors), 0.71-1.31 s
+at 164 MB peak RSS on K_9 (1.0-1.3 s at 179 MB), and 13.1 s at 1.26 GB
+on K_10 (15.2 s at 1.41 GB). Up to
 `spectral.DENSE_CROSSOVER` states (n <= 5), and when that solve fails
 its residual check, the gap is read off `interchange_spectrum`, the one
 dense solve of B.
@@ -72,7 +76,7 @@ from .graphs import WeightedGraph, rw_laplacian
 from .spectral import DEFAULT_TOL, DENSE_CROSSOVER, DENSE_LIMIT, NoConvergence
 from .spectral import bipartite_laplacian_gap, iterative_solve_bytes
 from .tableaux import Partition, f_dim
-from .yor import _require_bytes, shape_spectra
+from .yor import _BLAS_BUFFER_BYTES, _require_bytes, shape_spectra
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -100,23 +104,27 @@ def _block_footprint(G: WeightedGraph) -> tuple[int, int]:
     With E edges and h = n!/2 rows, it returns E columns (int32 below
     2^31 entries, else int64) and E float64 values per row and the row
     pointers, beside two freed h-long int64 temporaries the allocator
-    may keep mapped. The int8 word table is built level by level
-    (`_lex_words`): the last level holds the (n! x n) table beside the
-    ((n-1)! x (n-1)) table below it and a boolean copy of that, under
-    n! (n + 2) bytes. While the place table is filled, it holds the
-    words, the int64 codes, the (n! x n) int64 place table and two
-    n!-long temporaries; while the columns are filled, the codes, the
-    place table, a copy of the odd-rank codes, the column table and
-    three h-long temporaries. Both counts add 64 KiB for the small
-    objects around the arrays.
+    may keep mapped. Before that it holds, per row: while the positions
+    are filled, the (n! x n) int8 word table (`_lex_words`, which holds
+    less while it builds it), the (n x h) int8 position table and two
+    8-byte indices; while the pair maps of the adjacent swaps are made,
+    the position table, the maps and the ranks (int32 or int64 like the
+    columns), one more such array of slack and 10 bytes of temporaries
+    (`tracemalloc` saw 56 bytes per row at n = 9 with eight maps and
+    int32, against 59 here); while the chains are
+    composed, those maps, the column table, two chain arrays and the
+    8-byte index that each gather makes. Both counts add 64 KiB for the
+    small objects around the arrays.
     """
     n, size = G.n, math.factorial(min(G.n, 200))
     edges, half = sum(1 for w in G.weights.values() if w != 0), size // 2
     index = 4 if half * edges < 2**31 else 8
-    rank = size * (n + 8 + 8 * n + 16)
-    fill = size * (8 + 8 * n) + half * (8 + index * edges + 24)
+    swaps = len(_adjacent_swaps(_chain_ends(G)))
+    places = half * (3 * n + 16)
+    maps = half * (n + 10 + index * (swaps + 2))
+    chains = half * (8 + index * (swaps + edges + 2))
     held = half * (edges * (index + 8) + index + 16) + index
-    return max(rank, fill, held) + 2**16, held + 2**16
+    return max(places, maps, chains, held) + 2**16, held + 2**16
 
 
 def _lex_words(n: int) -> np.ndarray:
@@ -138,6 +146,22 @@ def _lex_words(n: int) -> np.ndarray:
     return words
 
 
+def _chain_ends(G: WeightedGraph) -> dict[int, int]:
+    """For each letter a that is the smaller letter of an edge's swap, the
+    largest letter it is swapped with: `_even_odd_block` composes the
+    pair maps of (a a+1), (a a+2), ... up to that letter."""
+    ends: dict[int, int] = {}
+    for (i, j), w in G.weights.items():
+        if w != 0:
+            ends[i - 1] = max(ends.get(i - 1, 0), j - 1)
+    return ends
+
+
+def _adjacent_swaps(ends: dict[int, int]) -> list[int]:
+    """The letters a whose adjacent swap (a a+1) the chains of `ends` use."""
+    return sorted({b for a, top in ends.items() for b in range(a, top)})
+
+
 def _even_odd_block(G: WeightedGraph) -> sp.csr_matrix:
     """The block B of the interchange rates from the even words (rows) to
     the odd words (columns), both in rank order: B[e, o] is the rate of
@@ -146,49 +170,64 @@ def _even_odd_block(G: WeightedGraph) -> sp.csr_matrix:
     columns ordered even words first, is [[W I, -B], [-B^T, W I]] for
     the total rate W.
 
-    Each word is read as an n-digit number in base n, so lexicographic
-    rank order is numeric order. (i j) exchanges the letters i and j of
-    a word, which adds (j - i)(n^a - n^b) to its number, with a and b
-    the place values of the positions holding i and j. The words of
-    ranks 2k and 2k + 1 differ by a swap of their last two places, so
-    one of them is even and the other odd, and k is the rank of each
-    among the words of its parity. (i j) acts on letters and that swap
-    on places, so (i j) takes both words of pair k into one pair k'.
-    Row k is therefore filled from the word of rank 2k, whatever its
-    parity, and a binary search of the numbers of the words of odd rank
-    gives k'. Every row holds the same number of entries, so the ranks
-    fill one column of the CSR index table per edge and the row
-    pointers are a multiple of the row number; no entry is ever
-    duplicated.
+    The words of ranks 2k and 2k + 1 differ by a swap of their last two
+    places, so one of them is even and the other odd, and k is the rank
+    of each among the words of its parity. A swap of letters commutes
+    with that swap of places, so it takes both words of pair k into one
+    pair P(k), and these pair maps compose. Row k is filled from the
+    word of rank 2k, whatever its parity.
 
-    B equals its transpose, entry for entry: ranks 2k and 2k + 1 differ by
-    a swap of the last two places, and the chain commutes with that swap,
-    so (i j) takes pair k' back into pair k.
+    The adjacent swap (a a+1) exchanges two letters that no other letter
+    lies between, so it changes the word's rank only at the first
+    position p holding a or a+1, by +(n-1-p)! when a comes first and by
+    -(n-1-p)! otherwise: P(k) = k -+ (n-1-p)!/2, which is k itself when
+    p = n - 2. Every other swap is a chain of conjugations,
+    (a b) = (b-1 b)(a b-1)(b-1 b), so P_(a b) is P_(a b-1) gathered
+    through the adjacent map on either side: two gathers per step of b,
+    one chain per smaller letter. Every row holds the same number of
+    entries, so the chains fill one column of the CSR index table per
+    edge and the row pointers are a multiple of the row number; no entry
+    is ever duplicated.
+
+    B equals its transpose, entry for entry: (i j) is its own inverse,
+    so it takes pair P(k) back into pair k.
     """
     import scipy.sparse as sp  # only the explicit route needs scipy
 
     n = G.n
-    size = math.factorial(n)
-    half = size // 2
+    half = math.factorial(n) // 2
     edges = [(i, j, w) for (i, j), w in sorted(G.weights.items()) if w != 0]
-    # codes are the numbers of the words in base n (ascending), and
-    # placed[r, v] is the place value of the position holding v in word r
-    words = _lex_words(n)
-    codes = np.zeros(size, dtype=np.int64)
-    placed = np.empty((size, n), dtype=np.int64)
-    for k in range(n):
-        codes *= n
-        codes += words[:, k]
-        placed[np.arange(size), words[:, k]] = n ** (n - 1 - k)
-    del words
-    upper = codes[1::2].copy()  # ascending: the larger number of each pair
     index = np.int32 if half * len(edges) < 2**31 else np.int64
+    # placed[v, k] is the position of the letter v in the word of rank 2k,
+    # filled one position at a time
+    words = _lex_words(n)
+    placed = np.empty((n, half), dtype=np.int8)
+    rows = np.arange(half)
+    for p in range(n):
+        placed[words[::2, p], rows] = p
+    del words, rows
+    shifts = np.array([math.factorial(n - 1 - p) // 2 for p in range(n)], dtype=index)
+    ranks = np.arange(half, dtype=index)
+    ends = _chain_ends(G)
+    adjacent = {}
+    for a in _adjacent_swaps(ends):
+        step = shifts[np.minimum(placed[a], placed[a + 1])]
+        np.negative(step, out=step, where=placed[a] > placed[a + 1])
+        step += ranks
+        adjacent[a] = step
+    del placed, ranks
     table = np.empty((half, len(edges)), dtype=index)  # row k: its entries' columns
-    for c, (i, j, _) in enumerate(edges):
-        step = (j - i) * (placed[::2, i - 1] - placed[::2, j - 1])
-        table[:, c] = np.searchsorted(upper, codes[::2] + step)
-        del step  # freed before the next edge's arrays are made
-    del codes, placed, upper
+    column = {(i - 1, j - 1): c for c, (i, j, _) in enumerate(edges)}
+    chain, scratch = np.empty(half, dtype=index), np.empty(half, dtype=index)
+    for a, top in ends.items():
+        chain[:] = adjacent[a]
+        for b in range(a + 1, top + 1):
+            if b > a + 1:  # (a b) = (b-1 b)(a b-1)(b-1 b)
+                np.take(chain, adjacent[b - 1], out=scratch)
+                np.take(adjacent[b - 1], scratch, out=chain)
+            if (a, b) in column:
+                table[:, column[a, b]] = chain
+    del adjacent, chain, scratch
     data = np.tile(np.array([w for _, _, w in edges], dtype=float), half)
     indptr = np.arange(half + 1, dtype=index) * len(edges)
     B = sp.csr_matrix((data, table.reshape(-1), indptr), shape=(half, half))
@@ -221,9 +260,9 @@ def interchange_spectrum(G: WeightedGraph) -> np.ndarray:
     peak, held = _block_footprint(G)
     # beside the block: its dense copy, eigvalsh's copy of that, LAPACK's
     # work array (dsyevd asks for 2 + 32 float64 per row, 32 being the
-    # block size of its tridiagonal reduction) and the 32 MiB work buffer
-    # that OpenBLAS maps on its first call
-    solve = held + 8 * half * (2 * half + 34) + 2**25
+    # block size of its tridiagonal reduction) and the work buffer that
+    # OpenBLAS maps on its first call
+    solve = held + 8 * half * (2 * half + 34) + _BLAS_BUFFER_BYTES
     _require_bytes(max(peak, solve), _subject(G) + " and its dense eigensolve")
     beta = np.linalg.eigvalsh(_even_odd_block(G).toarray())
     total = float(sum(G.weights.values()))

@@ -12,23 +12,48 @@ reads the gap off a dense spectrum up to DENSE_CROSSOVER states instead.
 The crossover was measured on a 2-vCPU x86 host with two OpenBLAS
 threads, each solver in its own process, as the range of three medians
 of 40 solves: `eigvalsh` of the dense n!/2-row block B against this
-function on B (blocks of five random weighted permutations and their
-transposes stand in between the interchange sizes):
+function on B (random connected graphs at the interchange sizes, and
+blocks of five random weighted permutations and their transposes in
+between):
 
     states                    dense        iterative
-    120 (interchange, n = 5)  0.13-0.18 ms 0.72-1.44 ms
-    200 (random block)        0.40-0.55 ms 1.49-2.23 ms
-    300 (random block)        0.94-1.28 ms 2.15-3.11 ms
-    400 (random block)        2.14-2.29 ms 2.29-3.73 ms
-    720 (interchange, n = 6)  6.0-6.5 ms   1.4-2.2 ms
-    5040 (interchange, n = 7) 0.88-0.94 s  5.8-6.0 ms
+    120 (interchange, n = 5)  0.14-0.20 ms 1.07-1.20 ms
+    200 (random block)        0.45-0.69 ms 2.00-2.23 ms
+    300 (random block)        1.39-1.52 ms 3.13-3.48 ms
+    400 (random block)        2.60-2.69 ms 5.52-5.74 ms
+    720 (interchange, n = 6)  9.4-9.6 ms   2.2-2.3 ms
+    5040 (interchange, n = 7) 1.05-1.10 s  5.7-6.4 ms
 
-With the block built, `interchange_spectrum` takes 0.49-0.61 ms at
-n = 5 and 7.9-8.1 ms at n = 6, against 0.93-1.64 ms and 1.7-2.5 ms
+With the block built, `interchange_spectrum` takes 0.39-0.69 ms at
+n = 5 and 9.7-10.3 ms at n = 6, against 1.59-1.65 ms and 2.4-3.0 ms
 here, so the crossover falls between n = 5 and n = 6. DENSE_LIMIT
 (6000, so n <= 7) bounds the states of that dense solve, behind the
 direct check of `aldous decompose`, the Dirichlet-form oracle of the
 tests and the fallback of `gap_interchange`.
+
+ARPACK keeps at most KRYLOV_VECTORS Lanczos vectors: it
+reorthogonalises each new vector against all of them, and each
+implicit restart rewrites the whole basis (Lehoucq, Sorensen and Yang,
+*ARPACK Users' Guide*, SIAM 1998). Past a few vectors, a larger basis
+costs more in those sweeps than it saves in matrix-vector products.
+On the same host, as the range over a path, a wheel, a complete and a
+random graph of the median solve on the interchange block (15, 9 and 3
+solves per graph at n = 7, 8 and 9, the basis sizes alternating in one
+process):
+
+    vectors  n = 7       n = 8       n = 9
+    4        4.4-11.9 ms 40-113 ms   -
+    6        3.3-7.5 ms  28-68 ms    0.59-0.74 s
+    8        2.4-6.6 ms  29-54 ms    0.47-0.66 s
+    10       2.9-6.4 ms  22-52 ms    0.45-0.60 s
+    12       3.4-6.2 ms  26-57 ms    0.48-0.65 s
+    16       4.4-6.4 ms  33-55 ms    0.46-0.59 s
+    20       4.2-6.7 ms  35-64 ms    0.51-0.62 s
+
+20 is scipy's default. Ten vectors are the quickest at n = 8, where
+the explicit route runs most, and within the spread of the quickest at
+n = 7 and 9; every basis gave the same gap to 8e-15. ARPACK's basis
+cannot exceed its rows, so tiny blocks use them all.
 
 numpy and scipy each load their own OpenBLAS (numpy.libs and
 scipy.libs), and each runs its own pool of threads. After a threaded
@@ -59,6 +84,7 @@ DENSE_LIMIT = 6000
 DENSE_CROSSOVER = 300
 DEFAULT_TOL = 1e-9
 SOLVER_TOL = 1e-10  # ARPACK tolerance and residual bound of the iterative gap solve
+KRYLOV_VECTORS = 10  # ARPACK's Lanczos basis in the iterative gap solve (module docstring)
 
 
 def _require_symmetric(M: np.ndarray) -> np.ndarray:
@@ -126,16 +152,17 @@ def iterative_solve_bytes(rows: int) -> int:
     """Memory the iterative solve of `bipartite_laplacian_gap` maps beside
     its block of `rows` rows.
 
-    Per row, 47 float64 values are live at its peak: ARPACK's 20 Lanczos
-    vectors, the 20 Ritz vectors it extracts them into, its three work
-    vectors, and a few vectors of the operator and the residual check
-    (`tracemalloc` measured 368-373 bytes per row at 2520-181440 rows);
+    Per row, 2 KRYLOV_VECTORS + 7 float64 values are live at its peak:
+    ARPACK's Lanczos vectors, the as many Ritz vectors it extracts them
+    into, its three work vectors, and a few vectors of the operator and
+    the residual check (`tracemalloc` measured 208-211 bytes per row at
+    2520-181440 rows with 10 Lanczos vectors, and 368-373 with 20);
     three more cover freed vectors that the allocator keeps mapped. The
     32 MiB are the work buffer that the OpenBLAS behind ARPACK maps on
     its first matrix-vector product of more than a few hundred rows and
     keeps for the life of the process.
     """
-    return 50 * 8 * rows + 2**25
+    return (2 * KRYLOV_VECTORS + 10) * 8 * rows + 2**25
 
 
 class NoConvergence(ValueError):
@@ -179,14 +206,21 @@ def bipartite_laplacian_gap(B, total: float) -> float:
     BT = B.T
 
     def matvec(x):
-        return square * x - B @ (BT @ x) + shift * x.mean()
+        # W^2 x - B B^T x + shift * mean(x), formed in place as the
+        # negation of B B^T x - W^2 x - shift * mean(x): the same bits
+        y = B @ (BT @ x)
+        y -= square * x
+        y -= shift * x.mean()
+        return np.negative(y, out=y)
 
     op = spla.LinearOperator((half, half), matvec=matvec, dtype=float)
     # any fixed start but the all-ones vector, an eigenvector of op whose
     # Krylov space is one-dimensional
     v0 = np.random.default_rng(0).standard_normal(half)
     try:
-        vals, vecs = spla.eigsh(op, k=1, which="SA", tol=SOLVER_TOL, maxiter=20000, v0=v0)
+        vals, vecs = spla.eigsh(
+            op, k=1, which="SA", tol=SOLVER_TOL, maxiter=20000, v0=v0, ncv=min(KRYLOV_VECTORS, half)
+        )
     except spla.ArpackNoConvergence as exc:
         vals, vecs = exc.eigenvalues, exc.eigenvectors
     residual = math.inf

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import aldous
 from aldous import cli, conjecture, interchange, yor
 from aldous.cli import main
 from aldous.graphs import collapse_last_vertex, graph_from_json_dict, graph_to_json_dict
@@ -81,6 +85,28 @@ class TestGap:
         _, out1, _ = run_cli(capsys, "gap", wheel7_file)
         _, out2, _ = run_cli(capsys, "gap", wheel7_file)
         assert out1 == out2
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="sets RLIMIT_AS")
+    def test_address_space_ladder_gives_refusal_or_result(self, capsys, tmp_path):
+        """Under `ulimit -v` limits around what the seed-3 10-vertex wheel
+        needs, `aldous gap` prints the unlimited run's report or refuses
+        with exit 2 and empty stdout; it never dies in numpy's first solve,
+        whose OpenBLAS buffer the estimate counts."""
+        import resource
+
+        assert main(["--seed", "3", "generate", "wheel", "10"]) == 0
+        graph = write_graph(tmp_path, json.loads(capsys.readouterr().out))
+        src = str(Path(aldous.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = [sys.executable, "-m", "aldous.cli", "gap", graph]
+        full = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert full.returncode == 0 and full.stdout, full.stderr
+        for kb in [*range(160000, 196000, 8000), 196000]:
+            def limit(kb=kb):
+                resource.setrlimit(resource.RLIMIT_AS, (kb * 1024, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+            run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit)
+            assert (run.returncode, run.stdout) in ((0, full.stdout), (2, "")), (kb, run.returncode, run.stderr)
 
 
 class TestCheckConjecture:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import aldous
@@ -84,6 +84,15 @@ def odd_words(n):
     )
 
 
+def loop_block(G):
+    """The negated block of the loop-built Laplacian between the even rows
+    and the odd columns, with sorted rows."""
+    odd = odd_words(G.n)
+    block = -loop_interchange_laplacian(G)[np.flatnonzero(~odd)][:, np.flatnonzero(odd)]
+    block.sort_indices()
+    return block
+
+
 GAP_FAMILIES = {
     "path": path_graph,
     "complete": complete_graph,
@@ -139,16 +148,22 @@ class TestInterchangeLaplacian:
         assert values.shape == direct.shape == (math.factorial(G.n),)
         assert np.abs(values - direct).max() <= 1e-12 * (1.0 + np.abs(direct).max())
 
-    @pytest.mark.parametrize("n", [7, 8])
+    @pytest.mark.parametrize("n", range(2, 9))
     def test_matches_loop_oracle_large(self, n):
         """B is, bit for bit in its CSR arrays, the negated block of the
         loop-built Laplacian between the even rows and the odd columns."""
         G = random_connected_graph(n, np.random.default_rng(n), extra_edge_prob=0.3)
-        odd = odd_words(n)
-        block = -loop_interchange_laplacian(G)[np.flatnonzero(~odd)][:, np.flatnonzero(odd)]
-        block.sort_indices()
+        block = loop_block(G)
         assert block.nnz == math.factorial(n) // 2 * len(G.weights)
         assert_same_csr(interchange._even_odd_block(G), block)
+
+    @settings(max_examples=60, deadline=None)
+    @given(signed_graphs())
+    def test_block_matches_loop_oracle_bit_for_bit(self, G):
+        """The same for signed, zero and all-zero weights, whose pair maps
+        include the zero shift of a swap at the last two places."""
+        assume(G.n >= 2)
+        assert_same_csr(interchange._even_odd_block(G), loop_block(G))
 
 
 class TestGaps:
@@ -273,6 +288,22 @@ class TestEvenHalfSolve:
     def test_repeat_calls_give_the_same_bits(self):
         G = random_connected_graph(8, np.random.default_rng(3), extra_edge_prob=0.3)
         assert gap_interchange(G).hex() == gap_interchange(G).hex()
+
+    @pytest.mark.parametrize("family, n", gap_cases(6, 8))
+    def test_answers_without_the_dense_fallback(self, monkeypatch, family, n):
+        """The iterative solve, with its Krylov space of KRYLOV_VECTORS,
+        passes its residual check on its own: with the dense spectrum made
+        to fail, the gap is the walk's gap, and the dense one up to n = 7."""
+        G = GAP_FAMILIES[family](n)
+        eps = 1e-9 * (1.0 + float(sum(G.weights.values())))
+        expected = [gap_rw(G)] + ([dense_gap(G)] if n <= 7 else [])
+
+        def refuse(G):
+            raise AssertionError("fell back to the dense spectrum")
+
+        monkeypatch.setattr(interchange, "interchange_spectrum", refuse)
+        gap = gap_interchange(G)
+        assert all(abs(gap - value) <= eps for value in expected), (gap, expected)
 
 
 class TestDenseFallback:
@@ -436,10 +467,10 @@ class TestMemoryGuard:
     def need(G):
         """Two stack slots per shape of n - 1 boxes, plus two arrays the
         size of the largest block of n boxes, counted by enumerating the
-        tableaux."""
+        tableaux, and numpy's OpenBLAS buffer."""
         below = sum(len(enumerate_syt(mu)) ** 2 for mu in enumerate_partitions(G.n - 1))
         largest = max(len(enumerate_syt(lam)) for lam in enumerate_partitions(G.n))
-        return (2 * below + 2 * largest**2) * 8
+        return (2 * below + 2 * largest**2) * 8 + 2**25
 
     @pytest.mark.parametrize("check", [aldous_check, spectrum_via_irreps, shape_spectra])
     def test_refuses_exactly_above_the_estimate(self, monkeypatch, check):
@@ -503,10 +534,11 @@ class TestMemoryGuard:
         subject = "interchange Laplacian of a 6-vertex graph with 10 edges and its eigensolve"
         # the block between the 360 even and 360 odd words: int32 columns,
         # float64 values and row pointers, two freed int64 temporaries per
-        # row; beside it 50 float64 per row and the BLAS buffer
+        # row; beside it 30 float64 per row (10 Lanczos and 10 Ritz vectors,
+        # and ten more) and the BLAS buffer
         half, edges = 360, 10
         block = half * (edges * 12 + 4 + 16) + 4 + 2**16
-        need = block + 400 * half + 2**25
+        need = block + 240 * half + 2**25
         monkeypatch.setattr(yor, "_available_bytes", lambda: need)
         gap_interchange(G)
         monkeypatch.setattr(yor, "_available_bytes", lambda: need - 1)
