@@ -4,9 +4,12 @@ Subcommands wrap the library one-to-one: `gap` (spectral-gap equality
 report), `check-conjecture` (per-shape PSD sweep), `certify` (weighted
 elimination certificates, with `--replay`), `generate` (named graph
 families as JSON), `decompose` (interchange spectrum by shape), and
-`rep` (representation matrices as CSV). Output is deterministic byte
-for byte given identical input, seed, and configuration; errors print
-to stderr only. Exit codes: 0 pass/success, 1 fail, 2 invalid input.
+`rep` (representation matrices). Output is deterministic byte for byte
+given identical input, seed, and configuration, and the configuration
+includes the OpenBLAS thread count (`OPENBLAS_NUM_THREADS`): the
+eigenvalues that `gap`, `check-conjecture` and `decompose` print can
+differ in their last digits between thread counts. Errors print to
+stderr only. Exit codes: 0 pass/success, 1 fail, 2 invalid input.
 """
 
 from __future__ import annotations
@@ -16,29 +19,23 @@ import json
 import math
 import sys
 from collections.abc import Iterator
-
-import numpy as np
+from itertools import chain
 
 from .conjecture import check_conjecture
 from .graphs import _FAMILIES, WeightedGraph, generate, generated_edges
 from .graphs import graph_from_json_dict, graph_to_json_dict
-from .interchange import aldous_check, interchange_spectrum, spectrum_via_irreps
+from .interchange import _merged_spectrum, aldous_check, interchange_spectrum, spectrum_via_irreps
 from .permutations import parse_permutation
 from .reduction import EliminationCertificate, certify_elimination, replay_elimination
-from .spectral import DEFAULT_TOL, DENSE_LIMIT, multiset_equal
+from .spectral import BLAS_BUFFER_BYTES, DEFAULT_TOL, DENSE_LIMIT, multiset_equal
 from .tableaux import Partition, enumerate_syt, parse_partition
 from .yor import _require_bytes, rho_sigma, shape_spectra
 
-# Peak bytes per (zero, nonzero) matrix entry while `rep` makes its text:
-# the matrix, one row's Python floats and strings, the rows' text and the
-# joined text. Measured at f = 1430 (shape 8,8) as 42 and 83 for JSON,
-# 11 and 63 for CSV.
-_REP_BYTES = {"json": (46, 90), "csv": (16, 72)}
 # Peak bytes per state while `decompose` makes its CSV: the per-shape
 # spectra tiled, their concatenation, its sorted copy and the sort's
-# buffer. Beside them stay 64 MiB: the 32 MiB work buffer that numpy's
-# OpenBLAS maps on the first per-shape solve, and the text of one chunk
-# of _CSV_CHUNK values at a time. Measured as 21.7 (wheel 11) and 22.7
+# buffer. Beside them stay the work buffer that numpy's OpenBLAS maps on
+# the first per-shape solve and 32 MiB for the text of one chunk of
+# _CSV_CHUNK values at a time. Measured as 21.7 (wheel 11) and 22.7
 # (wheel 10) bytes of address space per state beyond that buffer.
 _DECOMPOSE_CSV_BYTES = 22
 _CSV_CHUNK = 2**16
@@ -158,18 +155,17 @@ def _cmd_decompose(args) -> tuple[str | Iterator[str], int]:
     states = math.factorial(min(G.n, 200))  # 200! bytes already print as inf GiB
     if args.format == "csv":
         what = f"the {G.n}! eigenvalues of the merged spectrum and their CSV text"
-        _require_bytes(states * _DECOMPOSE_CSV_BYTES + 2**26, what)
+        _require_bytes(states * _DECOMPOSE_CSV_BYTES + BLAS_BUFFER_BYTES + 2**25, what)
         spectrum = spectrum_via_irreps(G)
         chunks = (tuple(spectrum[k : k + _CSV_CHUNK].tolist()) for k in range(0, len(spectrum), _CSV_CHUNK))
         # one %-format per chunk: the bytes of f"{v:.17g}\n" per value, in
         # two thirds of the time
         return (("%.17g\n" * len(chunk)) % chunk for chunk in chunks), 0
-    matches = None
-    if states <= DENSE_LIMIT:
-        # before the per-shape solves: the dense solve's estimate counts
-        # the OpenBLAS work buffer that numpy's first solve would map
-        matches = multiset_equal(interchange_spectrum(G), spectrum_via_irreps(G), tol=1e-8)
+    # before the per-shape solves: the dense solve's estimate counts the
+    # OpenBLAS work buffer that numpy's first solve would map
+    direct = interchange_spectrum(G) if states <= DENSE_LIMIT else None
     spectra = shape_spectra(G)  # refuses a huge n before n! is formed below
+    matches = None if direct is None else multiset_equal(direct, _merged_spectrum(spectra), tol=1e-8)
     payload = {
         "n": G.n,
         "state_count": math.factorial(G.n),
@@ -186,43 +182,35 @@ def _cmd_decompose(args) -> tuple[str | Iterator[str], int]:
     return _dump_json(payload), 0
 
 
-def _cmd_rep(args) -> tuple[str, int]:
+def _cmd_rep(args) -> tuple[Iterator[str], int]:
     lam = parse_partition(args.partition)
     sigma = parse_permutation(args.sigma, lam.n)
+    # rho_sigma's check is the only refusal: the text is made and written
+    # a row at a time, after everything that can fail has run
     M = rho_sigma(lam, sigma)
-    # a zero entry prints short, so the text is estimated from the count
-    # of nonzero entries before any of it is made
-    zero, nonzero = _REP_BYTES[args.format]
-    _require_bytes(
-        M.size * zero + int(np.count_nonzero(M)) * (nonzero - zero),
-        f"the {args.format} text of the {len(M)} x {len(M)} matrix "
-        f"of shape ({_partition_text(lam)})",
-    )
+    tableaux = [str(t) for t in enumerate_syt(lam)]
     if args.format == "json":
         payload = {
             "lambda": _partition_text(lam),
             "sigma": list(sigma.images),
             "dim": M.shape[0],
-            "tableaux": [str(t) for t in enumerate_syt(lam)],
+            "tableaux": tableaux,
             "matrix": None,
         }
-        # the matrix is written a row at a time, in the layout and float
-        # text of json.dumps(indent=2), so no string per entry of the
-        # whole matrix is ever alive at once
+        # the matrix in the layout and float text of json.dumps(indent=2)
         head, tail = _dump_json(payload).split('"matrix": null', 1)
-        rows = ("    [\n      " + ",\n      ".join(map(repr, row.tolist())) + "\n    ]" for row in M)
-        return "".join((head, '"matrix": [\n', ",\n".join(rows), "\n  ]", tail)), 0
-    lines = [
+        rows = (
+            ("," if k else "") + "\n    [\n      " + ",\n      ".join(map(repr, row.tolist())) + "\n    ]"
+            for k, row in enumerate(M)
+        )
+        return chain([head + '"matrix": ['], rows, ["\n  ]" + tail]), 0
+    header = [
         f"# rho for shape ({_partition_text(lam)}) at sigma with one-line word "
-        + ",".join(str(v) for v in sigma.images)
+        f"{','.join(map(str, sigma.images))}\n",
+        "# rows/columns indexed by standard tableaux in dictionary order:\n",
+        *(f"#   {idx}: {t}\n" for idx, t in enumerate(tableaux)),
     ]
-    lines.append("# rows/columns indexed by standard tableaux in dictionary order:")
-    for idx, t in enumerate(enumerate_syt(lam)):
-        lines.append(f"#   {idx}: {t}")
-    for row in M:
-        lines.append(",".join(f"{x:.17g}" for x in row))
-    lines.append("")  # the closing newline, without a copy of the text
-    return "\n".join(lines), 0
+    return chain(header, (",".join(f"{x:.17g}" for x in row.tolist()) + "\n" for row in M)), 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,7 +274,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # CSV `decompose` hands over its text in chunks, each made as it is written
+    # `rep` and CSV `decompose` hand over their text in chunks, each made
+    # as it is written
     sys.stdout.writelines([output] if isinstance(output, str) else output)
     return code
 

@@ -73,10 +73,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .graphs import WeightedGraph, rw_laplacian
-from .spectral import DEFAULT_TOL, DENSE_CROSSOVER, DENSE_LIMIT, NoConvergence
+from .spectral import BLAS_BUFFER_BYTES, DEFAULT_TOL, DENSE_CROSSOVER, DENSE_LIMIT, NoConvergence
 from .spectral import bipartite_laplacian_gap, iterative_solve_bytes
 from .tableaux import Partition, f_dim
-from .yor import _BLAS_BUFFER_BYTES, _require_bytes, shape_spectra
+from .yor import _require_bytes, shape_spectra
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -262,7 +262,7 @@ def interchange_spectrum(G: WeightedGraph) -> np.ndarray:
     # work array (dsyevd asks for 2 + 32 float64 per row, 32 being the
     # block size of its tridiagonal reduction) and the work buffer that
     # OpenBLAS maps on its first call
-    solve = held + 8 * half * (2 * half + 34) + _BLAS_BUFFER_BYTES
+    solve = held + 8 * half * (2 * half + 34) + BLAS_BUFFER_BYTES
     _require_bytes(max(peak, solve), _subject(G) + " and its dense eigensolve")
     beta = np.linalg.eigvalsh(_even_odd_block(G).toarray())
     total = float(sum(G.weights.values()))
@@ -309,14 +309,19 @@ def gap_rw(G: WeightedGraph) -> float:
     return float(np.linalg.eigvalsh(rw_laplacian(G))[1])
 
 
-def spectrum_via_irreps(G: WeightedGraph) -> np.ndarray:
-    """The full n!-point spectrum assembled from the per-shape blocks,
-    each repeated as many times as its dimension. Sorted ascending and
-    stably, so equal values (0.0 and -0.0 among them) keep the order of
-    the shapes. Raises ValueError when the blocks would not fit in
-    memory."""
-    repeated = np.concatenate([np.tile(vals, len(vals)) for _, vals, _ in shape_spectra(G)])
+def _merged_spectrum(spectra) -> np.ndarray:
+    """The spectra of `yor.shape_spectra`, each repeated as many times as
+    its dimension, sorted ascending and stably, so equal values (0.0 and
+    -0.0 among them) keep the order of the shapes."""
+    repeated = np.concatenate([np.tile(vals, len(vals)) for _, vals, _ in spectra])
     return np.sort(repeated, kind="stable")
+
+
+def spectrum_via_irreps(G: WeightedGraph) -> np.ndarray:
+    """The full n!-point spectrum assembled from the per-shape blocks
+    (`_merged_spectrum`). Raises ValueError when the blocks would not fit
+    in memory."""
+    return _merged_spectrum(shape_spectra(G))
 
 
 @dataclass(frozen=True)

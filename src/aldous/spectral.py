@@ -85,6 +85,15 @@ DENSE_CROSSOVER = 300
 DEFAULT_TOL = 1e-9
 SOLVER_TOL = 1e-10  # ARPACK tolerance and residual bound of the iterative gap solve
 KRYLOV_VECTORS = 10  # ARPACK's Lanczos basis in the iterative gap solve (module docstring)
+# Address space that an OpenBLAS maps for its work buffer on its first
+# large call and keeps for the life of the process: numpy's on its first
+# `eigvalsh` (32.0 MiB on a 20- to 1000-row matrix, with one, two and
+# four threads), scipy's on ARPACK's first matrix-vector product of more
+# than a few hundred rows. `aldous gap` on `--seed 3` wheel 10 needed
+# 45.3-46.2 MiB beside what was mapped at its check (two threads), where
+# the blocks were estimated at 14.5 MiB; without this term it passed its
+# check and died in the solve.
+BLAS_BUFFER_BYTES = 2**25
 
 
 def _require_symmetric(M: np.ndarray) -> np.ndarray:
@@ -157,12 +166,10 @@ def iterative_solve_bytes(rows: int) -> int:
     into, its three work vectors, and a few vectors of the operator and
     the residual check (`tracemalloc` measured 208-211 bytes per row at
     2520-181440 rows with 10 Lanczos vectors, and 368-373 with 20);
-    three more cover freed vectors that the allocator keeps mapped. The
-    32 MiB are the work buffer that the OpenBLAS behind ARPACK maps on
-    its first matrix-vector product of more than a few hundred rows and
-    keeps for the life of the process.
+    three more cover freed vectors that the allocator keeps mapped.
+    BLAS_BUFFER_BYTES is the work buffer of the OpenBLAS behind ARPACK.
     """
-    return (2 * KRYLOV_VECTORS + 10) * 8 * rows + 2**25
+    return (2 * KRYLOV_VECTORS + 10) * 8 * rows + BLAS_BUFFER_BYTES
 
 
 class NoConvergence(ValueError):

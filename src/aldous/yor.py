@@ -67,6 +67,7 @@ from functools import lru_cache
 import numpy as np
 
 from .permutations import Permutation
+from .spectral import BLAS_BUFFER_BYTES
 from .tableaux import (
     Partition,
     _dictionary_positions,
@@ -313,15 +314,6 @@ def _require_bytes(need: int, what: str) -> None:
         )
 
 
-# Address space that numpy's OpenBLAS maps for its work buffer on its first
-# solve and keeps for the life of the process: 32.0 MiB on the first
-# `eigvalsh` of a 20- to 1000-row matrix, with one, two and four threads.
-# `aldous gap` on `--seed 3` wheel 10 needed 45.3-46.2 MiB beside what was
-# mapped at its check (two threads), where the blocks were estimated at
-# 14.5 MiB; without this term it passed its check and died in the solve.
-_BLAS_BUFFER_BYTES = 2**25
-
-
 def _stacks_bytes(n: int) -> int:
     """Bytes of the stacks that `_rho_sums` holds while it builds the top
     blocks of n boxes: two f x f slots for each shape of n - 1 boxes, at
@@ -356,7 +348,7 @@ def shape_spectra(graph) -> list[tuple[Partition, np.ndarray, float]]:
     need = _stacks_bytes(graph.n)
     _require_bytes(need, what)
     shapes = enumerate_partitions(graph.n)
-    need += 2 * max(f_dim(lam) for lam in shapes) ** 2 * 8 + _BLAS_BUFFER_BYTES
+    need += 2 * max(f_dim(lam) for lam in shapes) ** 2 * 8 + BLAS_BUFFER_BYTES
     _require_bytes(need, what)
     solve: list[tuple[int, ...]] = []
     for lam in shapes:

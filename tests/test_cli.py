@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -28,6 +29,21 @@ def write_graph(tmp_path, payload, name="graph.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def run_fresh(argv, env=(), **kwargs):
+    """`aldous argv` in a fresh interpreter that imports this package,
+    with `env` added to the environment; stdout and stderr as bytes."""
+    src = str(Path(aldous.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **dict(env))
+    return subprocess.run(
+        [sys.executable, "-m", "aldous.cli", *argv], env=env, capture_output=True, timeout=120, **kwargs
+    )
+
+
+def seed3_wheel10(capsys, tmp_path):
+    assert main(["--seed", "3", "generate", "wheel", "10"]) == 0
+    return write_graph(tmp_path, json.loads(capsys.readouterr().out))
 
 
 @pytest.fixture
@@ -86,27 +102,46 @@ class TestGap:
         _, out2, _ = run_cli(capsys, "gap", wheel7_file)
         assert out1 == out2
 
-    @pytest.mark.skipif(sys.platform != "linux", reason="sets RLIMIT_AS")
-    def test_address_space_ladder_gives_refusal_or_result(self, capsys, tmp_path):
-        """Under `ulimit -v` limits around what the seed-3 10-vertex wheel
-        needs, `aldous gap` prints the unlimited run's report or refuses
-        with exit 2 and empty stdout; it never dies in numpy's first solve,
-        whose OpenBLAS buffer the estimate counts."""
-        import resource
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_fresh_processes_print_the_same_bytes(self, capsys, tmp_path, threads):
+        """The per-shape minima of the seed-3 10-vertex wheel differ in
+        their last digits between one and two OpenBLAS threads, so the
+        thread count is part of the configuration that fixes the output;
+        with it fixed, two fresh processes print the same bytes."""
+        argv = ["gap", seed3_wheel10(capsys, tmp_path)]
+        first, second = (run_fresh(argv, {"OPENBLAS_NUM_THREADS": threads}) for _ in range(2))
+        assert first.returncode == 0 and first.stdout, first.stderr
+        assert second.stdout == first.stdout
 
-        assert main(["--seed", "3", "generate", "wheel", "10"]) == 0
-        graph = write_graph(tmp_path, json.loads(capsys.readouterr().out))
-        src = str(Path(aldous.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        argv = [sys.executable, "-m", "aldous.cli", "gap", graph]
-        full = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
-        assert full.returncode == 0 and full.stdout, full.stderr
-        for kb in [*range(160000, 196000, 8000), 196000]:
-            def limit(kb=kb):
-                resource.setrlimit(resource.RLIMIT_AS, (kb * 1024, resource.getrlimit(resource.RLIMIT_AS)[1]))
 
-            run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit)
-            assert (run.returncode, run.stdout) in ((0, full.stdout), (2, "")), (kb, run.returncode, run.stderr)
+@pytest.mark.skipif(sys.platform != "linux", reason="sets RLIMIT_AS")
+@pytest.mark.parametrize(
+    "argv, limits",
+    [
+        (["gap"], [*range(160000, 196000, 8000), 196000]),
+        (["--format", "json", "rep", "8,8", "(1 2)"], range(160000, 260001, 20000)),
+        (["--format", "csv", "rep", "8,8", "(1 2)"], range(160000, 260001, 20000)),
+    ],
+    ids=["gap", "rep-json", "rep-csv"],
+)
+def test_address_space_ladder_gives_refusal_or_result(capsys, tmp_path, argv, limits):
+    """Under `ulimit -v` limits (in KB) around what each run needs, the
+    command prints the unlimited run's stdout or refuses with exit 2 and
+    empty stdout. `aldous gap` on the seed-3 10-vertex wheel never dies in
+    numpy's first solve, whose OpenBLAS buffer its estimate counts, and
+    `aldous rep` never dies in its text, which it makes a row at a time."""
+    import resource
+
+    if argv == ["gap"]:
+        argv = ["gap", seed3_wheel10(capsys, tmp_path)]
+    full = run_fresh(argv)
+    assert full.returncode == 0 and full.stdout, full.stderr
+    for kb in limits:
+        def limit(kb=kb):
+            resource.setrlimit(resource.RLIMIT_AS, (kb * 1024, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+        run = run_fresh(argv, preexec_fn=limit)
+        assert (run.returncode, run.stdout) in ((0, full.stdout), (2, b"")), (kb, run.returncode, run.stderr)
 
 
 class TestCheckConjecture:
@@ -372,6 +407,21 @@ class TestDecompose:
         # an n!-long array of pointers or floats alone would be 8 * 9! bytes
         assert peak - blocks < 8 * math.factorial(9) / 4
 
+    def test_json_solves_the_blocks_once(self, capsys, monkeypatch, wheel7_file):
+        """The direct check at n <= 7 once merged a shape_spectra pass of
+        its own before the pass that the JSON prints."""
+        calls = []
+
+        def counted(graph):
+            calls.append(graph.n)
+            return yor.shape_spectra(graph)
+
+        monkeypatch.setattr(cli, "shape_spectra", counted)
+        monkeypatch.setattr(interchange, "shape_spectra", counted)
+        code, out, _ = run_cli(capsys, "decompose", wheel7_file)
+        assert code == 0 and json.loads(out)["direct_check"] == {"performed": True, "matches": True}
+        assert calls == [7]
+
     def test_csv_refused_before_any_block(self, capsys, tmp_path, monkeypatch):
         path = write_graph(tmp_path, {"n": 9, "edges": [[1, 2, 1.0], [2, 9, 0.5]]})
         need = math.factorial(9) * cli._DECOMPOSE_CSV_BYTES + 2**26
@@ -420,6 +470,35 @@ class TestRep:
         code, out, _ = run_cli(capsys, "rep", partition, "(1 2)")
         assert code == 0
         assert json.loads(out)["matrix"] == [[entry]]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_text_fits_beside_the_matrix(self, capsys, monkeypatch, fmt):
+        """With its caches warm, `rep` 8,8 holds no more than what
+        rho_sigma's estimate counts, two f x f arrays and 200 bytes per box
+        of each tableau, while it writes to a sink that keeps no text: the
+        text is made a row at a time."""
+        from aldous.tableaux import Partition, enumerate_syt
+
+        argv = ["--format", fmt, "rep", "8,8", "(1 2)"]
+        assert main(argv) == 0  # fills the caches of tableaux and tables
+        expected = hashlib.md5(capsys.readouterr().out.encode()).hexdigest()
+        f = len(enumerate_syt(Partition((8, 8))))
+        digest = hashlib.md5()
+
+        class Sink:
+            def writelines(self, chunks):
+                for chunk in chunks:
+                    digest.update(chunk.encode())
+
+        monkeypatch.setattr(sys, "stdout", Sink())
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert digest.hexdigest() == expected
+        assert peak <= 2 * f * f * 8 + 200 * 16 * f
 
     def test_bad_sigma_exits_2(self, capsys):
         code, *_ = run_cli(capsys, "rep", "3,1", "(1 9)")

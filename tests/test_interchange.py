@@ -609,21 +609,27 @@ class TestMemoryGuard:
         with pytest.raises(ValueError, match="limited to 6000 states; a 8-vertex graph has 8! states"):
             interchange_spectrum(path_graph(8))
 
-    def test_cli_rep_exits_2_when_only_the_matrix_fits(self, monkeypatch, capsys):
+    def test_cli_rep_needs_only_the_matrix(self, monkeypatch, capsys):
+        """`aldous rep` makes its text a row at a time, so rho_sigma's
+        estimate, two f x f arrays and 200 bytes per box of each tableau
+        (f = 90 here), is all it checks: with that much it prints the
+        text it prints unchecked, with one byte less it exits 2."""
         from aldous.cli import main
 
-        # at f = 90 the json text (46 bytes per entry) needs more than
-        # rho_sigma's two f x f arrays and 200 bytes per box of each tableau
         f = len(enumerate_syt(Partition((4, 2, 1, 1))))
-        matrix = 2 * f * f * 8 + 200 * 8 * f  # what rho_sigma refuses below
-        monkeypatch.setattr(yor, "_available_bytes", lambda: matrix)
-        assert main(["rep", "4,2,1,1", "(1 2)"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "json text of the 90 x 90 matrix" in captured.err
-        monkeypatch.setattr(yor, "_available_bytes", lambda: matrix - 1)
-        assert main(["--format", "csv", "rep", "4,2,1,1", "(1 2)"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "90 x 90 arrays of shape (4,2,1,1)" in captured.err
+        matrix = 2 * f * f * 8 + 200 * 8 * f
+        for fmt in ("json", "csv"):
+            argv = ["--format", fmt, "rep", "4,2,1,1", "(1 2)"]
+            assert main(argv) == 0
+            text = capsys.readouterr().out
+            monkeypatch.setattr(yor, "_available_bytes", lambda: matrix)
+            assert main(argv) == 0
+            assert capsys.readouterr().out == text
+            monkeypatch.setattr(yor, "_available_bytes", lambda: matrix - 1)
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "90 x 90 arrays of shape (4,2,1,1)" in captured.err
+            monkeypatch.undo()
 
     def test_huge_n_refused_before_forming_its_factorial(self, monkeypatch):
         forbid_large_factorials(monkeypatch)
