@@ -28,13 +28,17 @@ Jucys-Murphy element, a per-shape Laplacian block), comes from one
 builder, `_rho_sums`, which follows the branching rule: in last-letter
 order the tableaux of lam with n in one corner are contiguous, and on
 them rho_ij for j < n is the rho_ij of the shape one box below. The
-builder walks the levels k = 1..n. At level k each shape holds a stack:
-slot 0 is the sum over the edges inside 1..k, and one slot per later
-column m holds sum_{i<k} w_im rho_{i,k}. A shape of level k+1 places the
-stacks of the shapes one box below on its corner groups, conjugates each
-column by (k, k+1) in O(f^2) and adds w_{k,m} (k, k+1); column k+1 then
-joins slot 0. Only the stacks of one level and the top block being built
-are held, and nothing outlives the call.
+builder walks the levels k = 1..n. At level k each shape holds a stack,
+one c x f x f array: slot 0 is the sum over the edges inside 1..k, and
+column m > k holds sum_{i<k} w_im rho_{i,k}. Only the nonzero ones are
+held; which they are depends on the weights alone, so one tuple of
+labels per level (k for slot 0, m for column m, ascending) lays out
+every stack of that level. A shape of level k+1 places the columns of
+the shapes one box below on its corner groups, one assignment per
+group, conjugates them all by (k, k+1) in one O(c f^2) pass and adds
+w_{k,m} (k, k+1) with one indexed update; column k+1, the first, then
+joins slot 0. Only the stacks of one level and the top block being
+built are held, and nothing outlives the call.
 
 The reflection-difference matrices V_ij = I - rho_ij are positive
 semidefinite with eigenvalues in {0, 2}; weighting them by edge rates
@@ -128,55 +132,77 @@ def _corner_groups(parts: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], slice
 
 
 def _conjugate(M: np.ndarray, table: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
-    """M <- A M A in place for the adjacent transposition A = `table`, in
-    O(f^2): rows, then columns, with at most two nonzeros in each line
-    of A."""
+    """M <- A M A in place for the adjacent transposition A = `table` and
+    each f x f matrix of the stack M, in O(f^2) per matrix: rows, then
+    columns, with at most two nonzeros in each line of A."""
     diag, off, partner = table
-    X = np.take(M, partner, axis=0)
+    X = np.take(M, partner, axis=1)
     X *= off[:, None]
     M *= diag[:, None]
     M += X
-    np.take(M, partner, axis=1, out=X, mode="clip")  # "raise" would buffer `out`
+    np.take(M, partner, axis=2, out=X, mode="clip")  # "raise" would buffer `out`
     X *= off
     M *= diag
     M += X
 
 
-def _grow(lam: tuple[int, ...], below: dict, weights: dict, n: int) -> list:
+def _level_steps(n: int, weights: dict) -> list:
+    """How `_grow` builds each level k = 2..n from level k - 1: (matrices
+    per stack, where the columns of level k - 1 go, the range conjugated,
+    merge, weighted).
+
+    A stack of level k holds its nonzero matrices, ascending by label:
+    label k for slot 0 (the edges inside 1..k, column k among them) and
+    label m > k for column m (the edges (i, m), i < k). The columns of
+    level k - 1 keep their order in level k, so they fill `place`, one
+    slice or index array inside the range `conjugated` (a column that
+    level k gains between two of them is still +0.0 there, and
+    conjugating it leaves it +0.0, bit for bit); `merge` is 1 when
+    level k - 1 has a slot 0 to add to slot 0 of level k. `weighted`
+    holds the matrices of level k whose w_{k-1,m} is nonzero and those
+    weights, as columns for broadcasting, or None.
+    """
+    labels = [tuple(sorted({max(j, k) for i, j in weights if i < k})) for k in range(n + 1)]
+    steps: list = [None, None]
+    for k in range(2, n + 1):
+        new, old = labels[k], labels[k - 1]
+        merge = int(old[:1] == (k - 1,))
+        kept = [new.index(m) for m in old[merge:]]
+        place = conjugated = None
+        if kept:
+            conjugated = slice(kept[0], kept[-1] + 1)
+            place = conjugated if len(kept) == kept[-1] + 1 - kept[0] else np.array(kept)
+        at = [p for p, m in enumerate(new) if (k - 1, m) in weights]
+        w = [weights[k - 1, new[p]] for p in at]
+        weighted = (np.array(at)[:, None], np.array(w, dtype=float)[:, None]) if at else None
+        steps.append((len(new), place, conjugated, merge, weighted))
+    return steps
+
+
+def _grow(lam: tuple[int, ...], below: dict, step: tuple) -> np.ndarray:
     """The stack of shape `lam` (k boxes) from the stacks `below` of level
-    k - 1: [slot 0, column k+1, ..., column n], None for a zero slot."""
-    k = sum(lam)
-    diag, off, partner = table = _adjacent_table(lam, k - 1)
+    k - 1, laid out by `step` (`_level_steps`): the columns of the shapes
+    below go on the corner groups, are conjugated by (k-1, k) in one pass
+    and get w_{k-1,m} (k-1, k); then slot 0 of the shapes below joins
+    column k in slot 0."""
+    size, place, conjugated, merge, weighted = step
+    diag, off, partner = table = _adjacent_table(lam, sum(lam) - 1)
     f = len(diag)
     groups = [(below[mu], rows) for mu, rows in _corner_groups(lam)]
-
-    def direct_sum(slot):
-        if groups[0][0][slot] is None:  # zero in every shape of the level
-            return None
-        M = np.zeros((f, f))
+    S = np.zeros((size, f, f))
+    if conjugated is not None:
         for stack, rows in groups:
-            M[rows, rows] = stack[slot]
-        return M
-
-    columns = []
-    for slot, m in enumerate(range(k, n + 1), start=1):
-        M = direct_sum(slot)
-        if M is not None:
-            _conjugate(M, table)
-        w = weights.get((k - 1, m))
-        if w:
-            if M is None:
-                M = np.zeros((f, f))
-            M.flat[:: f + 1] += w * diag
-            M[np.arange(f), partner] += w * off
-        columns.append(M)
-    inside = columns[0]  # column k joins the edges inside 1..k-1
-    if groups[0][0][0] is not None:
-        if inside is None:
-            inside = np.zeros((f, f))
+            S[place, rows, rows] = stack[merge:]
+        _conjugate(S[conjugated], table)
+    if weighted is not None:
+        at, w = weighted
+        i = np.arange(f)
+        S[at, i, i] += w * diag
+        S[at, i, partner] += w * off
+    if merge:
         for stack, rows in groups:
-            inside[rows, rows] += stack[0]
-    return [inside] + columns[1:]
+            S[0, rows, rows] += stack[0]
+    return S
 
 
 def _rho_sums(
@@ -188,16 +214,17 @@ def _rho_sums(
     requested ones are built one level at a time, and each top block only
     when it is asked for."""
     weights = {pair: w for pair, w in weights.items() if w != 0}
+    steps = _level_steps(n, weights)
     levels = [list(shapes)]
     for _ in range(n - 2):
         below = (mu for lam in levels[-1] for mu, _ in _corner_groups(lam))
         levels.append(list(dict.fromkeys(below)))
-    stacks = {(1,): [None] * n}  # one box, no edge yet: slot 0 and columns 2..n
+    stacks = {(1,): np.zeros((0, 1, 1))}  # one box, no edge yet
     for level in reversed(levels[1:]):
-        stacks = {lam: _grow(lam, stacks, weights, n) for lam in level}
+        stacks = {lam: _grow(lam, stacks, steps[sum(lam)]) for lam in level}
     for lam in shapes:
-        S = _grow(lam, stacks, weights, n)[0] if n > 1 else None
-        yield lam, np.zeros((f_dim(Partition(lam)),) * 2) if S is None else S
+        S = _grow(lam, stacks, steps[n]) if n > 1 else ()
+        yield lam, S[0] if len(S) else np.zeros((f_dim(Partition(lam)),) * 2)
 
 
 def _rho_sum(lam: Partition, weights: dict) -> np.ndarray:
@@ -350,10 +377,9 @@ def shape_spectra(graph) -> list[tuple[Partition, np.ndarray, float]]:
     shapes = enumerate_partitions(graph.n)
     need += 2 * max(f_dim(lam) for lam in shapes) ** 2 * 8 + BLAS_BUFFER_BYTES
     _require_bytes(need, what)
-    solve: list[tuple[int, ...]] = []
-    for lam in shapes:
-        if lam.conjugate().parts not in solve:
-            solve.append(lam.parts)
+    conjugate = {lam.parts: lam.conjugate().parts for lam in shapes}
+    rank = {parts: r for r, parts in enumerate(conjugate)}
+    solve = [parts for parts, twin in conjugate.items() if rank[twin] >= rank[parts]]
     solved = {}
     for parts, L in _rho_sums(graph.n, graph.weights, solve):
         if parts == solve[0]:  # the one-row shape comes first: its sum is W
@@ -370,7 +396,7 @@ def shape_spectra(graph) -> list[tuple[Partition, np.ndarray, float]]:
         if lam.parts in solved:
             vals, off_max, diag = solved[lam.parts]
         else:
-            vals, off_max, diag = solved[lam.conjugate().parts]
+            vals, off_max, diag = solved[conjugate[lam.parts]]
             vals = 2.0 * total - vals[::-1]
             diag = 2.0 * total - diag
         out.append((lam, vals, max(off_max, float(np.abs(diag).max()))))

@@ -1,16 +1,19 @@
 """Shared fixtures for the test suite: exhaustive tree enumeration,
-seeded graph suites and failing stand-ins for ARPACK. Kept independent
-of the library's graph machinery where they serve as oracles."""
+seeded graph suites, failing stand-ins for ARPACK and loop-built
+reference builders. Kept independent of the library's graph machinery
+where they serve as oracles."""
 
 import math
+from collections.abc import Iterator
 from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import strategies as st
 
-from aldous.graphs import WeightedGraph, random_connected_graph
+from aldous.graphs import SignedWeightedGraph, WeightedGraph, random_connected_graph
 from aldous.reduction import (
     DegreeOne,
     EliminationCertificate,
@@ -25,6 +28,8 @@ from aldous.reduction import (
     _edge_key,
     apply_rule,
 )
+from aldous.tableaux import Partition, f_dim
+from aldous.yor import _adjacent_table, _corner_groups
 
 # unlabeled trees on 1..8 vertices (classic counts)
 TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23}
@@ -157,6 +162,98 @@ def wrong_eigenpair(A, k, **kwargs):
 def no_convergence(A, k, **kwargs):
     """Stands in for eigsh: ARPACK gives up with no eigenpair."""
     raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((A.shape[0], 0)))
+
+
+@st.composite
+def signed_graphs(draw, max_n=6):
+    """Graphs on 1..max_n vertices whose weights may be negative, zero or
+    all zero, so the diagonal total can vanish while edges remain."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    weight = st.one_of(st.just(0.0), st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return SignedWeightedGraph(n, {e: draw(weight) for e in chosen})
+
+
+# ---------------------------------------------------------------------------
+# Reference per-shape builder: `aldous.yor._rho_sums` as it was when each
+# stack held one f x f slot per column, None for a zero column, and each
+# column was conjugated on its own. The library's batched builder must
+# give the same blocks bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _loop_conjugate(M: np.ndarray, table: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
+    """M <- A M A in place for the adjacent transposition A = `table`, in
+    O(f^2): rows, then columns, with at most two nonzeros in each line
+    of A."""
+    diag, off, partner = table
+    X = np.take(M, partner, axis=0)
+    X *= off[:, None]
+    M *= diag[:, None]
+    M += X
+    np.take(M, partner, axis=1, out=X, mode="clip")  # "raise" would buffer `out`
+    X *= off
+    M *= diag
+    M += X
+
+
+def _loop_grow(lam: tuple[int, ...], below: dict, weights: dict, n: int) -> list:
+    """The stack of shape `lam` (k boxes) from the stacks `below` of level
+    k - 1: [slot 0, column k+1, ..., column n], None for a zero slot."""
+    k = sum(lam)
+    diag, off, partner = table = _adjacent_table(lam, k - 1)
+    f = len(diag)
+    groups = [(below[mu], rows) for mu, rows in _corner_groups(lam)]
+
+    def direct_sum(slot):
+        if groups[0][0][slot] is None:  # zero in every shape of the level
+            return None
+        M = np.zeros((f, f))
+        for stack, rows in groups:
+            M[rows, rows] = stack[slot]
+        return M
+
+    columns = []
+    for slot, m in enumerate(range(k, n + 1), start=1):
+        M = direct_sum(slot)
+        if M is not None:
+            _loop_conjugate(M, table)
+        w = weights.get((k - 1, m))
+        if w:
+            if M is None:
+                M = np.zeros((f, f))
+            M.flat[:: f + 1] += w * diag
+            M[np.arange(f), partner] += w * off
+        columns.append(M)
+    inside = columns[0]  # column k joins the edges inside 1..k-1
+    if groups[0][0][0] is not None:
+        if inside is None:
+            inside = np.zeros((f, f))
+        for stack, rows in groups:
+            inside[rows, rows] += stack[0]
+    return [inside] + columns[1:]
+
+
+def loop_rho_sums(
+    n: int, weights: dict, shapes: list[tuple[int, ...]]
+) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """Yield (parts, sum of w_ij rho_ij) for each shape of n boxes in
+    `shapes`, in that order, on the last-letter basis; `weights` maps
+    pairs (i, j), i < j, to rates. The stacks of the shapes under the
+    requested ones are built one level at a time, and each top block only
+    when it is asked for."""
+    weights = {pair: w for pair, w in weights.items() if w != 0}
+    levels = [list(shapes)]
+    for _ in range(n - 2):
+        below = (mu for lam in levels[-1] for mu, _ in _corner_groups(lam))
+        levels.append(list(dict.fromkeys(below)))
+    stacks = {(1,): [None] * n}  # one box, no edge yet: slot 0 and columns 2..n
+    for level in reversed(levels[1:]):
+        stacks = {lam: _loop_grow(lam, stacks, weights, n) for lam in level}
+    for lam in shapes:
+        S = _loop_grow(lam, stacks, weights, n)[0] if n > 1 else None
+        yield lam, np.zeros((f_dim(Partition(lam)),) * 2) if S is None else S
 
 
 def loop_interchange_laplacian(G):

@@ -13,7 +13,7 @@ import aldous
 from aldous import cli, conjecture, interchange, yor
 from aldous.cli import main
 from aldous.graphs import collapse_last_vertex, graph_from_json_dict, graph_to_json_dict
-from helpers import forbid_large_factorials
+from helpers import forbid_large_factorials, loop_rho_sums
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -587,3 +587,31 @@ class TestGoldenStdout:
         code, out, err = run_cli(capsys, *argv)
         assert code == 0 and err == ""
         assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gap", "wheel_7"],
+        ["gap", "wheel_8"],
+        ["check-conjecture", "--k", "7", "--gamma", "1,2,3,4,5,6"],
+        ["--format", "json", "decompose", "wheel_7"],
+        ["--format", "csv", "decompose", "wheel_7"],
+    ],
+    ids=["gap-wheel7", "gap-wheel8", "check-conjecture-k7", "decompose-json", "decompose-csv"],
+)
+def test_per_shape_stdout_matches_the_loop_oracle(capsys, monkeypatch, tmp_path, argv):
+    """The per-shape commands print the same bytes whether their blocks
+    come from `yor._rho_sums` or from `loop_rho_sums`, the per-column
+    builder it replaced. Their eigenvalues depend on the CPU's BLAS
+    kernels, so this compares two runs instead of a golden file."""
+    graphs = {}
+    for n in (7, 8):
+        assert main(["generate", "wheel", str(n)]) == 0
+        graphs[f"wheel_{n}"] = tmp_path / f"wheel_{n}.json"
+        graphs[f"wheel_{n}"].write_text(capsys.readouterr().out)
+    argv = [str(graphs.get(arg, arg)) for arg in argv]
+    built = run_cli(capsys, *argv)
+    monkeypatch.setattr(yor, "_rho_sums", loop_rho_sums)
+    assert run_cli(capsys, *argv) == built
+    assert built[0] == 0 and built[1] and built[2] == ""

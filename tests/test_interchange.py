@@ -44,18 +44,13 @@ from aldous.spectral import (
 )
 from aldous.tableaux import Partition, enumerate_partitions, enumerate_syt
 from aldous.yor import irrep_laplacian, shape_spectra
-from helpers import forbid_large_factorials, loop_interchange_laplacian, no_convergence, wrong_eigenpair
-
-
-@st.composite
-def signed_graphs(draw, max_n=6):
-    """Graphs on 1..max_n vertices whose weights may be negative, zero or
-    all zero, so the diagonal total can vanish while edges remain."""
-    n = draw(st.integers(1, max_n))
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    weight = st.one_of(st.just(0.0), st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False))
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    return SignedWeightedGraph(n, {e: draw(weight) for e in chosen})
+from helpers import (
+    forbid_large_factorials,
+    loop_interchange_laplacian,
+    no_convergence,
+    signed_graphs,
+    wrong_eigenpair,
+)
 
 
 def assert_same_csr(A, B):

@@ -3,10 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aldous import tableaux, yor
+from aldous.conjecture import comparison_weights
 from aldous.graphs import (
     SignedWeightedGraph,
     WeightedGraph,
@@ -14,6 +15,8 @@ from aldous.graphs import (
     path_graph,
     random_connected_graph,
     rw_laplacian,
+    star_graph,
+    wheel_graph,
 )
 from aldous.permutations import Permutation
 from aldous.spectral import is_psd, multiset_equal
@@ -21,6 +24,7 @@ from aldous.conjecture import conjecture_matrix
 from aldous.tableaux import (
     Partition,
     content,
+    content_sum,
     covers_below,
     enumerate_partitions,
     enumerate_syt,
@@ -38,6 +42,7 @@ from aldous.yor import (
     shape_spectra,
     transposition_difference,
 )
+from helpers import loop_rho_sums, signed_graphs
 
 
 def dense_adjacent_oracle(lam, i):
@@ -495,6 +500,84 @@ class TestConjugateTwist:
         H = SignedWeightedGraph(4, {(1, 4): 1.0, (2, 4): 2.0, (3, 4): 0.5, (1, 2): -0.9})
         for lam, _, norm in shape_spectra(H):
             assert norm == pytest.approx(np.abs(irrep_laplacian(lam, H)).max(), rel=1e-12)
+
+
+FIXED_GRAPHS = {
+    "path": path_graph,
+    "star": lambda n: star_graph(n) if n >= 2 else WeightedGraph(1, {}),
+    "one_edge": lambda n: WeightedGraph(n, {(1, n): 1.3} if n >= 2 else {}),
+    "complete": lambda n: complete_graph(n) if n >= 2 else WeightedGraph(1, {}),
+    # level 3 gains column n-1 between the columns n-2 and n of level 2
+    "gapped": lambda n: WeightedGraph(n, {(1, n - 2): 1.0, (1, n): 0.7, (2, n - 1): 0.4} if n >= 5 else {}),
+}
+
+
+class TestLoopOracle:
+    """The batched builder `_rho_sums` against `loop_rho_sums`, the
+    builder with one f x f slot per column that it replaced: every block
+    equal bit for bit, signed zeros included."""
+
+    @staticmethod
+    def assert_same_blocks(G):
+        shapes = [lam.parts for lam in enumerate_partitions(G.n)]
+        built = list(yor._rho_sums(G.n, G.weights, shapes))
+        looped = list(loop_rho_sums(G.n, G.weights, shapes))
+        assert [parts for parts, _ in built] == [parts for parts, _ in looped] == shapes
+        for (parts, S), (_, T) in zip(built, looped):
+            assert S.shape == T.shape and S.tobytes() == T.tobytes(), parts
+
+    @given(signed_graphs(max_n=8))
+    @settings(max_examples=60, deadline=None)
+    def test_signed_graphs(self, G):
+        self.assert_same_blocks(G)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("family", FIXED_GRAPHS)
+    def test_fixed_graphs(self, family, n):
+        self.assert_same_blocks(FIXED_GRAPHS[family](n))
+
+    @pytest.mark.parametrize(
+        "G",
+        [wheel_graph(8, seed=2), random_connected_graph(8, np.random.default_rng(4)), comparison_weights(range(1, 8))],
+        ids=["wheel", "random", "comparison"],
+    )
+    def test_shape_spectra_through_the_oracle(self, monkeypatch, G):
+        def flat(spectra):
+            return [(lam, vals.tobytes(), norm) for lam, vals, norm in spectra]
+
+        built = flat(shape_spectra(G))
+        monkeypatch.setattr(yor, "_rho_sums", loop_rho_sums)
+        assert flat(shape_spectra(G)) == built
+
+
+@st.composite
+def rated_graphs(draw):
+    """Random connected graphs with rates spread over six decades, or the
+    signed comparison weights of `check_conjecture`."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 8))
+        G = random_connected_graph(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+        scale = st.floats(1e-3, 1e3)
+        return WeightedGraph(n, {e: w * draw(scale) for e, w in G.weights.items()})
+    k = draw(st.integers(2, 8))
+    gamma = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), min_size=k - 1, max_size=k - 1))
+    assume(k == 2 or sum(gamma) > 0)
+    return comparison_weights(gamma)
+
+
+class TestTraceIdentity:
+    @given(rated_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_spectrum_sums_to_the_content_trace(self, G):
+        # tr L^lam = f W (1 - p1(lam) / C(n, 2)): every transposition has
+        # the character f p1 / C(n, 2); the reflected shapes are covered too
+        total = sum(G.weights.values())
+        pairs = G.n * (G.n - 1) // 2
+        for lam, vals, norm in shape_spectra(G):
+            f = len(vals)
+            trace = f * total * (1 - content_sum(lam) / pairs)
+            tol = 4 * f * G.n * np.finfo(float).eps * (1 + norm)
+            assert abs(vals.sum() - trace) <= tol, lam
 
 
 SINGLE_SHAPE_BUILDERS = {
