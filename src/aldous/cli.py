@@ -29,7 +29,7 @@ from .permutations import parse_permutation
 from .reduction import EliminationCertificate, certify_elimination, replay_elimination
 from .spectral import BLAS_BUFFER_BYTES, DEFAULT_TOL, DENSE_LIMIT, multiset_equal
 from .tableaux import Partition, enumerate_syt, parse_partition
-from .yor import _require_bytes, rho_sigma, shape_spectra
+from .yor import _require_bytes, _states, rho_sigma, shape_spectra
 
 # Peak bytes per state while `decompose` makes its CSV: the per-shape
 # spectra tiled, their concatenation, its sorted copy and the sort's
@@ -152,7 +152,7 @@ def _cmd_generate(args) -> tuple[str, int]:
 
 def _cmd_decompose(args) -> tuple[str | Iterator[str], int]:
     G = _load_graph(args.graph)
-    states = math.factorial(min(G.n, 200))  # 200! bytes already print as inf GiB
+    states = _states(G.n)
     if args.format == "csv":
         what = f"the {G.n}! eigenvalues of the merged spectrum and their CSV text"
         _require_bytes(states * _DECOMPOSE_CSV_BYTES + BLAS_BUFFER_BYTES + 2**25, what)

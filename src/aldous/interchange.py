@@ -45,9 +45,10 @@ n = 8 on paths, wheels, complete and random graphs (58-115 ms when B
 was ranked by binary search and ARPACK kept 20 vectors), 0.71-1.31 s
 at 164 MB peak RSS on K_9 (1.0-1.3 s at 179 MB), and 13.1 s at 1.26 GB
 on K_10 (15.2 s at 1.41 GB). Up to
-`spectral.DENSE_CROSSOVER` states (n <= 5), and when that solve fails
-its residual check, the gap is read off `interchange_spectrum`, the one
-dense solve of B.
+`spectral.DENSE_CROSSOVER` states (n <= 5), and up to
+`spectral.DENSE_LIMIT` states when that solve raises NoConvergence
+(ARPACK stopped, or its pair failed the residual check), the gap is
+read off `interchange_spectrum`, the one dense solve of B.
 
 There is no fixed cap on n. Before it builds anything, each explicit
 function passes one estimate to `yor._require_bytes`: the larger of
@@ -57,9 +58,8 @@ block and what `eigvalsh` maps for `interchange_spectrum`,
 `spectral.iterative_solve_bytes` for `gap_interchange`), so a graph
 whose solve would not fit is refused with ValueError before anything
 is allocated; the fallback of `gap_interchange` frees its block and
-then makes the estimate of `interchange_spectrum`. Past n = 200 the
-states are counted as 200!: that many bytes already print as inf GiB,
-and forming n! itself took 9 s at n = 10^6 (2-vCPU x86 host). The per-shape route
+then makes the estimate of `interchange_spectrum`. The states are
+counted by `yor._states`, which stops at 200!. The per-shape route
 (`spectrum_via_irreps`, `aldous_check`) makes one `yor.shape_spectra`
 pass, which refuses the same way a graph whose blocks would not fit.
 """
@@ -76,7 +76,7 @@ from .graphs import WeightedGraph, rw_laplacian
 from .spectral import BLAS_BUFFER_BYTES, DEFAULT_TOL, DENSE_CROSSOVER, DENSE_LIMIT, NoConvergence
 from .spectral import bipartite_laplacian_gap, iterative_solve_bytes
 from .tableaux import Partition, f_dim
-from .yor import _require_bytes, shape_spectra
+from .yor import _require_bytes, _states, shape_spectra
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -116,7 +116,7 @@ def _block_footprint(G: WeightedGraph) -> tuple[int, int]:
     8-byte index that each gather makes. Both counts add 64 KiB for the
     small objects around the arrays.
     """
-    n, size = G.n, math.factorial(min(G.n, 200))
+    n, size = G.n, _states(G.n)
     edges, half = sum(1 for w in G.weights.values() if w != 0), size // 2
     index = 4 if half * edges < 2**31 else 8
     swaps = len(_adjacent_swaps(_chain_ends(G)))
@@ -246,7 +246,7 @@ def interchange_spectrum(G: WeightedGraph) -> np.ndarray:
     building anything, when the block, its dense copy and what the dense
     solve maps beside them would not fit in memory.
     """
-    size = math.factorial(min(G.n, 200))
+    size = _states(G.n)
     if size > DENSE_LIMIT:
         raise ValueError(
             f"a dense spectrum is limited to {DENSE_LIMIT} states; "
@@ -277,16 +277,17 @@ def gap_interchange(G: WeightedGraph) -> float:
     edges, whose Laplacian is the zero matrix. Above DENSE_CROSSOVER
     states it is solved on the even half of the words
     (`spectral.bipartite_laplacian_gap`); otherwise, or when that solve
-    fails its residual check, it is read off `interchange_spectrum`.
-    Raises ValueError, before building anything, when the block and what
-    its solve holds would not fit in memory, and when the iterative
-    solve fails on more than DENSE_LIMIT states.
+    raises NoConvergence on at most DENSE_LIMIT states, it is read off
+    `interchange_spectrum`. Raises ValueError, before building anything,
+    when the block and what its solve holds would not fit in memory, and
+    NoConvergence (a ValueError) when the iterative solve fails on more
+    than DENSE_LIMIT states.
     """
     if G.n < 2:
         raise ValueError("need at least 2 vertices")
     if not any(G.weights.values()):
         return 0.0
-    size = math.factorial(min(G.n, 200))
+    size = _states(G.n)
     if size > DENSE_CROSSOVER:
         import scipy.sparse.linalg  # noqa: F401  (loaded first: the check counts it as mapped)
         peak, held = _block_footprint(G)

@@ -173,7 +173,7 @@ def iterative_solve_bytes(rows: int) -> int:
 
 
 class NoConvergence(ValueError):
-    """An iterative eigensolve whose eigenpair failed its residual check."""
+    """An iterative eigensolve that stopped or whose pair failed its residual check."""
 
 
 def bipartite_laplacian_gap(B, total: float) -> float:
@@ -193,15 +193,15 @@ def bipartite_laplacian_gap(B, total: float) -> float:
     four times as large against the width of the spectrum, and Lanczos
     converges in fewer steps than on L, with vectors half as long.
 
-    The solve starts from a fixed vector, so repeated calls in one
-    process give the same bits. Separate processes need not: the zero
-    gap of a one-edge graph on 6 or 7 vertices has come back as
-    different rounding noise of about 1e-16 in two fresh processes. Its
+    The solve starts from a fixed vector, but on a restart, as on a
+    reducible chain, ARPACK asks for a random one, which scipy 1.17
+    (`eigsh(rng=None)`) draws from OS entropy: a zero gap's rounding
+    noise (about 1e-16) can then differ between processes. The
     eigenvector v is lifted to L as (v, B^T v / (W - mu)), and mu is
     accepted only when that pair's residual ||Lx - mu x|| / ||x||, which
     bounds the distance from mu to the spectrum of L, is at most
-    SOLVER_TOL * (1 + |W|). Otherwise, or when ARPACK does not converge,
-    it raises NoConvergence, and the caller chooses what to do instead.
+    SOLVER_TOL * (1 + |W|). Anything else, any stop of ARPACK included,
+    raises NoConvergence, and the caller chooses what to do instead.
     """
     import scipy.sparse.linalg as spla  # deferred: the per-shape route never needs scipy
 
@@ -228,10 +228,9 @@ def bipartite_laplacian_gap(B, total: float) -> float:
         vals, vecs = spla.eigsh(
             op, k=1, which="SA", tol=SOLVER_TOL, maxiter=20000, v0=v0, ncv=min(KRYLOV_VECTORS, half)
         )
-    except spla.ArpackNoConvergence as exc:
-        vals, vecs = exc.eigenvalues, exc.eigenvectors
-    residual = math.inf
-    if len(vals):
+    except spla.ArpackError:  # ArpackNoConvergence among them: with k = 1 it holds no pair
+        residual = math.inf
+    else:
         root = math.sqrt(max(square - vals[0], 0.0))  # sigma_2 = W - mu
         mu = float(vals[0]) / (total + root)
         v = vecs[:, 0]

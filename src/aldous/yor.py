@@ -225,6 +225,7 @@ def _rho_sums(
     for lam in shapes:
         S = _grow(lam, stacks, steps[n]) if n > 1 else ()
         yield lam, S[0] if len(S) else np.zeros((f_dim(Partition(lam)),) * 2)
+        del S  # the caller's block is the only hold on it while the next one is built
 
 
 def _rho_sum(lam: Partition, weights: dict) -> np.ndarray:
@@ -327,6 +328,13 @@ def _available_bytes() -> int:
     return available
 
 
+def _states(n: int) -> int:
+    """n!, counted as 200! past n = 200, for the estimates passed to
+    `_require_bytes`: 200! bytes already print as inf GiB, and forming n!
+    itself took 9 s at n = 10^6 (2-vCPU x86 host)."""
+    return math.factorial(min(n, 200))
+
+
 def _require_bytes(need: int, what: str) -> None:
     """Refuse, before anything is allocated, a build that needs more than
     `need` bytes when this process cannot get that much memory. `what`
@@ -344,11 +352,8 @@ def _require_bytes(need: int, what: str) -> None:
 def _stacks_bytes(n: int) -> int:
     """Bytes of the stacks that `_rho_sums` holds while it builds the top
     blocks of n boxes: two f x f slots for each shape of n - 1 boxes, at
-    most 2 (n-1)! entries since f^2 sums to (n-1)!. Past n = 200 they are
-    counted as 2 * 199! entries: that many bytes already print as inf
-    GiB, and forming (n-1)! itself took 9 s at n = 10^6 (2-vCPU x86
-    host)."""
-    return 16 * math.factorial(min(n, 200) - 1)
+    most 2 (n-1)! entries since f^2 sums to (n-1)!."""
+    return 16 * _states(n - 1)
 
 
 def shape_spectra(graph) -> list[tuple[Partition, np.ndarray, float]]:

@@ -164,6 +164,12 @@ def no_convergence(A, k, **kwargs):
     raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((A.shape[0], 0)))
 
 
+def arpack_error(A, k, **kwargs):
+    """Stands in for eigsh: ARPACK stops with its error 3, "No shifts could
+    be applied", which is no ArpackNoConvergence."""
+    raise spla.ArpackError(3)
+
+
 @st.composite
 def signed_graphs(draw, max_n=6):
     """Graphs on 1..max_n vertices whose weights may be negative, zero or

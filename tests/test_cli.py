@@ -121,19 +121,30 @@ class TestGap:
         (["gap"], [*range(160000, 196000, 8000), 196000]),
         (["--format", "json", "rep", "8,8", "(1 2)"], range(160000, 260001, 20000)),
         (["--format", "csv", "rep", "8,8", "(1 2)"], range(160000, 260001, 20000)),
+        (
+            ["check-conjecture", "--k", "10", "--gamma", "1,2,3,4,5,6,7,8,9"],
+            [*range(160000, 196000, 8000), 196000, 260000],
+        ),
+        (["--format", "json", "decompose"], range(160000, 220001, 10000)),
     ],
-    ids=["gap", "rep-json", "rep-csv"],
+    ids=["gap", "rep-json", "rep-csv", "check-conjecture", "decompose-json"],
 )
 def test_address_space_ladder_gives_refusal_or_result(capsys, tmp_path, argv, limits):
     """Under `ulimit -v` limits (in KB) around what each run needs, the
     command prints the unlimited run's stdout or refuses with exit 2 and
     empty stdout. `aldous gap` on the seed-3 10-vertex wheel never dies in
     numpy's first solve, whose OpenBLAS buffer its estimate counts, and
-    `aldous rep` never dies in its text, which it makes a row at a time."""
+    `aldous rep` never dies in its text, which it makes a row at a time.
+    `check-conjecture` at k = 10 and `decompose` on the 9-vertex wheel make
+    the same per-shape pass with the same estimate. Below about 150000 KB
+    the interpreter dies inside `import numpy`, before any check can run."""
     import resource
 
     if argv == ["gap"]:
         argv = ["gap", seed3_wheel10(capsys, tmp_path)]
+    elif argv[-1] == "decompose":
+        assert main(["generate", "wheel", "9"]) == 0
+        argv = [*argv, write_graph(tmp_path, json.loads(capsys.readouterr().out))]
     full = run_fresh(argv)
     assert full.returncode == 0 and full.stdout, full.stderr
     for kb in limits:

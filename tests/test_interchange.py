@@ -45,6 +45,7 @@ from aldous.spectral import (
 from aldous.tableaux import Partition, enumerate_partitions, enumerate_syt
 from aldous.yor import irrep_laplacian, shape_spectra
 from helpers import (
+    arpack_error,
     forbid_large_factorials,
     loop_interchange_laplacian,
     no_convergence,
@@ -306,13 +307,13 @@ class TestDenseFallback:
     reads the gap off the dense spectrum up to the dense limit."""
 
     @pytest.mark.parametrize("n", [6, 7])
-    @pytest.mark.parametrize("fake", [wrong_eigenpair, no_convergence])
+    @pytest.mark.parametrize("fake", [wrong_eigenpair, no_convergence, arpack_error])
     def test_falls_back_to_dense(self, monkeypatch, fake, n):
         G = random_connected_graph(n, np.random.default_rng(70 + n), extra_edge_prob=0.3)
         monkeypatch.setattr(spla, "eigsh", fake)
         assert gap_interchange(G) == dense_gap(G)
 
-    @pytest.mark.parametrize("fake", [wrong_eigenpair, no_convergence])
+    @pytest.mark.parametrize("fake", [wrong_eigenpair, no_convergence, arpack_error])
     def test_raises_above_dense_limit(self, monkeypatch, fake):
         monkeypatch.setattr(spla, "eigsh", fake)
         message = "iterative eigensolve of dimension 40320 did not converge: residual"

@@ -13,7 +13,7 @@ from aldous.spectral import (
     multiset_equal,
     shift_bound_check,
 )
-from helpers import no_convergence, wrong_eigenpair
+from helpers import arpack_error, no_convergence, wrong_eigenpair
 
 
 class TestIsPsd:
@@ -159,14 +159,14 @@ class TestIterativeFallback:
     """The kernel has no fallback of its own: it reports a failed residual
     check to its caller (`interchange.gap_interchange` falls back)."""
 
-    @pytest.mark.parametrize("fake", [wrong_eigenpair, no_convergence])
+    @pytest.mark.parametrize("fake", [wrong_eigenpair, no_convergence, arpack_error])
     def test_raises_above_dense_limit(self, monkeypatch, fake):
         half = DENSE_LIMIT // 2 + 1
         monkeypatch.setattr(spla, "eigsh", fake)
         with pytest.raises(NoConvergence, match=f"dimension {2 * half}.*residual"):
             bipartite_laplacian_gap(cycle_block(half), 2.0)
 
-    @pytest.mark.parametrize("fake", [wrong_eigenpair, no_convergence])
+    @pytest.mark.parametrize("fake", [wrong_eigenpair, no_convergence, arpack_error])
     def test_raises_below_dense_limit(self, monkeypatch, fake):
         monkeypatch.setattr(spla, "eigsh", fake)
         with pytest.raises(NoConvergence, match="dimension 40 .*residual"):

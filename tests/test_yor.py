@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -550,6 +552,26 @@ class TestLoopOracle:
         assert flat(shape_spectra(G)) == built
 
 
+def test_yielded_block_is_freed_before_the_next_is_built(monkeypatch):
+    """`_rho_sums` keeps no hold on a top block it has yielded: once the
+    caller drops the block, its array is gone before `_grow` starts the
+    next top block, so `shape_spectra` holds one top block at a time."""
+    G = wheel_graph(7, seed=1)
+    shapes = [lam.parts for lam in enumerate_partitions(G.n)]
+    grow, previous, freed = yor._grow, [], []
+
+    def watched(lam, below, step):
+        if sum(lam) == G.n and previous:
+            freed.append(previous[-1]() is None)
+        return grow(lam, below, step)
+
+    monkeypatch.setattr(yor, "_grow", watched)
+    for _, L in yor._rho_sums(G.n, G.weights, shapes):
+        previous.append(weakref.ref(L.base))
+        del L
+    assert freed == [True] * (len(shapes) - 1)
+
+
 @st.composite
 def rated_graphs(draw):
     """Random connected graphs with rates spread over six decades, or the
@@ -578,6 +600,35 @@ class TestTraceIdentity:
             trace = f * total * (1 - content_sum(lam) / pairs)
             tol = 4 * f * G.n * np.finfo(float).eps * (1 + norm)
             assert abs(vals.sum() - trace) <= tol, lam
+
+
+class TestSquaredNormIdentity:
+    @given(rated_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_squared_spectrum_sums_to_the_content_moment(self, G):
+        # tr (L^lam)^2 = f [W^2 (1 - 2 x2) + S0 + S1 x3 + S2 x22], with x2,
+        # x3 and x22 the normalised characters of a transposition, a
+        # 3-cycle and a double transposition: sum_k J_k^2 = C2 e + (all
+        # 3-cycles) and T^2 = C2 e + 3 (all 3-cycles) + 2 (all double
+        # transpositions) for the Jucys-Murphy elements J_k and their sum
+        # T. The moment is formed exactly, so only the block's error counts.
+        n, weights = G.n, {e: Fraction(w) for e, w in G.weights.items()}
+        total = sum(weights.values())
+        S0 = sum(w * w for w in weights.values())
+        at = [[w for e, w in weights.items() if v in e] for v in range(1, n + 1)]
+        S1 = sum(sum(ws) ** 2 - sum(w * w for w in ws) for ws in at)  # edges sharing a vertex
+        S2 = total * total - S0 - S1
+        C2, C3, D = n * (n - 1) // 2, n * (n - 1) * (n - 2) // 3, n * (n - 1) * (n - 2) * (n - 3) // 8
+        for lam, vals, norm in shape_spectra(G):
+            p1 = content_sum(lam)
+            p2 = sum((c - r) ** 2 for r, row in enumerate(lam.parts) for c in range(row))  # squared contents
+            x2 = Fraction(p1, C2)
+            x3 = Fraction(p2 - C2, C3) if C3 else 0
+            x22 = (p1 * p1 - C2 - 3 * C3 * x3) / (2 * D) if D else 0
+            f = len(vals)
+            moment = f * (total * total * (1 - 2 * x2) + S0 + S1 * x3 + S2 * x22)
+            tol = 8 * f * n * np.finfo(float).eps * (1 + norm) ** 2
+            assert abs(np.square(vals).sum() - float(moment)) <= tol, lam
 
 
 SINGLE_SHAPE_BUILDERS = {
