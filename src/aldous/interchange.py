@@ -9,46 +9,65 @@ label embeds as the two-row-shape block, which is what the gap
 comparison (`aldous_check`) exploits: the conjecture holds for a graph
 exactly when no other shape's smallest eigenvalue undercuts it.
 
-The explicit route builds one matrix. Every transposition flips the
-parity of a word, so the chain is bipartite: with W the total rate and
-A = W I - L the rate matrix, A only links the n!/2 even words to the
-n!/2 odd ones, through one block B (`_even_odd_block`), and with the
-even words first the Laplacian is L = [[W I, -B], [-B^T, W I]]. B is
-built straight into its CSR arrays from pair maps: the words of ranks
-2k and 2k + 1 form pair k, each letter swap maps pairs to pairs, an
-adjacent swap (a a+1) shifts k by half a factorial read off the first
-position of a or a+1, and the map of (a b) is that of (a b-1)
-conjugated by the adjacent swap (b-1 b), two gathers per step. Every
-row holds one entry per edge, so each edge's map fills one column of
-the index table. B equals its transpose.
+The explicit route builds one matrix, the rates B_k of the process
+whose labels at the last k places are identical (`_coset_block`). Its
+states are the n!/k! cosets of words that share their first n - k
+letters, and it is built straight into its CSR arrays from coset maps,
+with no code shared with `yor`: each letter swap maps cosets to
+cosets, an adjacent swap (a a+1) shifts a coset by a factorial over k!
+read off the first position of a or a+1, and the map of (a b) is that
+of (a b-1) conjugated by the adjacent swap (b-1 b), two gathers per
+step. Every row holds one entry per edge, so each edge's map fills one
+column of the index table. B_k equals its transpose, and with W the
+total rate the double [[W I, -B_k], [-B_k, W I]] has the eigenvalues
+W -+ beta over the eigenvalues beta of B_k.
 
-`interchange_spectrum` therefore takes the whole n!-point spectrum,
-{W - beta} and {W + beta} over the eigenvalues beta of B, from one
-dense solve of the n!/2-row block, up to `spectral.DENSE_LIMIT` states
-(n <= 7). `aldous decompose` compares every eigenvalue with the
-per-shape blocks, and on the star-minus-clique weights
-(`conjecture.comparison_weights`) twice the smallest one is the
-smallest eigenvalue of the Dirichlet form that `check_conjecture`
-decides shape by shape. On wheel 7, `aldous decompose` takes 1.3-1.5 s
-at 150 MB peak RSS, against 7.5-10.9 s at 442 MB when it solved all
-5040 states densely (2-vCPU x86 host, two OpenBLAS threads).
+At k = 2 that double is the interchange Laplacian L itself. Every
+transposition flips the parity of a word, so the chain is bipartite:
+A = W I - L only links the n!/2 even words to the n!/2 odd ones, the
+words of ranks 2m and 2m + 1 are one of each, and with the even words
+first L = [[W I, -B_2], [-B_2, W I]]. `interchange_spectrum` therefore
+takes the whole n!-point spectrum, {W - beta} and {W + beta} over the
+eigenvalues beta of B_2, from one dense solve of the n!/2-row block,
+up to `spectral.DENSE_LIMIT` states (n <= 7). `aldous decompose`
+compares every eigenvalue with the per-shape blocks, and on the
+star-minus-clique weights (`conjecture.comparison_weights`) twice the
+smallest one is the smallest eigenvalue of the Dirichlet form that
+`check_conjecture` decides shape by shape. On wheel 7, `aldous
+decompose` takes 1.3-1.5 s at 150 MB peak RSS, against 7.5-10.9 s at
+442 MB when it solved all 5040 states densely (2-vCPU x86 host, two
+OpenBLAS threads).
 
-`gap_interchange` needs only the gap. L (2W I - L) = W^2 I - A^2
-with A^2 = B B^T (+) B^T B, so the gap is W - sigma_2(B), which
+`gap_interchange` needs only the gap, and a larger k keeps it. W I - B_k
+is the Laplacian of the process with k identical labels, on the
+permutation module of the Young subgroup S_k x S_1^(n-k), which holds
+the shape lam exactly when lam_1 >= k (Young's rule: the Kostka number
+K_(lam, (k, 1^(n-k))) is positive exactly then; James and Kerber, 1981).
+W + beta is 2W less an eigenvalue of W I - B_k, and 2W I - L^lam is
+L^lam' up to a signed permutation, so the double holds exactly the
+spectra L^lam of the shapes with lam_1 >= k or at least k rows. A shape
+with neither fits in a (k-1) x (k-1) box, which n > (k-1)^2 boxes do
+not, so with k = 1 + isqrt(n - 1) (3 for n = 5-9, 4 for n = 10-16)
+every nontrivial shape is there, the trivial eigenvalue W of B_k
+occurs once, and the gap of the double is the gap of L, on k!/2 times
+fewer rows than B_2. L (2W I - L) = W^2 I - A^2 with A^2 = B B^T (+) B^T B
+for the double's B = B_k, so the gap is W - sigma_2(B), which
 `spectral.bipartite_laplacian_gap` finds from the smallest nontrivial
-eigenvalue of W^2 I - B B^T on the even words. Against a solve of L
-on all n! states, Lanczos needs 21-51 matrix-vector products at n = 8
-instead of 21-101, on vectors half as long, and each product still
-touches every stored rate once. On a 2-vCPU x86 host with two OpenBLAS
-threads, each in a fresh process, `gap_interchange` takes 39-81 ms at
-n = 8 on paths, wheels, complete and random graphs (58-115 ms when B
-was ranked by binary search and ARPACK kept 20 vectors), 0.71-1.31 s
-at 164 MB peak RSS on K_9 (1.0-1.3 s at 179 MB), and 13.1 s at 1.26 GB
-on K_10 (15.2 s at 1.41 GB). Up to
+eigenvalue of W^2 I - B B^T on the cosets. Lanczos needs as many
+matrix-vector products there as on the even words (11-56 at n = 8 on
+paths, wheels, complete and random graphs, at k = 2 and 3 alike), and
+each product touches every stored rate once, k!/2 times fewer of them.
+On a 2-vCPU x86 host with two OpenBLAS threads, each in a fresh
+process, `gap_interchange` takes 14-24 ms at n = 8 on paths, wheels,
+complete and random graphs (39-70 ms on the n!/2 even words),
+0.21-0.27 s at 96 MB peak RSS on K_9 (0.71-0.88 s at 164 MB), and
+0.86-0.89 s at 163 MB on K_10 (13.1 s at 1.26 GB). Up to
 `spectral.DENSE_CROSSOVER` states (n <= 5), and up to
 `spectral.DENSE_LIMIT` states when that solve raises NoConvergence
 (ARPACK stopped, or its pair failed the residual check), the gap is
-read off `interchange_spectrum`, the one dense solve of B.
+read off `interchange_spectrum`, the one dense solve of B_2. When the
+positive rates of a graph without negative ones do not connect its
+vertices, the chain is reducible and the gap is 0.0, without a solve.
 
 There is no fixed cap on n. Before it builds anything, each explicit
 function passes one estimate to `yor._require_bytes`: the larger of
@@ -59,7 +78,8 @@ block and what `eigvalsh` maps for `interchange_spectrum`,
 whose solve would not fit is refused with ValueError before anything
 is allocated; the fallback of `gap_interchange` frees its block and
 then makes the estimate of `interchange_spectrum`. The states are
-counted by `yor._states`, which stops at 200!. The per-shape route
+counted by `yor._states`, which stops at 200!, and the cosets from it
+(`_cosets`). The per-shape route
 (`spectrum_via_irreps`, `aldous_check`) makes one `yor.shape_spectra`
 pass, which refuses the same way a graph whose blocks would not fit.
 """
@@ -72,7 +92,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .graphs import WeightedGraph, rw_laplacian
+from .graphs import WeightedGraph, is_connected, rw_laplacian
 from .spectral import BLAS_BUFFER_BYTES, DEFAULT_TOL, DENSE_CROSSOVER, DENSE_LIMIT, NoConvergence
 from .spectral import bipartite_laplacian_gap, iterative_solve_bytes
 from .tableaux import Partition, f_dim
@@ -97,17 +117,24 @@ def _subject(G: WeightedGraph) -> str:
     return f"the {G.n}! states of the interchange Laplacian of a {G.n}-vertex graph with {edges} edges"
 
 
-def _block_footprint(G: WeightedGraph) -> tuple[int, int]:
-    """Bytes `_even_odd_block(G)` maps at its peak, and bytes it still
+def _cosets(n: int, k: int) -> int:
+    """n!/k!, the rows of `_coset_block(G, k)` for an n-vertex graph,
+    counted like `yor._states`: past n = 200 as 200!, which already
+    prints as inf GiB."""
+    return _states(n) // math.factorial(k) if n <= 200 else _states(n)
+
+
+def _block_footprint(G: WeightedGraph, k: int) -> tuple[int, int]:
+    """Bytes `_coset_block(G, k)` maps at its peak, and bytes it still
     maps when it returns.
 
-    With E edges and h = n!/2 rows, it returns E columns (int32 below
+    With E edges and h = n!/k! rows, it returns E columns (int32 below
     2^31 entries, else int64) and E float64 values per row and the row
     pointers, beside two freed h-long int64 temporaries the allocator
     may keep mapped. Before that it holds, per row: while the positions
-    are filled, the (n! x n) int8 word table (`_lex_words`, which holds
+    are filled, the (h x n) int8 word table (`_lex_words`, which holds
     less while it builds it), the (n x h) int8 position table and two
-    8-byte indices; while the pair maps of the adjacent swaps are made,
+    8-byte indices; while the coset maps of the adjacent swaps are made,
     the position table, the maps and the ranks (int32 or int64 like the
     columns), one more such array of slack and 10 bytes of temporaries
     (`tracemalloc` saw 56 bytes per row at n = 9 with eight maps and
@@ -116,28 +143,31 @@ def _block_footprint(G: WeightedGraph) -> tuple[int, int]:
     8-byte index that each gather makes. Both counts add 64 KiB for the
     small objects around the arrays.
     """
-    n, size = G.n, _states(G.n)
-    edges, half = sum(1 for w in G.weights.values() if w != 0), size // 2
-    index = 4 if half * edges < 2**31 else 8
+    n, rows = G.n, _cosets(G.n, k)
+    edges = sum(1 for w in G.weights.values() if w != 0)
+    index = 4 if rows * edges < 2**31 else 8
     swaps = len(_adjacent_swaps(_chain_ends(G)))
-    places = half * (3 * n + 16)
-    maps = half * (n + 10 + index * (swaps + 2))
-    chains = half * (8 + index * (swaps + edges + 2))
-    held = half * (edges * (index + 8) + index + 16) + index
+    places = rows * (2 * n + 16)
+    maps = rows * (n + 10 + index * (swaps + 2))
+    chains = rows * (8 + index * (swaps + edges + 2))
+    held = rows * (edges * (index + 8) + index + 16) + index
     return max(places, maps, chains, held) + 2**16, held + 2**16
 
 
-def _lex_words(n: int) -> np.ndarray:
-    """The n! words of the letters 0..n-1 as rows of an int8 table, in
-    lexicographic order, as `itertools.permutations(range(n))` gives them.
+def _lex_words(n: int, k: int = 1) -> np.ndarray:
+    """The words of the letters 0..n-1 whose last k letters ascend, as
+    rows of an int8 table in lexicographic order: the n!/k! words of
+    ranks 0, k!, 2 k!, ... among all n!, which
+    `itertools.permutations(range(n))` gives for k = 1.
 
-    The table is built level by level: the words of length m that begin
-    with f are f followed by the words of length m - 1 with every letter
-    >= f raised by one, which keeps their order.
+    The table is built level by level from the one word 0..k-1: the
+    words of length m that begin with f are f followed by the words of
+    length m - 1 with every letter >= f raised by one, which keeps their
+    order and leaves their last k letters ascending.
     """
-    words = np.zeros((1, 0), dtype=np.int8)
-    for m in range(1, n + 1):
-        shorter, words = words, np.empty((math.factorial(m), m), dtype=np.int8)
+    words = np.arange(k, dtype=np.int8)[None, :]
+    for m in range(k + 1, n + 1):
+        shorter, words = words, np.empty((len(words) * m, m), dtype=np.int8)
         block = len(shorter)
         for f in range(m):
             rows = words[f * block:(f + 1) * block]
@@ -148,8 +178,8 @@ def _lex_words(n: int) -> np.ndarray:
 
 def _chain_ends(G: WeightedGraph) -> dict[int, int]:
     """For each letter a that is the smaller letter of an edge's swap, the
-    largest letter it is swapped with: `_even_odd_block` composes the
-    pair maps of (a a+1), (a a+2), ... up to that letter."""
+    largest letter it is swapped with: `_coset_block` composes the
+    coset maps of (a a+1), (a a+2), ... up to that letter."""
     ends: dict[int, int] = {}
     for (i, j), w in G.weights.items():
         if w != 0:
@@ -162,52 +192,61 @@ def _adjacent_swaps(ends: dict[int, int]) -> list[int]:
     return sorted({b for a, top in ends.items() for b in range(a, top)})
 
 
-def _even_odd_block(G: WeightedGraph) -> sp.csr_matrix:
-    """The block B of the interchange rates from the even words (rows) to
-    the odd words (columns), both in rank order: B[e, o] is the rate of
-    (i, j) when o = (i j) e. Each row holds one entry per edge with a
-    nonzero rate, and the interchange Laplacian, with its rows and
-    columns ordered even words first, is [[W I, -B], [-B^T, W I]] for
-    the total rate W.
+def _coset_block(G: WeightedGraph, k: int) -> sp.csr_matrix:
+    """The rates B_k of the interchange process whose k labels at the
+    last k places are identical, 2 <= k <= n: row m is the coset of the
+    k! words of ranks k! m to k! m + k! - 1, which share their first
+    n - k letters, and B_k[m, m'] is the total rate of the edges (i, j)
+    that take coset m to coset m'. Each row holds one entry per edge
+    with a nonzero rate, and the rows sum to the total rate W.
 
-    The words of ranks 2k and 2k + 1 differ by a swap of their last two
-    places, so one of them is even and the other odd, and k is the rank
-    of each among the words of its parity. A swap of letters commutes
-    with that swap of places, so it takes both words of pair k into one
-    pair P(k), and these pair maps compose. Row k is filled from the
-    word of rank 2k, whatever its parity.
-
-    The adjacent swap (a a+1) exchanges two letters that no other letter
-    lies between, so it changes the word's rank only at the first
-    position p holding a or a+1, by +(n-1-p)! when a comes first and by
-    -(n-1-p)! otherwise: P(k) = k -+ (n-1-p)!/2, which is k itself when
-    p = n - 2. Every other swap is a chain of conjugations,
+    A swap of letters commutes with every permutation of places, so it
+    takes each coset into one coset P(m), and these coset maps compose.
+    Row m is filled from its word of rank k! m, whose last k letters
+    ascend (`_lex_words`). The adjacent swap (a a+1) exchanges two
+    letters that no other letter lies between, so it changes that word's
+    rank only at the first position p holding a or a+1, by +(n-1-p)!
+    when a comes first and by -(n-1-p)! otherwise, and the new word's
+    last k letters still ascend: P(m) = m -+ (n-1-p)!/k! when
+    p < n - k. When p >= n - k, both letters lie in the last k places,
+    the swap stays in the coset and its rate lands on the diagonal.
+    Every other swap is a chain of conjugations,
     (a b) = (b-1 b)(a b-1)(b-1 b), so P_(a b) is P_(a b-1) gathered
     through the adjacent map on either side: two gathers per step of b,
     one chain per smaller letter. Every row holds the same number of
     entries, so the chains fill one column of the CSR index table per
-    edge and the row pointers are a multiple of the row number; no entry
-    is ever duplicated.
+    edge and the row pointers are a multiple of the row number. Off the
+    diagonal no entry is duplicated: two swaps that take a word into one
+    coset differ by a permutation of its last k places, so all their
+    letters lie there and both land on the diagonal. B_k equals its
+    transpose, entry for entry: (i j) is its own inverse, so it takes
+    coset P(m) back into coset m.
 
-    B equals its transpose, entry for entry: (i j) is its own inverse,
-    so it takes pair P(k) back into pair k.
+    At k = 2 each coset is one even and one odd word, and B_2 is the
+    block of the interchange rates from the even words (rows) to the odd
+    words (columns): with its rows and columns ordered even words first,
+    the interchange Laplacian is [[W I, -B_2], [-B_2, W I]]. For any k
+    that double has the spectrum W -+ beta over the eigenvalues beta of
+    B_k; the module docstring says which shapes it holds.
     """
     import scipy.sparse as sp  # only the explicit route needs scipy
 
     n = G.n
-    half = math.factorial(n) // 2
+    size = math.factorial(k)
+    count = math.factorial(n) // size
     edges = [(i, j, w) for (i, j), w in sorted(G.weights.items()) if w != 0]
-    index = np.int32 if half * len(edges) < 2**31 else np.int64
-    # placed[v, k] is the position of the letter v in the word of rank 2k,
+    index = np.int32 if count * len(edges) < 2**31 else np.int64
+    # placed[v, m] is the position of the letter v in the word of rank k! m,
     # filled one position at a time
-    words = _lex_words(n)
-    placed = np.empty((n, half), dtype=np.int8)
-    rows = np.arange(half)
+    words = _lex_words(n, k)
+    placed = np.empty((n, count), dtype=np.int8)
+    rows = np.arange(count)
     for p in range(n):
-        placed[words[::2, p], rows] = p
+        placed[words[:, p], rows] = p
     del words, rows
-    shifts = np.array([math.factorial(n - 1 - p) // 2 for p in range(n)], dtype=index)
-    ranks = np.arange(half, dtype=index)
+    # (n-1-p)!/k!, which is 0 in the last k places
+    shifts = np.array([math.factorial(n - 1 - p) // size for p in range(n)], dtype=index)
+    ranks = np.arange(count, dtype=index)
     ends = _chain_ends(G)
     adjacent = {}
     for a in _adjacent_swaps(ends):
@@ -216,9 +255,9 @@ def _even_odd_block(G: WeightedGraph) -> sp.csr_matrix:
         step += ranks
         adjacent[a] = step
     del placed, ranks
-    table = np.empty((half, len(edges)), dtype=index)  # row k: its entries' columns
+    table = np.empty((count, len(edges)), dtype=index)  # row m: its entries' columns
     column = {(i - 1, j - 1): c for c, (i, j, _) in enumerate(edges)}
-    chain, scratch = np.empty(half, dtype=index), np.empty(half, dtype=index)
+    chain, scratch = np.empty(count, dtype=index), np.empty(count, dtype=index)
     for a, top in ends.items():
         chain[:] = adjacent[a]
         for b in range(a + 1, top + 1):
@@ -228,9 +267,9 @@ def _even_odd_block(G: WeightedGraph) -> sp.csr_matrix:
             if (a, b) in column:
                 table[:, column[a, b]] = chain
     del adjacent, chain, scratch
-    data = np.tile(np.array([w for _, _, w in edges], dtype=float), half)
-    indptr = np.arange(half + 1, dtype=index) * len(edges)
-    B = sp.csr_matrix((data, table.reshape(-1), indptr), shape=(half, half))
+    data = np.tile(np.array([w for _, _, w in edges], dtype=float), count)
+    indptr = np.arange(count + 1, dtype=index) * len(edges)
+    B = sp.csr_matrix((data, table.reshape(-1), indptr), shape=(count, count))
     B.sort_indices()
     return B
 
@@ -238,8 +277,8 @@ def _even_odd_block(G: WeightedGraph) -> sp.csr_matrix:
 def interchange_spectrum(G: WeightedGraph) -> np.ndarray:
     """The n!-point spectrum of the explicit interchange Laplacian, sorted
     ascending: W - beta and W + beta for the total rate W and each
-    eigenvalue beta of the even-to-odd block B, found by one dense solve
-    of B. Signed weights (a `SignedWeightedGraph`) are allowed; the
+    eigenvalue beta of the even-to-odd block B_2 (`_coset_block`), found
+    by one dense solve of B_2. Signed weights (a `SignedWeightedGraph`) are allowed; the
     spectrum is nonnegative when all weights are.
 
     Raises ValueError when n! exceeds `spectral.DENSE_LIMIT`, and, before
@@ -257,14 +296,14 @@ def interchange_spectrum(G: WeightedGraph) -> np.ndarray:
     import scipy.sparse  # noqa: F401  (loaded first: the check counts it as mapped)
 
     half = size // 2
-    peak, held = _block_footprint(G)
+    peak, held = _block_footprint(G, 2)
     # beside the block: its dense copy, eigvalsh's copy of that, LAPACK's
     # work array (dsyevd asks for 2 + 32 float64 per row, 32 being the
     # block size of its tridiagonal reduction) and the work buffer that
     # OpenBLAS maps on its first call
     solve = held + 8 * half * (2 * half + 34) + BLAS_BUFFER_BYTES
     _require_bytes(max(peak, solve), _subject(G) + " and its dense eigensolve")
-    beta = np.linalg.eigvalsh(_even_odd_block(G).toarray())
+    beta = np.linalg.eigvalsh(_coset_block(G, 2).toarray())
     total = float(sum(G.weights.values()))
     return np.sort(np.concatenate([total - beta, total + beta]))
 
@@ -272,30 +311,36 @@ def interchange_spectrum(G: WeightedGraph) -> np.ndarray:
 def gap_interchange(G: WeightedGraph) -> float:
     """Second-smallest eigenvalue of the explicit interchange Laplacian.
 
-    Zero exactly when the chain is reducible (the zero eigenvalue then
-    has multiplicity above one), and exactly 0.0 for a graph without
+    Exactly 0.0 when the positive rates of a graph without negative ones
+    do not connect its vertices (the chain is reducible and the zero
+    eigenvalue has multiplicity above one), and for a graph without
     edges, whose Laplacian is the zero matrix. Above DENSE_CROSSOVER
-    states it is solved on the even half of the words
-    (`spectral.bipartite_laplacian_gap`); otherwise, or when that solve
-    raises NoConvergence on at most DENSE_LIMIT states, it is read off
-    `interchange_spectrum`. Raises ValueError, before building anything,
-    when the block and what its solve holds would not fit in memory, and
-    NoConvergence (a ValueError) when the iterative solve fails on more
-    than DENSE_LIMIT states.
+    states it is solved on the cosets of k = 1 + isqrt(n - 1) identical
+    labels (`_coset_block`, `spectral.bipartite_laplacian_gap`);
+    otherwise, or when that solve raises NoConvergence on at most
+    DENSE_LIMIT states, it is read off `interchange_spectrum`. Raises
+    ValueError, before building anything, when the block and what its
+    solve holds would not fit in memory, and NoConvergence (a
+    ValueError) when the iterative solve fails on more than DENSE_LIMIT
+    states.
     """
     if G.n < 2:
         raise ValueError("need at least 2 vertices")
     if not any(G.weights.values()):
         return 0.0
     size = _states(G.n)
+    k = 1 + math.isqrt(G.n - 1)  # the largest k with (k - 1)^2 < n
     if size > DENSE_CROSSOVER:
         import scipy.sparse.linalg  # noqa: F401  (loaded first: the check counts it as mapped)
-        peak, held = _block_footprint(G)
-        solve = held + iterative_solve_bytes(size // 2)
+        peak, held = _block_footprint(G, k)
+        solve = held + iterative_solve_bytes(_cosets(G.n, k))
         _require_bytes(max(peak, solve), _subject(G) + " and its eigensolve")
+    if min(G.weights.values()) >= 0 and not is_connected(G):
+        return 0.0
+    if size > DENSE_CROSSOVER:
         try:
             # the block goes with the exception, before the fallback builds its own
-            return bipartite_laplacian_gap(_even_odd_block(G), float(sum(G.weights.values())))
+            return bipartite_laplacian_gap(_coset_block(G, k), float(sum(G.weights.values())))
         except NoConvergence:
             if size > DENSE_LIMIT:
                 raise

@@ -4,8 +4,9 @@ Composition is right to left: ``(a * b)(i) == a(b(i))``, so ``a * b``
 means "apply b first". Ranks are indices into the lexicographic order of
 one-line words (factorial number system). The n!-state interchange
 process orders its states the same way but does not rank them here: it
-pairs the words of ranks 2k and 2k + 1 and composes maps of those pairs
-under adjacent letter swaps (`interchange._even_odd_block`).
+groups the words of ranks k! m to k! m + k! - 1 into coset m and
+composes maps of those cosets under adjacent letter swaps
+(`interchange._coset_block`).
 """
 
 from __future__ import annotations

@@ -7,29 +7,27 @@ operation here matches eigenvectors.
 `bipartite_laplacian_gap` finds the gap of a Laplacian whose moves all
 cross between two halves of its states, as the interchange process's
 do, by running ARPACK on the first half only, on W^2 I - B B^T with its
-all-ones kernel direction shifted away. `interchange.gap_interchange`
-reads the gap off a dense spectrum up to DENSE_CROSSOVER states instead.
-The crossover was measured on a 2-vCPU x86 host with two OpenBLAS
-threads, each solver in its own process, as the range of three medians
-of 40 solves: `eigvalsh` of the dense n!/2-row block B against this
-function on B (random connected graphs at the interchange sizes, and
-blocks of five random weighted permutations and their transposes in
-between):
+all-ones kernel direction shifted away; `interchange.gap_interchange`
+hands it the block of the cosets of three or more identical labels,
+which keeps the gap. It reads the gap off a dense spectrum up to
+DENSE_CROSSOVER states instead. The crossover was measured on a 2-vCPU
+x86 host with two OpenBLAS threads, each solver in its own process, as
+the range of three medians of 40 solves on random connected graphs:
+`eigvalsh` of the dense n!/2-row block B_2 that `interchange_spectrum`
+solves, against this function on the n!/6-row block B_3 that
+`gap_interchange` solves:
 
-    states                    dense        iterative
-    120 (interchange, n = 5)  0.14-0.20 ms 1.07-1.20 ms
-    200 (random block)        0.45-0.69 ms 2.00-2.23 ms
-    300 (random block)        1.39-1.52 ms 3.13-3.48 ms
-    400 (random block)        2.60-2.69 ms 5.52-5.74 ms
-    720 (interchange, n = 6)  9.4-9.6 ms   2.2-2.3 ms
-    5040 (interchange, n = 7) 1.05-1.10 s  5.7-6.4 ms
+    n  states  dense, n!/2 rows      iterative, n!/6 rows
+    5  120     60    0.22-0.23 ms    20   0.96-1.04 ms
+    6  720     360   6.7-7.9 ms      120  0.84-2.05 ms
+    7  5040    2520  0.96-1.12 s     840  3.6-3.8 ms
 
-With the block built, `interchange_spectrum` takes 0.39-0.69 ms at
-n = 5 and 9.7-10.3 ms at n = 6, against 1.59-1.65 ms and 2.4-3.0 ms
-here, so the crossover falls between n = 5 and n = 6. DENSE_LIMIT
-(6000, so n <= 7) bounds the states of that dense solve, behind the
-direct check of `aldous decompose`, the Dirichlet-form oracle of the
-tests and the fallback of `gap_interchange`.
+With the build of each block counted, `interchange_spectrum` takes
+0.71-0.75 ms at n = 5 and 9.1-11.7 ms at n = 6, against 1.25-1.42 ms
+and 1.11-2.42 ms here, so the crossover falls between n = 5 and n = 6.
+DENSE_LIMIT (6000, so n <= 7) bounds the states of that dense solve,
+behind the direct check of `aldous decompose`, the Dirichlet-form
+oracle of the tests and the fallback of `gap_interchange`.
 
 ARPACK keeps at most KRYLOV_VECTORS Lanczos vectors: it
 reorthogonalises each new vector against all of them, and each
@@ -37,22 +35,22 @@ implicit restart rewrites the whole basis (Lehoucq, Sorensen and Yang,
 *ARPACK Users' Guide*, SIAM 1998). Past a few vectors, a larger basis
 costs more in those sweeps than it saves in matrix-vector products.
 On the same host, as the range over a path, a wheel, a complete and a
-random graph of the median solve on the interchange block (15, 9 and 3
-solves per graph at n = 7, 8 and 9, the basis sizes alternating in one
-process):
+random graph of the median solve on the block of three identical
+labels (840, 6720 and 60480 rows; 15, 9 and 3 solves per graph at
+n = 7, 8 and 9, the basis sizes alternating in one process):
 
-    vectors  n = 7       n = 8       n = 9
-    4        4.4-11.9 ms 40-113 ms   -
-    6        3.3-7.5 ms  28-68 ms    0.59-0.74 s
-    8        2.4-6.6 ms  29-54 ms    0.47-0.66 s
-    10       2.9-6.4 ms  22-52 ms    0.45-0.60 s
-    12       3.4-6.2 ms  26-57 ms    0.48-0.65 s
-    16       4.4-6.4 ms  33-55 ms    0.46-0.59 s
-    20       4.2-6.7 ms  35-64 ms    0.51-0.62 s
+    vectors  n = 7        n = 8      n = 9
+    4        1.41-4.33 ms 16-41 ms   297-429 ms
+    6        1.03-3.27 ms 11-21 ms   207-323 ms
+    8        0.82-2.62 ms 10-21 ms   165-252 ms
+    10       0.91-2.51 ms 7.1-19 ms  157-220 ms
+    12       1.07-2.42 ms 8.1-21 ms  183-213 ms
+    16       1.33-2.45 ms 12-20 ms   153-202 ms
+    20       1.58-2.49 ms 12-20 ms   174-227 ms
 
-20 is scipy's default. Ten vectors are the quickest at n = 8, where
-the explicit route runs most, and within the spread of the quickest at
-n = 7 and 9; every basis gave the same gap to 8e-15. ARPACK's basis
+20 is scipy's default. Ten vectors are within the spread of the
+quickest at n = 7, 8 and 9, where they were also on the n!/2 even
+words; every basis gave the same gap to 1.6e-14. ARPACK's basis
 cannot exceed its rows, so tiny blocks use them all.
 
 numpy and scipy each load their own OpenBLAS (numpy.libs and
@@ -181,7 +179,9 @@ def bipartite_laplacian_gap(B, total: float) -> float:
     square sparse B >= 0 of at least two rows whose rows and columns all
     sum to W = `total` > 0: the Laplacian of a chain whose moves all cross
     between two halves of its states, as every transposition flips the
-    parity of a word.
+    parity of a word. B may hold diagonal entries, as the cosets of
+    three or more identical labels that `interchange.gap_interchange`
+    passes do.
 
     L has the eigenvalues W -+ sigma for the singular values sigma of B,
     so mu = W - sigma_2. ARPACK finds the smallest eigenvalue m of

@@ -356,6 +356,19 @@ def _stacks_bytes(n: int) -> int:
     return 16 * _states(n - 1)
 
 
+@lru_cache(maxsize=1)
+def _shape_table(n: int) -> tuple[tuple[Partition, ...], dict, tuple, int]:
+    """What `shape_spectra` needs of n alone, for the latest n only: the
+    shapes in `enumerate_partitions` order, each shape's conjugate (as
+    parts), the shapes it solves (the first of each conjugate pair, the
+    one-row shape first) and the largest dimension."""
+    shapes = tuple(enumerate_partitions(n))
+    conjugate = {lam.parts: lam.conjugate().parts for lam in shapes}
+    rank = {parts: r for r, parts in enumerate(conjugate)}
+    solve = tuple(parts for parts, twin in conjugate.items() if rank[twin] >= rank[parts])
+    return shapes, conjugate, solve, max(f_dim(lam) for lam in shapes)
+
+
 def shape_spectra(graph) -> list[tuple[Partition, np.ndarray, float]]:
     """(shape, ascending block spectrum, largest |entry| of the block) for
     every shape of `graph.n` boxes, in `enumerate_partitions` order; the
@@ -379,12 +392,8 @@ def shape_spectra(graph) -> list[tuple[Partition, np.ndarray, float]]:
     what = f"the per-shape blocks of a {graph.n}-vertex graph with {edges} edges"
     need = _stacks_bytes(graph.n)
     _require_bytes(need, what)
-    shapes = enumerate_partitions(graph.n)
-    need += 2 * max(f_dim(lam) for lam in shapes) ** 2 * 8 + BLAS_BUFFER_BYTES
-    _require_bytes(need, what)
-    conjugate = {lam.parts: lam.conjugate().parts for lam in shapes}
-    rank = {parts: r for r, parts in enumerate(conjugate)}
-    solve = [parts for parts, twin in conjugate.items() if rank[twin] >= rank[parts]]
+    shapes, conjugate, solve, largest = _shape_table(graph.n)
+    _require_bytes(need + 2 * largest**2 * 8 + BLAS_BUFFER_BYTES, what)
     solved = {}
     for parts, L in _rho_sums(graph.n, graph.weights, solve):
         if parts == solve[0]:  # the one-row shape comes first: its sum is W

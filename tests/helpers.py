@@ -292,6 +292,24 @@ def loop_interchange_laplacian(G):
     return sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
 
 
+def loop_coset_rates(G, k):
+    """Reference rate matrix of the interchange process whose labels at the
+    last k places are identical, built one word and one edge at a time: its
+    states are the words whose last k letters ascend, in rank order, and
+    (i j) takes a word to the word it gives with its last k letters
+    sorted, at the rate of edge (i, j), as a dense array."""
+    n = G.n
+    words = [w for w in permutations(range(1, n + 1)) if list(w[n - k:]) == sorted(w[n - k:])]
+    rank_of = {word: r for r, word in enumerate(words)}
+    rates = np.zeros((len(words), len(words)))
+    for r, word in enumerate(words):
+        for (i, j), w in sorted(G.weights.items()):
+            if w != 0:
+                swapped = [j if v == i else i if v == j else v for v in word]
+                rates[r, rank_of[tuple(swapped[: n - k] + sorted(swapped[n - k:]))]] += w
+    return rates
+
+
 # ---------------------------------------------------------------------------
 # Reference searches: the O(n^2)-per-collapse, one-frame-per-step versions
 # that the library's searches must match bit for bit.

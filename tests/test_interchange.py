@@ -47,6 +47,7 @@ from aldous.yor import irrep_laplacian, shape_spectra
 from helpers import (
     arpack_error,
     forbid_large_factorials,
+    loop_coset_rates,
     loop_interchange_laplacian,
     no_convergence,
     signed_graphs,
@@ -69,7 +70,7 @@ def dense_gap(G):
 
 
 def block_and_total(G):
-    return interchange._even_odd_block(G), float(sum(G.weights.values()))
+    return interchange._coset_block(G, 2), float(sum(G.weights.values()))
 
 
 def odd_words(n):
@@ -110,12 +111,12 @@ class TestInterchangeLaplacian:
     def test_two_vertices(self):
         a = 0.9
         G = WeightedGraph(2, {(1, 2): a})
-        assert interchange._even_odd_block(G).toarray().tolist() == [[a]]
+        assert interchange._coset_block(G, 2).toarray().tolist() == [[a]]
         assert np.allclose(interchange_spectrum(G), [0.0, 2 * a], atol=1e-15)
 
     def test_k3_structure(self):
         # each even word of S_3 reaches each odd word by one transposition
-        B = interchange._even_odd_block(complete_graph(3))
+        B = interchange._coset_block(complete_graph(3), 2)
         assert np.array_equal(B.toarray(), np.ones((3, 3)))
         assert np.allclose(interchange_spectrum(complete_graph(3)), [0, 3, 3, 3, 3, 6], atol=1e-12)
 
@@ -130,7 +131,7 @@ class TestInterchangeLaplacian:
 
     def test_nnz_count(self):
         G = complete_graph(3)
-        B = interchange._even_odd_block(G)
+        B = interchange._coset_block(G, 2)
         assert B.nnz == math.factorial(3) // 2 * len(G.positive_edges())
 
     @settings(max_examples=60, deadline=None)
@@ -151,7 +152,7 @@ class TestInterchangeLaplacian:
         G = random_connected_graph(n, np.random.default_rng(n), extra_edge_prob=0.3)
         block = loop_block(G)
         assert block.nnz == math.factorial(n) // 2 * len(G.weights)
-        assert_same_csr(interchange._even_odd_block(G), block)
+        assert_same_csr(interchange._coset_block(G, 2), block)
 
     @settings(max_examples=60, deadline=None)
     @given(signed_graphs())
@@ -159,7 +160,7 @@ class TestInterchangeLaplacian:
         """The same for signed, zero and all-zero weights, whose pair maps
         include the zero shift of a swap at the last two places."""
         assume(G.n >= 2)
-        assert_same_csr(interchange._even_odd_block(G), loop_block(G))
+        assert_same_csr(interchange._coset_block(G, 2), loop_block(G))
 
 
 class TestGaps:
@@ -198,8 +199,13 @@ class TestGaps:
             assert gap_rw(G) == pytest.approx(direct, rel=1e-9, abs=1e-9)
 
     def test_reducible_chain_has_zero_gap(self):
-        G = WeightedGraph(3, {(1, 2): 1.0})
-        assert gap_interchange(G) == pytest.approx(0.0, abs=1e-10)
+        """Exactly 0.0, with no solver's rounding: one edge, and two paths
+        with no edge between them."""
+        assert gap_interchange(WeightedGraph(3, {(1, 2): 1.0})) == 0.0
+        for n in (5, 6, 7, 8):
+            assert gap_interchange(WeightedGraph(n, {(1, n): 1.3})) == 0.0
+            halves = {(i, i + 1): 0.7 + 0.1 * i for i in range(1, n) if i != n // 2}
+            assert gap_interchange(WeightedGraph(n, halves)) == 0.0
 
     def test_iterative_solver_matches_dense_on_interchange_matrix(self):
         rng = np.random.default_rng(55)
@@ -237,6 +243,29 @@ class TestEvenOddBlock:
         assert words.dtype == np.int8 and words.shape == (math.factorial(n), n)
         assert words.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_coset_words_are_every_k_factorial_th_word(self, n):
+        """The words whose last k letters ascend are those of ranks 0, k!,
+        2 k!, ... among all n!."""
+        words = interchange._lex_words(n)
+        for k in range(1, n + 1):
+            coset = interchange._lex_words(n, k)
+            assert coset.dtype == np.int8 and coset.tobytes() == words[:: math.factorial(k)].tobytes()
+
+    @pytest.mark.parametrize("family, n", gap_cases(3, 7))
+    def test_three_labels_match_the_loop_oracle(self, family, n):
+        """B_3 is the rate matrix of the loop-built process with three
+        identical labels; the diagonal sums the rates of the swaps inside
+        the last three places, in another order."""
+        G = GAP_FAMILIES[family](n)
+        B = interchange._coset_block(G, 3)
+        edges = sum(1 for w in G.weights.values() if w != 0)
+        assert B.shape[0] == math.factorial(n) // 6 and np.all(np.diff(B.indptr) == edges)
+        dense, rates = B.toarray(), loop_coset_rates(G, 3)
+        assert np.abs(dense - rates).max() <= 1e-15 * (1.0 + float(sum(G.weights.values())))
+        off = ~np.eye(len(rates), dtype=bool)
+        assert np.array_equal(dense[off], rates[off])
+
     @pytest.mark.parametrize("family, n", gap_cases(2, 6))
     def test_is_the_odd_columns_of_the_even_rows(self, family, n):
         """Each row holds one entry per edge, and B is the negated block of
@@ -256,15 +285,57 @@ class TestEvenOddBlock:
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_equals_its_transpose(self, n):
-        """Entry for entry, for positive rates and for the signed
-        star-minus-clique rates."""
+        """Entry for entry, at k = 2 and 3, for positive rates and for the
+        signed star-minus-clique rates."""
         rng = np.random.default_rng(n)
         positive = random_connected_graph(n, rng, extra_edge_prob=0.5)
         signed = comparison_weights(rng.uniform(0.25, 2.0, size=n - 1))
         for G in (positive, signed):
-            B = interchange._even_odd_block(G)
-            assert B.nnz == math.factorial(n) // 2 * len(G.weights)
-            assert (B != B.T).nnz == 0
+            for k in (2, 3):
+                B = interchange._coset_block(G, k)
+                assert B.nnz == math.factorial(n) // math.factorial(k) * len(G.weights)
+                assert (B != B.T).nnz == 0
+
+
+def covered(values, targets, tol=1e-10):
+    """Whether every value lies within tol (1 + the largest |value| of
+    either side) of a target."""
+    eps = tol * (1.0 + max(np.abs(values).max(), np.abs(targets).max()))
+    targets = np.sort(targets)
+    at = np.clip(np.searchsorted(targets, values), 1, len(targets) - 1)
+    nearest = np.minimum(np.abs(values - targets[at - 1]), np.abs(values - targets[at]))
+    return bool(nearest.max() <= eps)
+
+
+class TestYoungsRule:
+    @pytest.mark.parametrize(
+        "family, n", gap_cases(5, 7) + [("comparison", n) for n in range(5, 8)]
+    )
+    def test_three_labels_cover_every_eigenvalue(self, family, n):
+        """By Young's rule the double [[W I, -B_k], [-B_k, W I]] holds the
+        shapes with at least k columns in their first row or at least k
+        rows, and every shape of n > (k - 1)^2 boxes is one of them. At
+        n = 5-7 and k = 3 the spectrum of the interchange Laplacian and
+        the values W -+ beta over the eigenvalues beta of B_3 therefore
+        cover each other. At k = 4 the shapes inside a 3 x 3 box are
+        missing and the spectrum is not covered, except on one edge, whose
+        rho_(1 n) has the eigenvalues 0 and 2 w alone on every shape of more
+        than one tableau."""
+        if family == "comparison":
+            G = comparison_weights(np.random.default_rng(n).uniform(0.25, 2.0, size=n - 1))
+        else:
+            G = GAP_FAMILIES[family](n)
+        spectrum = interchange_spectrum(G)
+        total = float(sum(G.weights.values()))
+
+        def double(k):
+            beta = np.linalg.eigvalsh(interchange._coset_block(G, k).toarray())
+            return np.concatenate([total - beta, total + beta])
+
+        three, four = double(3), double(4)
+        assert covered(spectrum, three) and covered(three, spectrum)
+        assert covered(four, spectrum)
+        assert covered(spectrum, four) == (family == "one_edge")
 
 
 class TestEvenHalfSolve:
@@ -316,7 +387,8 @@ class TestDenseFallback:
     @pytest.mark.parametrize("fake", [wrong_eigenpair, no_convergence, arpack_error])
     def test_raises_above_dense_limit(self, monkeypatch, fake):
         monkeypatch.setattr(spla, "eigsh", fake)
-        message = "iterative eigensolve of dimension 40320 did not converge: residual"
+        # twice the 8!/3! cosets of three identical labels
+        message = "iterative eigensolve of dimension 13440 did not converge: residual"
         with pytest.raises(ValueError, match=message):
             gap_interchange(path_graph(8))
 
@@ -528,11 +600,11 @@ class TestMemoryGuard:
     def test_gap_interchange_refuses_exactly_above_the_estimate(self, monkeypatch):
         G = wheel_graph(6)
         subject = "interchange Laplacian of a 6-vertex graph with 10 edges and its eigensolve"
-        # the block between the 360 even and 360 odd words: int32 columns,
-        # float64 values and row pointers, two freed int64 temporaries per
-        # row; beside it 30 float64 per row (10 Lanczos and 10 Ritz vectors,
-        # and ten more) and the BLAS buffer
-        half, edges = 360, 10
+        # the block on the 120 cosets of three identical labels: int32
+        # columns, float64 values and row pointers, two freed int64
+        # temporaries per row; beside it 30 float64 per row (10 Lanczos and
+        # 10 Ritz vectors, and ten more) and the BLAS buffer
+        half, edges = 120, 10
         block = half * (edges * 12 + 4 + 16) + 4 + 2**16
         need = block + 240 * half + 2**25
         monkeypatch.setattr(yor, "_available_bytes", lambda: need)
@@ -601,7 +673,7 @@ class TestMemoryGuard:
         def build(G):
             raise AssertionError("built the block")
 
-        monkeypatch.setattr(interchange, "_even_odd_block", build)
+        monkeypatch.setattr(interchange, "_coset_block", build)
         with pytest.raises(ValueError, match="limited to 6000 states; a 8-vertex graph has 8! states"):
             interchange_spectrum(path_graph(8))
 
@@ -714,6 +786,14 @@ def test_nine_vertices_both_routes():
     """n = 9 (362880 states) is within reach of the explicit route."""
     G = random_connected_graph(9, np.random.default_rng(9), extra_edge_prob=0.1)
     assert gap_interchange(G) == pytest.approx(aldous_check(G).gap_interchange, rel=1e-8)
+
+
+def test_ten_vertices_explicit_route():
+    """At n = 10 the explicit route solves the 151200 cosets of four
+    identical labels."""
+    G = wheel_graph(10, seed=1)
+    eps = 1e-9 * (1.0 + float(sum(G.weights.values())))
+    assert abs(gap_interchange(G) - aldous_check(G).gap_interchange) <= eps
 
 
 def test_ten_vertices():
