@@ -9,65 +9,67 @@ label embeds as the two-row-shape block, which is what the gap
 comparison (`aldous_check`) exploits: the conjecture holds for a graph
 exactly when no other shape's smallest eigenvalue undercuts it.
 
-The explicit route builds one matrix, the rates B_k of the process
-whose labels at the last k places are identical (`_coset_block`). Its
-states are the n!/k! cosets of words that share their first n - k
-letters, and it is built straight into its CSR arrays from coset maps,
-with no code shared with `yor`: each letter swap maps cosets to
-cosets, an adjacent swap (a a+1) shifts a coset by a factorial over k!
-read off the first position of a or a+1, and the map of (a b) is that
-of (a b-1) conjugated by the adjacent swap (b-1 b), two gathers per
-step. Every row holds one entry per edge, so each edge's map fills one
-column of the index table. B_k equals its transpose, and with W the
-total rate the double [[W I, -B_k], [-B_k, W I]] has the eigenvalues
-W -+ beta over the eigenvalues beta of B_k.
+The explicit route builds one kind of matrix, the rates B_mu of the
+process whose labels come in blocks of mu_1, mu_2, ... identical ones
+(`_module_block`), on the permutation module M^mu of the Young subgroup
+S_mu. A state gives each letter the label of its block, a word of
+l = len(mu) labels with mu_c copies of label c, kept as its code, the
+sum of label * l^(n-1-letter) over the letters 0..n-1; the codes are
+built in ascending order, a letter at a time. The swap (i j) moves a
+code by (c_j - c_i)(l^(n-1-i) - l^(n-1-j)), c_i and c_j being the labels
+of letters i and j, so one binary search of the codes per edge fills
+that edge's column of the CSR index table, with no code shared with
+`yor`. B_mu equals its transpose, its rows sum to the
+total rate W, and the double [[W I, -B_mu], [-B_mu, W I]] has the
+eigenvalues W -+ beta over the eigenvalues beta of B_mu.
 
-At k = 2 that double is the interchange Laplacian L itself. Every
-transposition flips the parity of a word, so the chain is bipartite:
-A = W I - L only links the n!/2 even words to the n!/2 odd ones, the
-words of ranks 2m and 2m + 1 are one of each, and with the even words
-first L = [[W I, -B_2], [-B_2, W I]]. `interchange_spectrum` therefore
-takes the whole n!-point spectrum, {W - beta} and {W + beta} over the
-eigenvalues beta of B_2, from one dense solve of the n!/2-row block,
-up to `spectral.DENSE_LIMIT` states (n <= 7). `aldous decompose`
-compares every eigenvalue with the per-shape blocks, and on the
-star-minus-clique weights (`conjecture.comparison_weights`) twice the
-smallest one is the smallest eigenvalue of the Dirichlet form that
-`check_conjecture` decides shape by shape. On wheel 7, `aldous
-decompose` takes 1.3-1.5 s at 150 MB peak RSS, against 7.5-10.9 s at
-442 MB when it solved all 5040 states densely (2-vCPU x86 host, two
-OpenBLAS threads).
+At mu = (2, 1^(n-2)) that double is the interchange Laplacian L itself,
+with its states in another order. Every transposition flips the parity
+of a word, so the chain is bipartite: A = W I - L only links the n!/2
+even words to the n!/2 odd ones. A label word of (2, 1^(n-2)) stands
+for one word of each parity, the two that differ by the swap of the
+places of label 0, and with the even words first L = [[W I, -B], [-B,
+W I]] for B the block of that mu with its rows and columns reordered.
+`interchange_spectrum` therefore takes the whole n!-point spectrum,
+{W - beta} and {W + beta} over the eigenvalues beta of that block, from
+one dense solve of its n!/2 rows, up to `spectral.DENSE_LIMIT` states
+(n <= 7). `aldous decompose` compares every eigenvalue with the
+per-shape blocks, and on the star-minus-clique weights
+(`conjecture.comparison_weights`) twice the smallest one is the
+smallest eigenvalue of the Dirichlet form that `check_conjecture`
+decides shape by shape. On wheel 7, `aldous decompose` takes 1.3-1.5 s
+at 150 MB peak RSS, against 7.5-10.9 s at 442 MB when it solved all
+5040 states densely (2-vCPU x86 host, two OpenBLAS threads).
 
-`gap_interchange` needs only the gap, and a larger k keeps it. W I - B_k
-is the Laplacian of the process with k identical labels, on the
-permutation module of the Young subgroup S_k x S_1^(n-k), which holds
-the shape lam exactly when lam_1 >= k (Young's rule: the Kostka number
-K_(lam, (k, 1^(n-k))) is positive exactly then; James and Kerber, 1981).
-W + beta is 2W less an eigenvalue of W I - B_k, and 2W I - L^lam is
+`gap_interchange` needs only the gap, and a smaller module keeps it.
+W I - B_mu is the Laplacian of the process on M^mu, which holds the
+shape lam exactly when lam dominates mu (Young's rule: the Kostka
+number K_(lam, mu) is positive exactly then; James and Kerber, 1981).
+W + beta is 2W less an eigenvalue of W I - B_mu, and 2W I - L^lam is
 L^lam' up to a signed permutation, so the double holds exactly the
-spectra L^lam of the shapes with lam_1 >= k or at least k rows. A shape
-with neither fits in a (k-1) x (k-1) box, which n > (k-1)^2 boxes do
-not, so with k = 1 + isqrt(n - 1) (3 for n = 5-9, 4 for n = 10-16)
-every nontrivial shape is there, the trivial eigenvalue W of B_k
-occurs once, and the gap of the double is the gap of L, on k!/2 times
-fewer rows than B_2. L (2W I - L) = W^2 I - A^2 with A^2 = B B^T (+) B^T B
-for the double's B = B_k, so the gap is W - sigma_2(B), which
+spectra L^lam of the shapes with lam >= mu or lam' >= mu in the
+dominance order. `_covering_shape` searches the p(n) partitions for the
+mu for which that is every shape, on the fewest rows n!/(mu_1! mu_2!
+...): (3, 2, 1, 1) and 420 rows at n = 7, (3, 3, 1, 1) and 1120 at
+n = 8, (4, 3, 1, 1, 1) and 25200 at n = 10. That mu is never (1^n), so
+the trivial eigenvalue W of B_mu occurs once, and the gap of the double
+is the gap of L. L (2W I - L) = W^2 I - A^2 with A^2 = B B^T (+) B^T B
+for the double's B = B_mu, so the gap is W - sigma_2(B), which
 `spectral.bipartite_laplacian_gap` finds from the smallest nontrivial
-eigenvalue of W^2 I - B B^T on the cosets. Lanczos needs as many
-matrix-vector products there as on the even words (11-56 at n = 8 on
-paths, wheels, complete and random graphs, at k = 2 and 3 alike), and
-each product touches every stored rate once, k!/2 times fewer of them.
-On a 2-vCPU x86 host with two OpenBLAS threads, each in a fresh
-process, `gap_interchange` takes 14-24 ms at n = 8 on paths, wheels,
-complete and random graphs (39-70 ms on the n!/2 even words),
-0.21-0.27 s at 96 MB peak RSS on K_9 (0.71-0.88 s at 164 MB), and
-0.86-0.89 s at 163 MB on K_10 (13.1 s at 1.26 GB). Up to
+eigenvalue of W^2 I - B B^T on the module. On a 2-vCPU x86 host with
+two OpenBLAS threads, each in a fresh process, `gap_interchange` takes
+5.7-10.5 ms at n = 8 on paths, wheels, complete and random graphs
+(14.6-27.0 ms on the 6720 rows of the hook (3, 1^5), which it solved
+before it searched for mu), 52-80 ms at 67 MB peak RSS on K_9
+(0.24-0.30 s at 95 MB), and 0.17-0.21 s at 78 MB on K_10 (0.90-1.06 s
+at 161 MB). Up to
 `spectral.DENSE_CROSSOVER` states (n <= 5), and up to
 `spectral.DENSE_LIMIT` states when that solve raises NoConvergence
 (ARPACK stopped, or its pair failed the residual check), the gap is
-read off `interchange_spectrum`, the one dense solve of B_2. When the
-positive rates of a graph without negative ones do not connect its
-vertices, the chain is reducible and the gap is 0.0, without a solve.
+read off `interchange_spectrum`, the one dense solve of the even-to-odd
+block. When the positive rates of a graph without negative ones do not
+connect its vertices, the chain is reducible and the gap is 0.0,
+without a solve.
 
 There is no fixed cap on n. Before it builds anything, each explicit
 function passes one estimate to `yor._require_bytes`: the larger of
@@ -77,11 +79,16 @@ block and what `eigvalsh` maps for `interchange_spectrum`,
 `spectral.iterative_solve_bytes` for `gap_interchange`), so a graph
 whose solve would not fit is refused with ValueError before anything
 is allocated; the fallback of `gap_interchange` frees its block and
-then makes the estimate of `interchange_spectrum`. The states are
-counted by `yor._states`, which stops at 200!, and the cosets from it
-(`_cosets`). The per-shape route
-(`spectrum_via_irreps`, `aldous_check`) makes one `yor.shape_spectra`
-pass, which refuses the same way a graph whose blocks would not fit.
+then makes the estimate of `interchange_spectrum`. `gap_interchange`
+first checks the estimate of the fewest rows that any mu of its search
+can have, so a huge n is refused before its partitions are searched:
+the s x s box, s = 1 + isqrt(n - 1), holds a shape of n boxes whose
+first row and first column are at most s, so the parts of that mu are
+at most s and it has at least the rows of (s, ..., s, n mod s). Rows
+are counted by `_rows`, which stops at 200! like `yor._states`. The
+per-shape route (`spectrum_via_irreps`, `aldous_check`) makes one
+`yor.shape_spectra` pass, which refuses the same way a graph whose
+blocks would not fit.
 """
 
 from __future__ import annotations
@@ -95,7 +102,7 @@ import numpy as np
 from .graphs import WeightedGraph, is_connected, rw_laplacian
 from .spectral import BLAS_BUFFER_BYTES, DEFAULT_TOL, DENSE_CROSSOVER, DENSE_LIMIT, NoConvergence
 from .spectral import bipartite_laplacian_gap, iterative_solve_bytes
-from .tableaux import Partition, f_dim
+from .tableaux import Partition, enumerate_partitions, f_dim
 from .yor import _require_bytes, _states, shape_spectra
 
 if TYPE_CHECKING:
@@ -117,156 +124,105 @@ def _subject(G: WeightedGraph) -> str:
     return f"the {G.n}! states of the interchange Laplacian of a {G.n}-vertex graph with {edges} edges"
 
 
-def _cosets(n: int, k: int) -> int:
-    """n!/k!, the rows of `_coset_block(G, k)` for an n-vertex graph,
-    counted like `yor._states`: past n = 200 as 200!, which already
-    prints as inf GiB."""
-    return _states(n) // math.factorial(k) if n <= 200 else _states(n)
+def _rows(n: int, mu: tuple[int, ...]) -> int:
+    """n!/(mu_1! mu_2! ...), the rows of `_module_block(G, mu)` for an
+    n-vertex graph, counted like `yor._states`: past n = 200 as 200!,
+    which already prints as inf GiB."""
+    return _states(n) // math.prod(map(math.factorial, mu)) if n <= 200 else _states(n)
 
 
-def _block_footprint(G: WeightedGraph, k: int) -> tuple[int, int]:
-    """Bytes `_coset_block(G, k)` maps at its peak, and bytes it still
+def _block_footprint(G: WeightedGraph, mu: tuple[int, ...]) -> tuple[int, int]:
+    """Bytes `_module_block(G, mu)` maps at its peak, and bytes it still
     maps when it returns.
 
-    With E edges and h = n!/k! rows, it returns E columns (int32 below
+    With E edges and h rows (`_rows`), it returns E columns (int32 below
     2^31 entries, else int64) and E float64 values per row and the row
-    pointers, beside two freed h-long int64 temporaries the allocator
-    may keep mapped. Before that it holds, per row: while the positions
-    are filled, the (h x n) int8 word table (`_lex_words`, which holds
-    less while it builds it), the (n x h) int8 position table and two
-    8-byte indices; while the coset maps of the adjacent swaps are made,
-    the position table, the maps and the ranks (int32 or int64 like the
-    columns), one more such array of slack and 10 bytes of temporaries
-    (`tracemalloc` saw 56 bytes per row at n = 9 with eight maps and
-    int32, against 59 here); while the chains are
-    composed, those maps, the column table, two chain arrays and the
-    8-byte index that each gather makes. Both counts add 64 KiB for the
-    small objects around the arrays.
+    pointers, beside two freed h-long int64 temporaries the allocator may
+    keep mapped. Before that it holds, per row: while the words grow, at
+    their last letter, the old and the new codes, the two indices of the
+    labels left, a row index and len(mu) one-byte counts of those labels;
+    while the columns are filled, the codes, the column table and four
+    8-byte temporaries of the searches. `tracemalloc` saw 0-4 bytes per
+    row less than the larger of these at 420-1814400 rows (n = 7-10, E
+    = 6-45, on (2, 1^(n-2)), (3, 1^(n-3)) and `_covering_shape(n)`).
     """
-    n, rows = G.n, _cosets(G.n, k)
+    rows = _rows(G.n, mu)
     edges = sum(1 for w in G.weights.values() if w != 0)
     index = 4 if rows * edges < 2**31 else 8
-    swaps = len(_adjacent_swaps(_chain_ends(G)))
-    places = rows * (2 * n + 16)
-    maps = rows * (n + 10 + index * (swaps + 2))
-    chains = rows * (8 + index * (swaps + edges + 2))
+    words = rows * (40 + len(mu))
+    columns = rows * (40 + index * edges)
     held = rows * (edges * (index + 8) + index + 16) + index
-    return max(places, maps, chains, held) + 2**16, held + 2**16
+    return max(words, columns, held), held
 
 
-def _lex_words(n: int, k: int = 1) -> np.ndarray:
-    """The words of the letters 0..n-1 whose last k letters ascend, as
-    rows of an int8 table in lexicographic order: the n!/k! words of
-    ranks 0, k!, 2 k!, ... among all n!, which
-    `itertools.permutations(range(n))` gives for k = 1.
-
-    The table is built level by level from the one word 0..k-1: the
-    words of length m that begin with f are f followed by the words of
-    length m - 1 with every letter >= f raised by one, which keeps their
-    order and leaves their last k letters ascending.
-    """
-    words = np.arange(k, dtype=np.int8)[None, :]
-    for m in range(k + 1, n + 1):
-        shorter, words = words, np.empty((len(words) * m, m), dtype=np.int8)
-        block = len(shorter)
-        for f in range(m):
-            rows = words[f * block:(f + 1) * block]
-            rows[:, 0] = f
-            np.add(shorter, shorter >= f, out=rows[:, 1:])
-    return words
+def _covering_shape(n: int) -> tuple[int, ...]:
+    """The partition mu of n whose module `_module_block` holds every
+    shape or its conjugate (each lam has lam >= mu or lam' >= mu in the
+    dominance order), with the fewest rows: the first such in the order
+    of `enumerate_partitions` among those of equal rows."""
+    shapes = enumerate_partitions(n)
+    sums = np.array([np.cumsum(lam.parts + (0,) * (n - len(lam))) for lam in shapes])
+    dominates = np.all(sums[:, None] >= sums[None, :], axis=2)  # [lam, mu]: lam >= mu
+    conjugates = [shapes.index(lam.conjugate()) for lam in shapes]
+    covers = np.all(dominates | dominates[conjugates], axis=0)
+    return min((mu.parts for mu, c in zip(shapes, covers) if c), key=lambda mu: _rows(n, mu))
 
 
-def _chain_ends(G: WeightedGraph) -> dict[int, int]:
-    """For each letter a that is the smaller letter of an edge's swap, the
-    largest letter it is swapped with: `_coset_block` composes the
-    coset maps of (a a+1), (a a+2), ... up to that letter."""
-    ends: dict[int, int] = {}
-    for (i, j), w in G.weights.items():
-        if w != 0:
-            ends[i - 1] = max(ends.get(i - 1, 0), j - 1)
-    return ends
+def _module_block(G: WeightedGraph, mu: tuple[int, ...]) -> sp.csr_matrix:
+    """The rates B_mu of the interchange process whose labels come in
+    blocks of mu_1, mu_2, ... identical ones. A state gives each letter
+    the label of its block: a word of l = len(mu) labels with mu_c copies
+    of label c, coded as the sum of label * l^(n-1-letter), and the rows
+    are the n!/(mu_1! mu_2! ...) codes in ascending order. B_mu[x, y] is
+    the total rate of the edges (i, j) whose swap of the labels of i and
+    j takes x to y; each row holds one entry per edge with a nonzero
+    rate, a swap of two equal labels lands on the diagonal, and the rows
+    sum to the total rate W. Raises ValueError when the codes would not
+    fit in 64 bits (l^n >= 2^63).
 
+    The words grow a letter at a time, each by every label it still has
+    copies of, in ascending order, which keeps the codes sorted. The swap
+    (i j) of vertices i < j, whose labels are c_i and c_j, moves a code
+    by (c_j - c_i)(l^(n-i) - l^(n-j)), so one binary search of the codes
+    per edge fills that edge's column of the CSR index table, and the row
+    pointers are a multiple of the row number.
+    Off the diagonal no entry is duplicated: a word and the word it
+    swaps to differ at exactly the two letters of the swap. B_mu equals
+    its transpose, entry for entry, since (i j) is its own inverse.
 
-def _adjacent_swaps(ends: dict[int, int]) -> list[int]:
-    """The letters a whose adjacent swap (a a+1) the chains of `ends` use."""
-    return sorted({b for a, top in ends.items() for b in range(a, top)})
-
-
-def _coset_block(G: WeightedGraph, k: int) -> sp.csr_matrix:
-    """The rates B_k of the interchange process whose k labels at the
-    last k places are identical, 2 <= k <= n: row m is the coset of the
-    k! words of ranks k! m to k! m + k! - 1, which share their first
-    n - k letters, and B_k[m, m'] is the total rate of the edges (i, j)
-    that take coset m to coset m'. Each row holds one entry per edge
-    with a nonzero rate, and the rows sum to the total rate W.
-
-    A swap of letters commutes with every permutation of places, so it
-    takes each coset into one coset P(m), and these coset maps compose.
-    Row m is filled from its word of rank k! m, whose last k letters
-    ascend (`_lex_words`). The adjacent swap (a a+1) exchanges two
-    letters that no other letter lies between, so it changes that word's
-    rank only at the first position p holding a or a+1, by +(n-1-p)!
-    when a comes first and by -(n-1-p)! otherwise, and the new word's
-    last k letters still ascend: P(m) = m -+ (n-1-p)!/k! when
-    p < n - k. When p >= n - k, both letters lie in the last k places,
-    the swap stays in the coset and its rate lands on the diagonal.
-    Every other swap is a chain of conjugations,
-    (a b) = (b-1 b)(a b-1)(b-1 b), so P_(a b) is P_(a b-1) gathered
-    through the adjacent map on either side: two gathers per step of b,
-    one chain per smaller letter. Every row holds the same number of
-    entries, so the chains fill one column of the CSR index table per
-    edge and the row pointers are a multiple of the row number. Off the
-    diagonal no entry is duplicated: two swaps that take a word into one
-    coset differ by a permutation of its last k places, so all their
-    letters lie there and both land on the diagonal. B_k equals its
-    transpose, entry for entry: (i j) is its own inverse, so it takes
-    coset P(m) back into coset m.
-
-    At k = 2 each coset is one even and one odd word, and B_2 is the
-    block of the interchange rates from the even words (rows) to the odd
-    words (columns): with its rows and columns ordered even words first,
-    the interchange Laplacian is [[W I, -B_2], [-B_2, W I]]. For any k
+    At mu = (2, 1^(n-2)) each word is the pair of one even and one odd
+    permutation, which differ by the swap of the two places of label 0,
+    and B_mu is the block of the interchange rates from the even
+    permutations (rows) to the odd ones (columns), in another order: the
+    interchange Laplacian is [[W I, -B_mu], [-B_mu, W I]]. For any mu
     that double has the spectrum W -+ beta over the eigenvalues beta of
-    B_k; the module docstring says which shapes it holds.
+    B_mu; the module docstring says which shapes it holds.
     """
     import scipy.sparse as sp  # only the explicit route needs scipy
 
-    n = G.n
-    size = math.factorial(k)
-    count = math.factorial(n) // size
+    n, size = G.n, len(mu)
+    if size**n >= 2**63:
+        raise ValueError(f"the words of {size} labels on {n} letters have codes beyond 64 bits")
     edges = [(i, j, w) for (i, j), w in sorted(G.weights.items()) if w != 0]
+    # left[x, c]: the copies of label c that word x has still to place
+    codes, left = np.zeros(1, dtype=np.int64), np.array([mu], dtype=np.min_scalar_type(n))
+    for _ in range(n):
+        parent, label = np.nonzero(left)
+        left = left[parent]
+        left[np.arange(len(label)), label] -= 1
+        codes = codes[parent]
+        codes *= size
+        codes += label
+    del left, parent, label
+    count = len(codes)
     index = np.int32 if count * len(edges) < 2**31 else np.int64
-    # placed[v, m] is the position of the letter v in the word of rank k! m,
-    # filled one position at a time
-    words = _lex_words(n, k)
-    placed = np.empty((n, count), dtype=np.int8)
-    rows = np.arange(count)
-    for p in range(n):
-        placed[words[:, p], rows] = p
-    del words, rows
-    # (n-1-p)!/k!, which is 0 in the last k places
-    shifts = np.array([math.factorial(n - 1 - p) // size for p in range(n)], dtype=index)
-    ranks = np.arange(count, dtype=index)
-    ends = _chain_ends(G)
-    adjacent = {}
-    for a in _adjacent_swaps(ends):
-        step = shifts[np.minimum(placed[a], placed[a + 1])]
-        np.negative(step, out=step, where=placed[a] > placed[a + 1])
-        step += ranks
-        adjacent[a] = step
-    del placed, ranks
-    table = np.empty((count, len(edges)), dtype=index)  # row m: its entries' columns
-    column = {(i - 1, j - 1): c for c, (i, j, _) in enumerate(edges)}
-    chain, scratch = np.empty(count, dtype=index), np.empty(count, dtype=index)
-    for a, top in ends.items():
-        chain[:] = adjacent[a]
-        for b in range(a + 1, top + 1):
-            if b > a + 1:  # (a b) = (b-1 b)(a b-1)(b-1 b)
-                np.take(chain, adjacent[b - 1], out=scratch)
-                np.take(adjacent[b - 1], scratch, out=chain)
-            if (a, b) in column:
-                table[:, column[a, b]] = chain
-    del adjacent, chain, scratch
+    table = np.empty((count, len(edges)), dtype=index)  # row x: its entries' columns
+    power = size ** np.arange(n - 1, -1, -1, dtype=np.int64)  # l^(n-1-letter)
+    for c, (i, j, _) in enumerate(edges):
+        a, b = power[i - 1], power[j - 1]
+        swapped = (codes // b % size - codes // a % size) * (a - b) + codes
+        table[:, c] = np.searchsorted(codes, swapped)
+    del codes
     data = np.tile(np.array([w for _, _, w in edges], dtype=float), count)
     indptr = np.arange(count + 1, dtype=index) * len(edges)
     B = sp.csr_matrix((data, table.reshape(-1), indptr), shape=(count, count))
@@ -274,12 +230,22 @@ def _coset_block(G: WeightedGraph, k: int) -> sp.csr_matrix:
     return B
 
 
+def _require_gap_solve(G: WeightedGraph, mu: tuple[int, ...]) -> None:
+    """Refuse, before anything is built, the gap solve on `_module_block(G,
+    mu)` when the larger of the block's peak and the block beside what
+    `bipartite_laplacian_gap` maps would not fit in memory."""
+    peak, held = _block_footprint(G, mu)
+    solve = held + iterative_solve_bytes(_rows(G.n, mu))
+    _require_bytes(max(peak, solve), _subject(G) + " and its eigensolve")
+
+
 def interchange_spectrum(G: WeightedGraph) -> np.ndarray:
     """The n!-point spectrum of the explicit interchange Laplacian, sorted
     ascending: W - beta and W + beta for the total rate W and each
-    eigenvalue beta of the even-to-odd block B_2 (`_coset_block`), found
-    by one dense solve of B_2. Signed weights (a `SignedWeightedGraph`) are allowed; the
-    spectrum is nonnegative when all weights are.
+    eigenvalue beta of the even-to-odd block `_module_block(G, (2,
+    1^(n-2)))`, found by one dense solve of that block. Signed weights (a
+    `SignedWeightedGraph`) are allowed; the spectrum is nonnegative when
+    all weights are.
 
     Raises ValueError when n! exceeds `spectral.DENSE_LIMIT`, and, before
     building anything, when the block, its dense copy and what the dense
@@ -295,15 +261,15 @@ def interchange_spectrum(G: WeightedGraph) -> np.ndarray:
         return np.zeros(1)  # one state, no move
     import scipy.sparse  # noqa: F401  (loaded first: the check counts it as mapped)
 
-    half = size // 2
-    peak, held = _block_footprint(G, 2)
+    half, pairs = size // 2, (2,) + (1,) * (G.n - 2)
+    peak, held = _block_footprint(G, pairs)
     # beside the block: its dense copy, eigvalsh's copy of that, LAPACK's
     # work array (dsyevd asks for 2 + 32 float64 per row, 32 being the
     # block size of its tridiagonal reduction) and the work buffer that
     # OpenBLAS maps on its first call
     solve = held + 8 * half * (2 * half + 34) + BLAS_BUFFER_BYTES
     _require_bytes(max(peak, solve), _subject(G) + " and its dense eigensolve")
-    beta = np.linalg.eigvalsh(_coset_block(G, 2).toarray())
+    beta = np.linalg.eigvalsh(_module_block(G, pairs).toarray())
     total = float(sum(G.weights.values()))
     return np.sort(np.concatenate([total - beta, total + beta]))
 
@@ -315,32 +281,36 @@ def gap_interchange(G: WeightedGraph) -> float:
     do not connect its vertices (the chain is reducible and the zero
     eigenvalue has multiplicity above one), and for a graph without
     edges, whose Laplacian is the zero matrix. Above DENSE_CROSSOVER
-    states it is solved on the cosets of k = 1 + isqrt(n - 1) identical
-    labels (`_coset_block`, `spectral.bipartite_laplacian_gap`);
-    otherwise, or when that solve raises NoConvergence on at most
-    DENSE_LIMIT states, it is read off `interchange_spectrum`. Raises
-    ValueError, before building anything, when the block and what its
-    solve holds would not fit in memory, and NoConvergence (a
-    ValueError) when the iterative solve fails on more than DENSE_LIMIT
-    states.
+    states it is solved on the smallest Young module that holds every
+    shape or its conjugate (`_covering_shape`, `_module_block`,
+    `spectral.bipartite_laplacian_gap`); otherwise, or when that solve
+    raises NoConvergence on at most DENSE_LIMIT states, it is read off
+    `interchange_spectrum`. Raises ValueError, before building anything,
+    when the block and what its solve holds would not fit in memory, and
+    NoConvergence (a ValueError) when the iterative solve fails on more
+    than DENSE_LIMIT states.
     """
     if G.n < 2:
         raise ValueError("need at least 2 vertices")
     if not any(G.weights.values()):
         return 0.0
     size = _states(G.n)
-    k = 1 + math.isqrt(G.n - 1)  # the largest k with (k - 1)^2 < n
     if size > DENSE_CROSSOVER:
         import scipy.sparse.linalg  # noqa: F401  (loaded first: the check counts it as mapped)
-        peak, held = _block_footprint(G, k)
-        solve = held + iterative_solve_bytes(_cosets(G.n, k))
-        _require_bytes(max(peak, solve), _subject(G) + " and its eigensolve")
+        # the parts of a covering mu are at most s, as the s x s box holds a
+        # shape whose first row and column are at most s, so mu has at least
+        # the rows of (s, ..., s, n mod s): a refusal before the search
+        s = 1 + math.isqrt(G.n - 1)
+        whole, rest = divmod(G.n, s)
+        _require_gap_solve(G, (s,) * whole + (rest,) * (rest > 0))
+        mu = _covering_shape(G.n)
+        _require_gap_solve(G, mu)
     if min(G.weights.values()) >= 0 and not is_connected(G):
         return 0.0
     if size > DENSE_CROSSOVER:
         try:
             # the block goes with the exception, before the fallback builds its own
-            return bipartite_laplacian_gap(_coset_block(G, k), float(sum(G.weights.values())))
+            return bipartite_laplacian_gap(_module_block(G, mu), float(sum(G.weights.values())))
         except NoConvergence:
             if size > DENSE_LIMIT:
                 raise

@@ -2,11 +2,11 @@
 
 Composition is right to left: ``(a * b)(i) == a(b(i))``, so ``a * b``
 means "apply b first". Ranks are indices into the lexicographic order of
-one-line words (factorial number system). The n!-state interchange
-process orders its states the same way but does not rank them here: it
-groups the words of ranks k! m to k! m + k! - 1 into coset m and
-composes maps of those cosets under adjacent letter swaps
-(`interchange._coset_block`).
+one-line words (factorial number system). The explicit interchange
+route ranks nothing here: it keeps each state as the word of its
+letters' block labels, coded in base len(mu), and finds where a letter
+swap takes it by a binary search of the sorted codes
+(`interchange._module_block`).
 """
 
 from __future__ import annotations

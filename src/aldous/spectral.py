@@ -8,23 +8,23 @@ operation here matches eigenvectors.
 cross between two halves of its states, as the interchange process's
 do, by running ARPACK on the first half only, on W^2 I - B B^T with its
 all-ones kernel direction shifted away; `interchange.gap_interchange`
-hands it the block of the cosets of three or more identical labels,
-which keeps the gap. It reads the gap off a dense spectrum up to
-DENSE_CROSSOVER states instead. The crossover was measured on a 2-vCPU
-x86 host with two OpenBLAS threads, each solver in its own process, as
-the range of three medians of 40 solves on random connected graphs:
-`eigvalsh` of the dense n!/2-row block B_2 that `interchange_spectrum`
-solves, against this function on the n!/6-row block B_3 that
-`gap_interchange` solves:
+hands it the block of the smallest Young module that holds every shape
+or its conjugate, which keeps the gap. It reads the gap off a dense
+spectrum up to DENSE_CROSSOVER states instead. The crossover was
+measured on a 2-vCPU x86 host with two OpenBLAS threads, each solver in
+its own process, as the range of three medians of 40 solves on random
+connected graphs: `eigvalsh` of the dense n!/2-row even-to-odd block
+that `interchange_spectrum` solves, against this function on the
+module block that `gap_interchange` solves:
 
-    n  states  dense, n!/2 rows      iterative, n!/6 rows
-    5  120     60    0.22-0.23 ms    20   0.96-1.04 ms
-    6  720     360   6.7-7.9 ms      120  0.84-2.05 ms
-    7  5040    2520  0.96-1.12 s     840  3.6-3.8 ms
+    n  states  dense, n!/2 rows      iterative, module rows
+    5  120     60    0.15-0.24 ms    20   0.65-0.71 ms
+    6  720     360   8.1-10.0 ms     60   0.99-1.01 ms
+    7  5040    2520  1.04-1.13 s     420  1.7-2.7 ms
 
 With the build of each block counted, `interchange_spectrum` takes
-0.71-0.75 ms at n = 5 and 9.1-11.7 ms at n = 6, against 1.25-1.42 ms
-and 1.11-2.42 ms here, so the crossover falls between n = 5 and n = 6.
+0.33-0.54 ms at n = 5 and 8.6-11.4 ms at n = 6, against 1.27-1.59 ms
+and 1.26-1.96 ms here, so the crossover falls between n = 5 and n = 6.
 DENSE_LIMIT (6000, so n <= 7) bounds the states of that dense solve,
 behind the direct check of `aldous decompose`, the Dirichlet-form
 oracle of the tests and the fallback of `gap_interchange`.
@@ -36,8 +36,10 @@ implicit restart rewrites the whole basis (Lehoucq, Sorensen and Yang,
 costs more in those sweeps than it saves in matrix-vector products.
 On the same host, as the range over a path, a wheel, a complete and a
 random graph of the median solve on the block of three identical
-labels (840, 6720 and 60480 rows; 15, 9 and 3 solves per graph at
-n = 7, 8 and 9, the basis sizes alternating in one process):
+labels, the module of the hook (3, 1^(n-3)) that `gap_interchange`
+solved before it searched for a smaller one (840, 6720 and 60480 rows;
+15, 9 and 3 solves per graph at n = 7, 8 and 9, the basis sizes
+alternating in one process):
 
     vectors  n = 7        n = 8      n = 9
     4        1.41-4.33 ms 16-41 ms   297-429 ms
@@ -179,9 +181,9 @@ def bipartite_laplacian_gap(B, total: float) -> float:
     square sparse B >= 0 of at least two rows whose rows and columns all
     sum to W = `total` > 0: the Laplacian of a chain whose moves all cross
     between two halves of its states, as every transposition flips the
-    parity of a word. B may hold diagonal entries, as the cosets of
-    three or more identical labels that `interchange.gap_interchange`
-    passes do.
+    parity of a word. B may hold diagonal entries, as the Young-module
+    blocks that `interchange.gap_interchange` passes do wherever a swap
+    exchanges two identical labels.
 
     L has the eigenvalues W -+ sigma for the singular values sigma of B,
     so mu = W - sigma_2. ARPACK finds the smallest eigenvalue m of

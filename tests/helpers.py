@@ -292,21 +292,23 @@ def loop_interchange_laplacian(G):
     return sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
 
 
-def loop_coset_rates(G, k):
-    """Reference rate matrix of the interchange process whose labels at the
-    last k places are identical, built one word and one edge at a time: its
-    states are the words whose last k letters ascend, in rank order, and
-    (i j) takes a word to the word it gives with its last k letters
-    sorted, at the rate of edge (i, j), as a dense array."""
-    n = G.n
-    words = [w for w in permutations(range(1, n + 1)) if list(w[n - k:]) == sorted(w[n - k:])]
+def loop_module_rates(G, mu):
+    """Reference rate matrix of the interchange process whose labels come
+    in blocks of mu_1, mu_2, ... identical ones, built one word and one
+    edge at a time: its states are the distinct words that give each
+    vertex the label c of its block, with mu_c copies of c, in
+    lexicographic order, and (i j) exchanges the labels of vertices i and
+    j at the rate of edge (i, j), as a dense array."""
+    labels = [c for c, part in enumerate(mu) for _ in range(part)]
+    words = sorted(set(permutations(labels)))
     rank_of = {word: r for r, word in enumerate(words)}
     rates = np.zeros((len(words), len(words)))
     for r, word in enumerate(words):
         for (i, j), w in sorted(G.weights.items()):
             if w != 0:
-                swapped = [j if v == i else i if v == j else v for v in word]
-                rates[r, rank_of[tuple(swapped[: n - k] + sorted(swapped[n - k:]))]] += w
+                swapped = list(word)
+                swapped[i - 1], swapped[j - 1] = word[j - 1], word[i - 1]
+                rates[r, rank_of[tuple(swapped)]] += w
     return rates
 
 

@@ -88,6 +88,13 @@ def test_criterion_1_aldous_equality_desk_scale():
             gi = gap_interchange(G)
             gr = gap_rw(G)
             assert gi == pytest.approx(gr, rel=1e-8, abs=1e-10), G.weights
+        # at n = 9 and 10 the explicit route, the per-shape route and the walk
+        # agree on seeded wheels and random graphs
+        frontier = [G for n in (9, 10) for G in (wheel_graph(n, seed=n), *seeded_graph_stream(1000 + n, 1, n, n))]
+        for G in frontier:
+            eps = 1e-9 * (1.0 + float(sum(G.weights.values())))
+            gi, gr = gap_interchange(G), gap_rw(G)
+            assert abs(gi - aldous_check(G).gap_interchange) <= eps and abs(gi - gr) <= eps, G.weights
 
 
 def test_criterion_2_interchange_decomposition():

@@ -5,7 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from itertools import chain, permutations
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +47,7 @@ from aldous.yor import irrep_laplacian, shape_spectra
 from helpers import (
     arpack_error,
     forbid_large_factorials,
-    loop_coset_rates,
+    loop_module_rates,
     loop_interchange_laplacian,
     no_convergence,
     signed_graphs,
@@ -69,8 +69,18 @@ def dense_gap(G):
     return float(interchange_spectrum(G)[1])
 
 
+def pairs(n):
+    """(2, 1^(n-2)), the module whose block is the even-to-odd block."""
+    return (2,) + (1,) * (n - 2)
+
+
+def hook(n, k):
+    """(k, 1^(n-k)), the module of k identical labels."""
+    return (k,) + (1,) * (n - k)
+
+
 def block_and_total(G):
-    return interchange._coset_block(G, 2), float(sum(G.weights.values()))
+    return interchange._module_block(G, pairs(G.n)), float(sum(G.weights.values()))
 
 
 def odd_words(n):
@@ -79,6 +89,25 @@ def odd_words(n):
         [sum(a > b for k, a in enumerate(w) for b in w[k + 1:]) % 2 for w in permutations(range(n))],
         dtype=bool,
     )
+
+
+def even_odd_block(G):
+    """`_module_block(G, (2, 1^(n-2)))` with its rows in the rank order of
+    the even words and its columns in that of the odd words, and sorted
+    rows. A word gives each letter the label of the place that holds it,
+    1..n-2 for the first n - 2 places and 0 for the last two, and the row
+    of its label word is that word's rank among the distinct label words
+    in lexicographic order; the even and the odd word of a row differ by
+    a swap of their last two places."""
+    n = G.n
+    words = np.array(list(permutations(range(n)))).reshape(-1, n)
+    labels = np.empty_like(words)
+    labels[np.arange(len(words))[:, None], words] = list(range(1, n - 1)) + [0, 0]
+    row = np.unique(labels, axis=0, return_inverse=True)[1].reshape(-1)
+    odd = odd_words(n)
+    block = interchange._module_block(G, pairs(n))[row[~odd]][:, row[odd]]
+    block.sort_indices()
+    return block
 
 
 def loop_block(G):
@@ -111,12 +140,12 @@ class TestInterchangeLaplacian:
     def test_two_vertices(self):
         a = 0.9
         G = WeightedGraph(2, {(1, 2): a})
-        assert interchange._coset_block(G, 2).toarray().tolist() == [[a]]
+        assert interchange._module_block(G, pairs(2)).toarray().tolist() == [[a]]
         assert np.allclose(interchange_spectrum(G), [0.0, 2 * a], atol=1e-15)
 
     def test_k3_structure(self):
         # each even word of S_3 reaches each odd word by one transposition
-        B = interchange._coset_block(complete_graph(3), 2)
+        B = interchange._module_block(complete_graph(3), pairs(3))
         assert np.array_equal(B.toarray(), np.ones((3, 3)))
         assert np.allclose(interchange_spectrum(complete_graph(3)), [0, 3, 3, 3, 3, 6], atol=1e-12)
 
@@ -131,7 +160,7 @@ class TestInterchangeLaplacian:
 
     def test_nnz_count(self):
         G = complete_graph(3)
-        B = interchange._coset_block(G, 2)
+        B = interchange._module_block(G, pairs(3))
         assert B.nnz == math.factorial(3) // 2 * len(G.positive_edges())
 
     @settings(max_examples=60, deadline=None)
@@ -147,20 +176,21 @@ class TestInterchangeLaplacian:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_matches_loop_oracle_large(self, n):
-        """B is, bit for bit in its CSR arrays, the negated block of the
+        """B, with its rows and columns put in the order of the even and the
+        odd words, is bit for bit in its CSR arrays the negated block of the
         loop-built Laplacian between the even rows and the odd columns."""
         G = random_connected_graph(n, np.random.default_rng(n), extra_edge_prob=0.3)
         block = loop_block(G)
         assert block.nnz == math.factorial(n) // 2 * len(G.weights)
-        assert_same_csr(interchange._coset_block(G, 2), block)
+        assert_same_csr(even_odd_block(G), block)
 
     @settings(max_examples=60, deadline=None)
     @given(signed_graphs())
     def test_block_matches_loop_oracle_bit_for_bit(self, G):
-        """The same for signed, zero and all-zero weights, whose pair maps
-        include the zero shift of a swap at the last two places."""
+        """The same for signed, zero and all-zero weights, whose rows include
+        the diagonal entry of a swap of the two equal labels."""
         assume(G.n >= 2)
-        assert_same_csr(interchange._coset_block(G, 2), loop_block(G))
+        assert_same_csr(even_odd_block(G), loop_block(G))
 
 
 class TestGaps:
@@ -227,54 +257,55 @@ class TestGaps:
         assert first.hex() == second.hex()
 
     def test_n8_gap_via_iterative_path(self):
-        # 40320 states: above the dense limit, solved on the 20160 even words
+        # 40320 states: above the dense limit, solved on the 1120 label
+        # words of (3, 3, 1, 1)
         rng = np.random.default_rng(88)
         G = random_connected_graph(8, rng, extra_edge_prob=0.25)
         assert gap_interchange(G) == pytest.approx(gap_rw(G), rel=1e-8)
 
 
 class TestEvenOddBlock:
-    @pytest.mark.parametrize("n", range(1, 10))
-    def test_words_are_itertools_permutations(self, n):
-        """The word table is `permutations(range(n))`, bit for bit as int8
-        and in the same order."""
-        expected = np.fromiter(chain.from_iterable(permutations(range(n))), np.int8)
-        words = interchange._lex_words(n)
-        assert words.dtype == np.int8 and words.shape == (math.factorial(n), n)
-        assert words.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("n", range(1, 10))
-    def test_coset_words_are_every_k_factorial_th_word(self, n):
-        """The words whose last k letters ascend are those of ranks 0, k!,
-        2 k!, ... among all n!."""
-        words = interchange._lex_words(n)
-        for k in range(1, n + 1):
-            coset = interchange._lex_words(n, k)
-            assert coset.dtype == np.int8 and coset.tobytes() == words[:: math.factorial(k)].tobytes()
-
     @pytest.mark.parametrize("family, n", gap_cases(3, 7))
     def test_three_labels_match_the_loop_oracle(self, family, n):
-        """B_3 is the rate matrix of the loop-built process with three
-        identical labels; the diagonal sums the rates of the swaps inside
-        the last three places, in another order."""
+        """The block of the hook (3, 1^(n-3)) is the rate matrix of the
+        loop-built process with three identical labels; the diagonal sums
+        the rates of the swaps of two of them, in another order."""
         G = GAP_FAMILIES[family](n)
-        B = interchange._coset_block(G, 3)
+        B = interchange._module_block(G, hook(n, 3))
         edges = sum(1 for w in G.weights.values() if w != 0)
         assert B.shape[0] == math.factorial(n) // 6 and np.all(np.diff(B.indptr) == edges)
-        dense, rates = B.toarray(), loop_coset_rates(G, 3)
+        dense, rates = B.toarray(), loop_module_rates(G, hook(n, 3))
         assert np.abs(dense - rates).max() <= 1e-15 * (1.0 + float(sum(G.weights.values())))
         off = ~np.eye(len(rates), dtype=bool)
         assert np.array_equal(dense[off], rates[off])
 
+    @pytest.mark.parametrize("family, n", gap_cases(3, 7))
+    def test_module_matches_the_loop_oracle(self, family, n):
+        """The same on the module that `gap_interchange` solves and on
+        the other hooks (k, 1^(n-k)), k >= 2: off the diagonal bit for bit,
+        with one entry per edge in each row."""
+        G = GAP_FAMILIES[family](n)
+        edges = sum(1 for w in G.weights.values() if w != 0)
+        hooks = [hook(n, k) for k in range(2, n + 1) if k != 3]
+        for mu in [interchange._covering_shape(n)] + hooks:
+            B = interchange._module_block(G, mu)
+            assert B.shape[0] == interchange._rows(n, mu) and np.all(np.diff(B.indptr) == edges)
+            dense, rates = B.toarray(), loop_module_rates(G, mu)
+            assert np.abs(dense - rates).max() <= 1e-15 * (1.0 + float(sum(G.weights.values()))), mu
+            off = ~np.eye(len(rates), dtype=bool)
+            assert np.array_equal(dense[off], rates[off]), mu
+
     @pytest.mark.parametrize("family, n", gap_cases(2, 6))
     def test_is_the_odd_columns_of_the_even_rows(self, family, n):
-        """Each row holds one entry per edge, and B is the negated block of
-        the interchange Laplacian between the even and the odd words, with
-        parity counted from each word's inversions."""
+        """Each row holds one entry per edge, and B, in the order of the even
+        and the odd words, is the negated block of the interchange
+        Laplacian between them, with parity counted from each word's
+        inversions."""
         G = GAP_FAMILIES[family](n)
-        B, total = block_and_total(G)
+        total = float(sum(G.weights.values()))
         edges = sum(1 for w in G.weights.values() if w != 0)
-        assert np.all(np.diff(B.indptr) == edges)
+        assert np.all(np.diff(block_and_total(G)[0].indptr) == edges)
+        B = even_odd_block(G)
         odd = odd_words(n)
         L = loop_interchange_laplacian(G).toarray()
         assert np.array_equal(B.toarray(), -L[np.ix_(~odd, odd)])
@@ -285,16 +316,29 @@ class TestEvenOddBlock:
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_equals_its_transpose(self, n):
-        """Entry for entry, at k = 2 and 3, for positive rates and for the
+        """Entry for entry, on (2, 1^(n-2)), (3, 1^(n-3)) and the module
+        that `gap_interchange` solves, for positive rates and for the
         signed star-minus-clique rates."""
         rng = np.random.default_rng(n)
         positive = random_connected_graph(n, rng, extra_edge_prob=0.5)
         signed = comparison_weights(rng.uniform(0.25, 2.0, size=n - 1))
         for G in (positive, signed):
-            for k in (2, 3):
-                B = interchange._coset_block(G, k)
-                assert B.nnz == math.factorial(n) // math.factorial(k) * len(G.weights)
+            for mu in (pairs(n), hook(n, 3), interchange._covering_shape(n)):
+                B = interchange._module_block(G, mu)
+                assert B.nnz == interchange._rows(n, mu) * len(G.weights)
                 assert (B != B.T).nnz == 0
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_one_label_is_one_row(self, n):
+        """mu = (n): one word, and every swap lands on the diagonal."""
+        B = interchange._module_block(complete_graph(n), (n,))
+        assert B.toarray().tolist() == [[n * (n - 1) / 2]]
+
+    def test_codes_beyond_64_bits_are_refused(self):
+        """Ten labels on 19 letters: 10^19 >= 2^63, refused before any
+        word is built."""
+        with pytest.raises(ValueError, match="beyond 64 bits"):
+            interchange._module_block(WeightedGraph(19, {(1, 2): 1.0}), hook(19, 10))
 
 
 def covered(values, targets, tol=1e-10):
@@ -312,9 +356,9 @@ class TestYoungsRule:
         "family, n", gap_cases(5, 7) + [("comparison", n) for n in range(5, 8)]
     )
     def test_three_labels_cover_every_eigenvalue(self, family, n):
-        """By Young's rule the double [[W I, -B_k], [-B_k, W I]] holds the
-        shapes with at least k columns in their first row or at least k
-        rows, and every shape of n > (k - 1)^2 boxes is one of them. At
+        """By Young's rule the double [[W I, -B_k], [-B_k, W I]] of the
+        block B_k of the hook (k, 1^(n-k)) holds the shapes with at least
+        k columns in their first row or at least k rows, and every shape of n > (k - 1)^2 boxes is one of them. At
         n = 5-7 and k = 3 the spectrum of the interchange Laplacian and
         the values W -+ beta over the eigenvalues beta of B_3 therefore
         cover each other. At k = 4 the shapes inside a 3 x 3 box are
@@ -329,13 +373,84 @@ class TestYoungsRule:
         total = float(sum(G.weights.values()))
 
         def double(k):
-            beta = np.linalg.eigvalsh(interchange._coset_block(G, k).toarray())
+            beta = np.linalg.eigvalsh(interchange._module_block(G, hook(n, k)).toarray())
             return np.concatenate([total - beta, total + beta])
 
         three, four = double(3), double(4)
         assert covered(spectrum, three) and covered(three, spectrum)
         assert covered(four, spectrum)
         assert covered(spectrum, four) == (family == "one_edge")
+
+    @pytest.mark.parametrize(
+        "family, n", gap_cases(5, 7) + [("comparison", n) for n in range(5, 8)]
+    )
+    def test_covering_shape_covers_every_eigenvalue(self, family, n):
+        """The same for the module that `gap_interchange` solves: its double
+        and the spectrum cover each other. The double of each partition of
+        fewer rows leaves part of the spectrum out, except on one edge, once
+        each rate is scaled by a seeded factor: on the unit wheel and the
+        star-minus-clique rates at n = 5 and 7, the self-conjugate shapes
+        that (3, 2), (3, 3, 1) and (3, 2, 2) miss share their eigenvalues
+        with shapes they hold."""
+        if family == "comparison":
+            G = comparison_weights(np.random.default_rng(n).uniform(0.25, 2.0, size=n - 1))
+        else:
+            G = GAP_FAMILIES[family](n)
+        factors = np.random.default_rng(n).uniform(0.5, 1.5, size=len(G.weights))
+        generic = type(G)(n, {e: w * f for (e, w), f in zip(sorted(G.weights.items()), factors)})
+        mu = interchange._covering_shape(n)
+
+        def double(G, mu):
+            total = float(sum(G.weights.values()))
+            beta = np.linalg.eigvalsh(interchange._module_block(G, mu).toarray())
+            return np.concatenate([total - beta, total + beta])
+
+        for H in (G, generic):
+            spectrum, chosen = interchange_spectrum(H), double(H, mu)
+            assert covered(spectrum, chosen) and covered(chosen, spectrum)
+        fewer = [nu.parts for nu in enumerate_partitions(n) if interchange._rows(n, nu.parts) < interchange._rows(n, mu)]
+        assert fewer
+        for nu in fewer:
+            assert covered(spectrum, double(generic, nu)) == (family == "one_edge"), nu
+
+
+def dominates(lam, mu):
+    """lam >= mu in the dominance order: every partial sum of lam's parts
+    at least mu's."""
+    return all(sum(lam.parts[:i]) >= sum(mu.parts[:i]) for i in range(1, mu.n + 1))
+
+
+def covers(mu):
+    """Whether every partition lam of mu's size has lam >= mu or lam' >= mu."""
+    return all(dominates(lam, mu) or dominates(lam.conjugate(), mu) for lam in enumerate_partitions(mu.n))
+
+
+class TestCoveringShape:
+    ROWS = {7: 420, 8: 1120, 9: 10080, 10: 25200, 12: 831600}
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_covers_with_the_fewest_rows(self, n):
+        """The chosen mu covers every shape, no partition of fewer rows
+        does, and its rows are pinned where they were first tabulated."""
+        mu = Partition(interchange._covering_shape(n))
+        rows = math.factorial(n) // math.prod(math.factorial(p) for p in mu)
+        assert covers(mu) and interchange._rows(n, mu.parts) == rows
+        assert rows == self.ROWS.get(n, rows)
+        for nu in enumerate_partitions(n):
+            if math.factorial(n) // math.prod(math.factorial(p) for p in nu) < rows:
+                assert not covers(nu), nu
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_covering_parts_fit_the_refusal_bound(self, n):
+        """Every covering partition has parts of at most s = 1 + isqrt(n - 1),
+        so at least the rows of (s, ..., s, n mod s), the estimate that
+        `gap_interchange` checks before its search."""
+        s = 1 + math.isqrt(n - 1)
+        whole, rest = divmod(n, s)
+        fewest = interchange._rows(n, (s,) * whole + (rest,) * (rest > 0))
+        for mu in enumerate_partitions(n):
+            if covers(mu):
+                assert mu.parts[0] <= s and interchange._rows(n, mu.parts) >= fewest
 
 
 class TestEvenHalfSolve:
@@ -387,8 +502,8 @@ class TestDenseFallback:
     @pytest.mark.parametrize("fake", [wrong_eigenpair, no_convergence, arpack_error])
     def test_raises_above_dense_limit(self, monkeypatch, fake):
         monkeypatch.setattr(spla, "eigsh", fake)
-        # twice the 8!/3! cosets of three identical labels
-        message = "iterative eigensolve of dimension 13440 did not converge: residual"
+        # twice the 1120 label words of (3, 3, 1, 1)
+        message = "iterative eigensolve of dimension 2240 did not converge: residual"
         with pytest.raises(ValueError, match=message):
             gap_interchange(path_graph(8))
 
@@ -400,7 +515,8 @@ class TestDenseFallback:
         monkeypatch.setattr(interchange, "_require_bytes", lambda need, what: needs.append(need))
         gap_interchange(G)
         interchange_spectrum(G)
-        iterative, dense = needs
+        # the estimates of the refusal bound, the block it builds and the dense solve
+        _, iterative, dense = needs
         assert iterative < dense
         monkeypatch.undo()
         monkeypatch.setattr(spla, "eigsh", wrong_eigenpair)
@@ -600,12 +716,12 @@ class TestMemoryGuard:
     def test_gap_interchange_refuses_exactly_above_the_estimate(self, monkeypatch):
         G = wheel_graph(6)
         subject = "interchange Laplacian of a 6-vertex graph with 10 edges and its eigensolve"
-        # the block on the 120 cosets of three identical labels: int32
-        # columns, float64 values and row pointers, two freed int64
-        # temporaries per row; beside it 30 float64 per row (10 Lanczos and
-        # 10 Ritz vectors, and ten more) and the BLAS buffer
-        half, edges = 120, 10
-        block = half * (edges * 12 + 4 + 16) + 4 + 2**16
+        # the block on the 60 label words of (3, 2, 1): int32 columns,
+        # float64 values and row pointers, two freed int64 temporaries per
+        # row; beside it 30 float64 per row (10 Lanczos and 10 Ritz vectors,
+        # and ten more) and the BLAS buffer
+        half, edges = 60, 10
+        block = half * (edges * 12 + 4 + 16) + 4
         need = block + 240 * half + 2**25
         monkeypatch.setattr(yor, "_available_bytes", lambda: need)
         gap_interchange(G)
@@ -623,7 +739,7 @@ class TestMemoryGuard:
         it the dense block, eigvalsh's copy of it, LAPACK's work array of
         34 float64 per row and the BLAS buffer."""
         half = 360
-        block = half * (edges * 12 + 4 + 16) + 4 + 2**16
+        block = half * (edges * 12 + 4 + 16) + 4
         need = block + 8 * half * half + 8 * half * (half + 34) + 2**25
         monkeypatch.setattr(yor, "_available_bytes", lambda: need)
         assert interchange_spectrum(G).shape == (720,)
@@ -633,10 +749,14 @@ class TestMemoryGuard:
             interchange_spectrum(G)
 
     @staticmethod
+    def refuse_to_enumerate(n):
+        raise AssertionError(f"searched the partitions of {n}")
+
+    @staticmethod
     def traced_estimate(monkeypatch, run, G):
-        """The estimate `run(G)` passes to `_require_bytes`, and the peak
-        that `tracemalloc` sees in a second run (scipy is loaded by the
-        first, outside the traced run)."""
+        """The last estimate `run(G)` passes to `_require_bytes`, the one of
+        the block it builds, and the peak that `tracemalloc` sees in a
+        second run (scipy is loaded by the first, outside the traced run)."""
         needs = []
         monkeypatch.setattr(interchange, "_require_bytes", lambda need, what: needs.append(need))
         run(G)
@@ -647,7 +767,7 @@ class TestMemoryGuard:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return needs[0], peak
+        return needs[-1], peak
 
     @pytest.mark.parametrize("n", [7, 8])
     @pytest.mark.parametrize("family", [path_graph, complete_graph])
@@ -673,7 +793,7 @@ class TestMemoryGuard:
         def build(G):
             raise AssertionError("built the block")
 
-        monkeypatch.setattr(interchange, "_coset_block", build)
+        monkeypatch.setattr(interchange, "_module_block", build)
         with pytest.raises(ValueError, match="limited to 6000 states; a 8-vertex graph has 8! states"):
             interchange_spectrum(path_graph(8))
 
@@ -701,6 +821,7 @@ class TestMemoryGuard:
 
     def test_huge_n_refused_before_forming_its_factorial(self, monkeypatch):
         forbid_large_factorials(monkeypatch)
+        monkeypatch.setattr(interchange, "enumerate_partitions", self.refuse_to_enumerate)
         G = WeightedGraph(10**6, {(1, 2): 1.0})
         subject = "the per-shape blocks of a 1000000-vertex graph with 1 edges need about inf GiB"
         for run in (aldous_check, spectrum_via_irreps, shape_spectra):
@@ -725,7 +846,8 @@ class TestMemoryGuard:
         with pytest.raises(ValueError, match="the per-shape blocks of 3000 boxes need about inf GiB"):
             check_conjecture(3000, [1.0] * 2999)
 
-    def test_thirty_vertices_refused_without_a_cap(self):
+    def test_thirty_vertices_refused_without_a_cap(self, monkeypatch):
+        monkeypatch.setattr(interchange, "enumerate_partitions", self.refuse_to_enumerate)
         for run in (gap_interchange, interchange_spectrum):
             with pytest.raises(ValueError, match="30-vertex graph"):
                 run(complete_graph(30))
@@ -789,8 +911,8 @@ def test_nine_vertices_both_routes():
 
 
 def test_ten_vertices_explicit_route():
-    """At n = 10 the explicit route solves the 151200 cosets of four
-    identical labels."""
+    """At n = 10 the explicit route solves the 25200 label words of
+    (4, 3, 1, 1, 1)."""
     G = wheel_graph(10, seed=1)
     eps = 1e-9 * (1.0 + float(sum(G.weights.values())))
     assert abs(gap_interchange(G) - aldous_check(G).gap_interchange) <= eps
