@@ -1,13 +1,13 @@
 """The n!-state interchange process and its spectrum.
 
-States are permutations ranked lexicographically; the process jumps from
-sigma to (i j) sigma at the rate of edge (i, j). Two routes to its
-spectrum are kept deliberately independent: the explicit n!-state
-chain, and the per-shape decomposition where each partition block
-appears with multiplicity equal to its dimension. The walk of a single
-label embeds as the two-row-shape block, which is what the gap
-comparison (`aldous_check`) exploits: the conjecture holds for a graph
-exactly when no other shape's smallest eigenvalue undercuts it.
+The process jumps from a permutation sigma to (i j) sigma at the rate of
+edge (i, j). Two routes to its spectrum are kept deliberately
+independent: the explicit chain, on the Young modules below, and the
+per-shape decomposition where each partition block appears with
+multiplicity equal to its dimension. The walk of a single label embeds
+as the two-row-shape block, which is what the gap comparison
+(`aldous_check`) exploits: the conjecture holds for a graph exactly when
+no other shape's smallest eigenvalue undercuts it.
 
 The explicit route builds one kind of matrix, the rates B_mu of the
 process whose labels come in blocks of mu_1, mu_2, ... identical ones
@@ -62,24 +62,26 @@ two OpenBLAS threads, each in a fresh process, `gap_interchange` takes
 (14.6-27.0 ms on the 6720 rows of the hook (3, 1^5), which it solved
 before it searched for mu), 52-80 ms at 67 MB peak RSS on K_9
 (0.24-0.30 s at 95 MB), and 0.17-0.21 s at 78 MB on K_10 (0.90-1.06 s
-at 161 MB). Up to
-`spectral.DENSE_CROSSOVER` states (n <= 5), and up to
-`spectral.DENSE_LIMIT` states when that solve raises NoConvergence
-(ARPACK stopped, or its pair failed the residual check), the gap is
-read off `interchange_spectrum`, the one dense solve of the even-to-odd
-block. When the positive rates of a graph without negative ones do not
-connect its vertices, the chain is reducible and the gap is 0.0,
-without a solve.
+at 161 MB). The dense double of the same block (`_double_spectrum`)
+gives the gap on the one row of (2) at n = 2, where ARPACK cannot run,
+and when the solve raises NoConvergence (ARPACK stopped, or its pair
+failed the residual check) on at most `spectral.DENSE_LIMIT` states of
+the double (n <= 8). The solve needs B_mu >= 0, so negative rates are
+refused; with them the residual check only shows that a value is some
+eigenvalue (on the star-minus-clique rates at n = 6 it passed the
+minimum of shape (4, 2), where the gap is about 0), and their spectrum
+is `interchange_spectrum`'s. When the positive rates do not connect the
+vertices, the chain is reducible and the gap is 0.0, without a solve.
 
 There is no fixed cap on n. Before it builds anything, each explicit
 function passes one estimate to `yor._require_bytes`: the larger of
 what the block's builder maps at its peak (`_block_footprint`) and the
 block beside what its solve holds, counted array by array (the dense
-block and what `eigvalsh` maps for `interchange_spectrum`,
+block and what `eigvalsh` maps for `_double_spectrum`,
 `spectral.iterative_solve_bytes` for `gap_interchange`), so a graph
 whose solve would not fit is refused with ValueError before anything
 is allocated; the fallback of `gap_interchange` frees its block and
-then makes the estimate of `interchange_spectrum`. `gap_interchange`
+then makes the estimate of `_double_spectrum`. `gap_interchange`
 first checks the estimate of the fewest rows that any mu of its search
 can have, so a huge n is refused before its partitions are searched:
 the s x s box, s = 1 + isqrt(n - 1), holds a shape of n boxes whose
@@ -100,7 +102,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .graphs import WeightedGraph, is_connected, rw_laplacian
-from .spectral import BLAS_BUFFER_BYTES, DEFAULT_TOL, DENSE_CROSSOVER, DENSE_LIMIT, NoConvergence
+from .spectral import BLAS_BUFFER_BYTES, DEFAULT_TOL, DENSE_LIMIT, NoConvergence
 from .spectral import bipartite_laplacian_gap, iterative_solve_bytes
 from .tableaux import Partition, enumerate_partitions, f_dim
 from .yor import _require_bytes, _states, shape_spectra
@@ -239,82 +241,88 @@ def _require_gap_solve(G: WeightedGraph, mu: tuple[int, ...]) -> None:
     _require_bytes(max(peak, solve), _subject(G) + " and its eigensolve")
 
 
+def _double_spectrum(G: WeightedGraph, mu: tuple[int, ...]) -> np.ndarray:
+    """W - beta and W + beta, sorted ascending, for the total rate W and
+    each eigenvalue beta of `_module_block(G, mu)`, found by one dense
+    solve of that block. Raises ValueError, before building anything, when
+    the block, its dense copy and what the dense solve maps beside them
+    would not fit in memory."""
+    import scipy.sparse  # noqa: F401  (loaded first: the check counts it as mapped)
+
+    rows = _rows(G.n, mu)
+    peak, held = _block_footprint(G, mu)
+    # beside the block: its dense copy, eigvalsh's copy of that, LAPACK's
+    # work array (dsyevd asks for 2 + 32 float64 per row, 32 being the
+    # block size of its tridiagonal reduction) and the work buffer that
+    # OpenBLAS maps on its first call
+    solve = held + 8 * rows * (2 * rows + 34) + BLAS_BUFFER_BYTES
+    _require_bytes(max(peak, solve), _subject(G) + " and its dense eigensolve")
+    beta = np.linalg.eigvalsh(_module_block(G, mu).toarray())
+    total = float(sum(G.weights.values()))
+    return np.sort(np.concatenate([total - beta, total + beta]))
+
+
 def interchange_spectrum(G: WeightedGraph) -> np.ndarray:
     """The n!-point spectrum of the explicit interchange Laplacian, sorted
-    ascending: W - beta and W + beta for the total rate W and each
-    eigenvalue beta of the even-to-odd block `_module_block(G, (2,
-    1^(n-2)))`, found by one dense solve of that block. Signed weights (a
+    ascending: the double spectrum (`_double_spectrum`) of the even-to-odd
+    block `_module_block(G, (2, 1^(n-2)))`. Signed weights (a
     `SignedWeightedGraph`) are allowed; the spectrum is nonnegative when
     all weights are.
 
     Raises ValueError when n! exceeds `spectral.DENSE_LIMIT`, and, before
-    building anything, when the block, its dense copy and what the dense
-    solve maps beside them would not fit in memory.
+    building anything, when the dense solve would not fit in memory.
     """
-    size = _states(G.n)
-    if size > DENSE_LIMIT:
+    if _states(G.n) > DENSE_LIMIT:
         raise ValueError(
             f"a dense spectrum is limited to {DENSE_LIMIT} states; "
             f"a {G.n}-vertex graph has {G.n}! states"
         )
     if G.n < 2:
         return np.zeros(1)  # one state, no move
-    import scipy.sparse  # noqa: F401  (loaded first: the check counts it as mapped)
-
-    half, pairs = size // 2, (2,) + (1,) * (G.n - 2)
-    peak, held = _block_footprint(G, pairs)
-    # beside the block: its dense copy, eigvalsh's copy of that, LAPACK's
-    # work array (dsyevd asks for 2 + 32 float64 per row, 32 being the
-    # block size of its tridiagonal reduction) and the work buffer that
-    # OpenBLAS maps on its first call
-    solve = held + 8 * half * (2 * half + 34) + BLAS_BUFFER_BYTES
-    _require_bytes(max(peak, solve), _subject(G) + " and its dense eigensolve")
-    beta = np.linalg.eigvalsh(_module_block(G, pairs).toarray())
-    total = float(sum(G.weights.values()))
-    return np.sort(np.concatenate([total - beta, total + beta]))
+    return _double_spectrum(G, (2,) + (1,) * (G.n - 2))
 
 
 def gap_interchange(G: WeightedGraph) -> float:
-    """Second-smallest eigenvalue of the explicit interchange Laplacian.
+    """Second-smallest eigenvalue of the explicit interchange Laplacian of
+    nonnegative rates, solved on the smallest Young module that holds
+    every shape or its conjugate (`_covering_shape`, `_module_block`,
+    `spectral.bipartite_laplacian_gap`), or read off the dense double of
+    that block (`_double_spectrum`) when it has one row (n = 2) or when
+    that solve raises NoConvergence on at most DENSE_LIMIT states.
 
-    Exactly 0.0 when the positive rates of a graph without negative ones
-    do not connect its vertices (the chain is reducible and the zero
-    eigenvalue has multiplicity above one), and for a graph without
-    edges, whose Laplacian is the zero matrix. Above DENSE_CROSSOVER
-    states it is solved on the smallest Young module that holds every
-    shape or its conjugate (`_covering_shape`, `_module_block`,
-    `spectral.bipartite_laplacian_gap`); otherwise, or when that solve
-    raises NoConvergence on at most DENSE_LIMIT states, it is read off
-    `interchange_spectrum`. Raises ValueError, before building anything,
-    when the block and what its solve holds would not fit in memory, and
-    NoConvergence (a ValueError) when the iterative solve fails on more
-    than DENSE_LIMIT states.
+    Exactly 0.0 when the positive rates do not connect the vertices (the
+    chain is reducible) and for a graph without edges. Raises ValueError
+    on a negative rate (`interchange_spectrum` takes signed weights) and,
+    before building anything, when the block and what its solve holds
+    would not fit in memory, and NoConvergence (a ValueError) when the
+    iterative solve fails on more than DENSE_LIMIT states.
     """
     if G.n < 2:
         raise ValueError("need at least 2 vertices")
+    if any(w < 0 for w in G.weights.values()):
+        raise ValueError("gap_interchange needs nonnegative rates; interchange_spectrum takes signed weights")
     if not any(G.weights.values()):
         return 0.0
-    size = _states(G.n)
-    if size > DENSE_CROSSOVER:
-        import scipy.sparse.linalg  # noqa: F401  (loaded first: the check counts it as mapped)
-        # the parts of a covering mu are at most s, as the s x s box holds a
-        # shape whose first row and column are at most s, so mu has at least
-        # the rows of (s, ..., s, n mod s): a refusal before the search
-        s = 1 + math.isqrt(G.n - 1)
-        whole, rest = divmod(G.n, s)
-        _require_gap_solve(G, (s,) * whole + (rest,) * (rest > 0))
-        mu = _covering_shape(G.n)
-        _require_gap_solve(G, mu)
-    if min(G.weights.values()) >= 0 and not is_connected(G):
+    import scipy.sparse.linalg  # noqa: F401  (loaded first: the check counts it as mapped)
+    # the parts of a covering mu are at most s, as the s x s box holds a
+    # shape whose first row and column are at most s, so mu has at least
+    # the rows of (s, ..., s, n mod s): a refusal before the search
+    s = 1 + math.isqrt(G.n - 1)
+    whole, rest = divmod(G.n, s)
+    _require_gap_solve(G, (s,) * whole + (rest,) * (rest > 0))
+    mu = _covering_shape(G.n)
+    _require_gap_solve(G, mu)
+    if not is_connected(G):
         return 0.0
-    if size > DENSE_CROSSOVER:
+    rows = _rows(G.n, mu)
+    if rows > 1:
         try:
-            # the block goes with the exception, before the fallback builds its own
+            # the block goes with the exception, before the fallback builds it again
             return bipartite_laplacian_gap(_module_block(G, mu), float(sum(G.weights.values())))
         except NoConvergence:
-            if size > DENSE_LIMIT:
+            if 2 * rows > DENSE_LIMIT:
                 raise
-    return float(interchange_spectrum(G)[1])
+    return float(_double_spectrum(G, mu)[1])
 
 
 def gap_rw(G: WeightedGraph) -> float:

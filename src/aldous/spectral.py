@@ -9,25 +9,16 @@ cross between two halves of its states, as the interchange process's
 do, by running ARPACK on the first half only, on W^2 I - B B^T with its
 all-ones kernel direction shifted away; `interchange.gap_interchange`
 hands it the block of the smallest Young module that holds every shape
-or its conjugate, which keeps the gap. It reads the gap off a dense
-spectrum up to DENSE_CROSSOVER states instead. The crossover was
-measured on a 2-vCPU x86 host with two OpenBLAS threads, each solver in
-its own process, as the range of three medians of 40 solves on random
-connected graphs: `eigvalsh` of the dense n!/2-row even-to-odd block
-that `interchange_spectrum` solves, against this function on the
-module block that `gap_interchange` solves:
-
-    n  states  dense, n!/2 rows      iterative, module rows
-    5  120     60    0.15-0.24 ms    20   0.65-0.71 ms
-    6  720     360   8.1-10.0 ms     60   0.99-1.01 ms
-    7  5040    2520  1.04-1.13 s     420  1.7-2.7 ms
-
-With the build of each block counted, `interchange_spectrum` takes
-0.33-0.54 ms at n = 5 and 8.6-11.4 ms at n = 6, against 1.27-1.59 ms
-and 1.26-1.96 ms here, so the crossover falls between n = 5 and n = 6.
-DENSE_LIMIT (6000, so n <= 7) bounds the states of that dense solve,
-behind the direct check of `aldous decompose`, the Dirichlet-form
-oracle of the tests and the fallback of `gap_interchange`.
+or its conjugate, which keeps the gap, at every n. A dense `eigvalsh`
+of that block is quicker only up to its 60 rows at n = 6 (2-vCPU x86
+host, two OpenBLAS threads, median per call on random graphs: 0.28-1.01
+ms against 0.78-2.51 ms here at n = 3-6, but 15.9 against 4.3 ms at
+n = 7 and 124 against 6.7 ms at n = 8, the sizes the explicit oracle is
+timed at), so it is only a fallback. DENSE_LIMIT (6000) bounds the
+states of a dense solve: the n! of `interchange_spectrum` (n <= 7),
+behind the direct check of `aldous decompose` and the Dirichlet-form
+oracle of the tests, and twice the module rows of the fallback of
+`gap_interchange` (n <= 8).
 
 ARPACK keeps at most KRYLOV_VECTORS Lanczos vectors: it
 reorthogonalises each new vector against all of them, and each
@@ -81,7 +72,6 @@ import math
 import numpy as np
 
 DENSE_LIMIT = 6000
-DENSE_CROSSOVER = 300
 DEFAULT_TOL = 1e-9
 SOLVER_TOL = 1e-10  # ARPACK tolerance and residual bound of the iterative gap solve
 KRYLOV_VECTORS = 10  # ARPACK's Lanczos basis in the iterative gap solve (module docstring)

@@ -36,12 +36,7 @@ import aldous.conjecture as conjecture
 import aldous.interchange as interchange
 import aldous.yor as yor
 from aldous.conjecture import check_conjecture, comparison_weights
-from aldous.spectral import (
-    DENSE_CROSSOVER,
-    bipartite_laplacian_gap,
-    iterative_solve_bytes,
-    multiset_equal,
-)
+from aldous.spectral import bipartite_laplacian_gap, iterative_solve_bytes, multiset_equal
 from aldous.tableaux import Partition, enumerate_partitions, enumerate_syt
 from aldous.yor import irrep_laplacian, shape_spectra
 from helpers import (
@@ -194,8 +189,12 @@ class TestInterchangeLaplacian:
 
 
 class TestGaps:
-    def test_two_vertex_gap(self):
+    def test_two_vertex_gap(self, monkeypatch):
+        """The module of (2) has one row, whose dense double gives the gap
+        without ARPACK."""
         G = WeightedGraph(2, {(1, 2): 1.7})
+        assert interchange._covering_shape(2) == (2,) and interchange._rows(2, (2,)) == 1
+        monkeypatch.setattr(spla, "eigsh", arpack_error)
         assert gap_interchange(G) == pytest.approx(3.4, abs=1e-12)
         assert gap_rw(G) == pytest.approx(3.4, abs=1e-12)
 
@@ -227,6 +226,17 @@ class TestGaps:
             G = random_connected_graph(n, rng)
             direct = float(np.sort(np.linalg.eigvalsh(rw_laplacian(G)))[1])
             assert gap_rw(G) == pytest.approx(direct, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_negative_rates_are_refused(self, n):
+        """The iterative solve needs B >= 0: on the star-minus-clique rates
+        at n = 6 it passed its residual check on the minimum of shape
+        (4, 2), 0.0615, where the spectrum starts at about 0. Such weights
+        go to interchange_spectrum, which takes them."""
+        G = comparison_weights(np.random.default_rng(0).uniform(0.25, 2.0, size=n - 1))
+        with pytest.raises(ValueError, match="nonnegative rates"):
+            gap_interchange(G)
+        assert abs(interchange_spectrum(G)[0]) <= 1e-12 * (1.0 + float(sum(G.weights.values())))
 
     def test_reducible_chain_has_zero_gap(self):
         """Exactly 0.0, with no solver's rounding: one edge, and two paths
@@ -457,8 +467,6 @@ class TestEvenHalfSolve:
     @pytest.mark.parametrize("family, n", gap_cases(3, 7))
     def test_matches_dense_second_eigenvalue(self, family, n):
         G = GAP_FAMILIES[family](n)
-        if math.factorial(n) <= DENSE_CROSSOVER:  # read off the dense spectrum
-            assert gap_interchange(G) == dense_gap(G)
         # the reducible one-edge chain has gap 0, so its values are rounding
         assert gap_interchange(G) == pytest.approx(dense_gap(G), rel=1e-12, abs=1e-13)
 
@@ -471,41 +479,47 @@ class TestEvenHalfSolve:
         G = random_connected_graph(8, np.random.default_rng(3), extra_edge_prob=0.3)
         assert gap_interchange(G).hex() == gap_interchange(G).hex()
 
-    @pytest.mark.parametrize("family, n", gap_cases(6, 8))
+    @pytest.mark.parametrize("family, n", gap_cases(3, 8))
     def test_answers_without_the_dense_fallback(self, monkeypatch, family, n):
-        """The iterative solve, with its Krylov space of KRYLOV_VECTORS,
-        passes its residual check on its own: with the dense spectrum made
-        to fail, the gap is the walk's gap, and the dense one up to n = 7."""
+        """The iterative solve, with its Krylov space of KRYLOV_VECTORS or
+        of every row of the module, passes its residual check on its own:
+        with the dense double made to fail, the gap is the walk's gap, and
+        the dense one up to n = 7."""
         G = GAP_FAMILIES[family](n)
         eps = 1e-9 * (1.0 + float(sum(G.weights.values())))
         expected = [gap_rw(G)] + ([dense_gap(G)] if n <= 7 else [])
 
-        def refuse(G):
-            raise AssertionError("fell back to the dense spectrum")
+        def refuse(G, mu):
+            raise AssertionError("fell back to the dense double")
 
-        monkeypatch.setattr(interchange, "interchange_spectrum", refuse)
+        monkeypatch.setattr(interchange, "_double_spectrum", refuse)
         gap = gap_interchange(G)
         assert all(abs(gap - value) <= eps for value in expected), (gap, expected)
 
 
 class TestDenseFallback:
     """When the iterative solve fails its residual check, gap_interchange
-    reads the gap off the dense spectrum up to the dense limit."""
+    reads the gap off the dense double of the same module block, up to
+    the dense limit on the states of the double (n <= 8)."""
 
-    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("n", [6, 7, 8])
     @pytest.mark.parametrize("fake", [wrong_eigenpair, no_convergence, arpack_error])
     def test_falls_back_to_dense(self, monkeypatch, fake, n):
         G = random_connected_graph(n, np.random.default_rng(70 + n), extra_edge_prob=0.3)
+        double = interchange._double_spectrum(G, interchange._covering_shape(n))
+        expected = dense_gap(G) if n <= 7 else gap_rw(G)
         monkeypatch.setattr(spla, "eigsh", fake)
-        assert gap_interchange(G) == dense_gap(G)
+        gap = gap_interchange(G)
+        assert gap.hex() == float(double[1]).hex()
+        assert abs(gap - expected) <= 1e-12 * (1.0 + float(sum(G.weights.values())))
 
     @pytest.mark.parametrize("fake", [wrong_eigenpair, no_convergence, arpack_error])
     def test_raises_above_dense_limit(self, monkeypatch, fake):
         monkeypatch.setattr(spla, "eigsh", fake)
-        # twice the 1120 label words of (3, 3, 1, 1)
-        message = "iterative eigensolve of dimension 2240 did not converge: residual"
+        # twice the 10080 label words of (3, 3, 1, 1, 1)
+        message = "iterative eigensolve of dimension 20160 did not converge: residual"
         with pytest.raises(ValueError, match=message):
-            gap_interchange(path_graph(8))
+            gap_interchange(path_graph(9))
 
     def test_fallback_is_refused_when_it_would_not_fit(self, monkeypatch):
         """Memory enough for the iterative solve but not for the dense one
@@ -514,7 +528,7 @@ class TestDenseFallback:
         needs = []
         monkeypatch.setattr(interchange, "_require_bytes", lambda need, what: needs.append(need))
         gap_interchange(G)
-        interchange_spectrum(G)
+        interchange._double_spectrum(G, interchange._covering_shape(7))
         # the estimates of the refusal bound, the block it builds and the dense solve
         _, iterative, dense = needs
         assert iterative < dense
