@@ -15,13 +15,17 @@ process whose labels come in blocks of mu_1, mu_2, ... identical ones
 S_mu. A state gives each letter the label of its block, a word of
 l = len(mu) labels with mu_c copies of label c, kept as its code, the
 sum of label * l^(n-1-letter) over the letters 0..n-1; the codes are
-built in ascending order, a letter at a time. The swap (i j) moves a
-code by (c_j - c_i)(l^(n-1-i) - l^(n-1-j)), c_i and c_j being the labels
-of letters i and j, so one binary search of the codes per edge fills
-that edge's column of the CSR index table, with no code shared with
-`yor`. B_mu equals its transpose, its rows sum to the
-total rate W, and the double [[W I, -B_mu], [-B_mu, W I]] has the
-eigenvalues W -+ beta over the eigenvalues beta of B_mu.
+built in ascending order, a letter at a time. Split at its last h =
+floor(n/2) letters, a code is head * l^h + low. The words of one head
+are contiguous, and their tails run through every arrangement of one
+multiset in the same order, so the row of a word is first[head] +
+tail[low] for two tables of l^(n-h) and l^h entries. The swap (i j)
+moves head and low by multiples of c_j - c_i, c_i and c_j being the
+labels of letters i and j, so two gathers and an add per edge fill that
+edge's column of the CSR index table, with no code shared with `yor`.
+B_mu equals its transpose, its rows sum to the total rate W, and the
+double [[W I, -B_mu], [-B_mu, W I]] has the eigenvalues W -+ beta over
+the eigenvalues beta of B_mu.
 
 At mu = (2, 1^(n-2)) that double is the interchange Laplacian L itself,
 with its states in another order. Every transposition flips the parity
@@ -58,11 +62,12 @@ for the double's B = B_mu, so the gap is W - sigma_2(B), which
 `spectral.bipartite_laplacian_gap` finds from the smallest nontrivial
 eigenvalue of W^2 I - B B^T on the module. On a 2-vCPU x86 host with
 two OpenBLAS threads, each in a fresh process, `gap_interchange` takes
-5.7-10.5 ms at n = 8 on paths, wheels, complete and random graphs
-(14.6-27.0 ms on the 6720 rows of the hook (3, 1^5), which it solved
-before it searched for mu), 52-80 ms at 67 MB peak RSS on K_9
-(0.24-0.30 s at 95 MB), and 0.17-0.21 s at 78 MB on K_10 (0.90-1.06 s
-at 161 MB). The dense double of the same block (`_double_spectrum`)
+5.7-9.2 ms at n = 8 on paths, wheels, complete and random graphs
+(6.0-10.6 ms when a binary search of the codes gave each edge's
+column), 44-50 ms at 68 MB peak RSS on K_9 (61-75 ms), and 0.12-0.15 s
+at 79 MB on K_10 (0.16-0.22 s); in one process the two tables build the
+block 1.5 times as fast as that search at n = 8 and 2.1-2.5 times as
+fast at n = 9-12. The dense double of the same block (`_double_spectrum`)
 gives the gap on the one row of (2) at n = 2, where ARPACK cannot run,
 and when the solve raises NoConvergence (ARPACK stopped, or its pair
 failed the residual check) on at most `spectral.DENSE_LIMIT` states of
@@ -97,6 +102,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -137,26 +143,36 @@ def _block_footprint(G: WeightedGraph, mu: tuple[int, ...]) -> tuple[int, int]:
     """Bytes `_module_block(G, mu)` maps at its peak, and bytes it still
     maps when it returns.
 
-    With E edges and h rows (`_rows`), it returns E columns (int32 below
-    2^31 entries, else int64) and E float64 values per row and the row
-    pointers, beside two freed h-long int64 temporaries the allocator may
-    keep mapped. Before that it holds, per row: while the words grow, at
-    their last letter, the old and the new codes, the two indices of the
-    labels left, a row index and len(mu) one-byte counts of those labels;
-    while the columns are filled, the codes, the column table and four
-    8-byte temporaries of the searches. `tracemalloc` saw 0-4 bytes per
-    row less than the larger of these at 420-1814400 rows (n = 7-10, E
-    = 6-45, on (2, 1^(n-2)), (3, 1^(n-3)) and `_covering_shape(n)`).
+    With E edges, h rows (`_rows`) and int32 indices (int64 from 2^31
+    entries on), it returns E columns and E float64 values per row and
+    the row pointers, beside two freed h-long int64 temporaries the
+    allocator may keep mapped. Before that it holds, per row: while the
+    words grow, at their last letter, the old and the new codes, the two
+    indices of the labels left, a row index and len(mu) one-byte counts
+    of those labels; while the columns are filled, the n one-byte labels,
+    the head and tail codes, the row's two ranks, the column table and,
+    for the edge at hand, its label differences, one gathered rank and a
+    moved code with its int64 product, beside the two rank tables of
+    l^(n - floor(n/2)) + l^floor(n/2) indices (n counted as 200 past it,
+    like `_rows`). The peak adds 8 KiB of Python objects and small
+    arrays: `tracemalloc` saw 0-8 bytes per row less than the larger of
+    these at 420-1814400 rows (n = 7-10, E = 1-45, on (2, 1^(n-2)), (3,
+    1^(n-3)) and `_covering_shape(n)`), and 4-12 KiB on one to twelve
+    rows.
     """
-    rows = _rows(G.n, mu)
+    n, size = G.n, len(mu)
+    rows = _rows(n, mu)
     edges = sum(1 for w in G.weights.values() if w != 0)
     index = 4 if rows * edges < 2**31 else 8
-    words = rows * (40 + len(mu))
-    columns = rows * (40 + index * edges)
+    m = min(n, 200)
+    tables = size ** (m - m // 2) + size ** (m // 2)
+    words = rows * (40 + size)
+    columns = rows * (33 + n + (edges + 3) * index) + index * tables
     held = rows * (edges * (index + 8) + index + 16) + index
-    return max(words, columns, held), held
+    return max(words, columns, held) + 2**13, held
 
 
+@lru_cache(maxsize=None)
 def _covering_shape(n: int) -> tuple[int, ...]:
     """The partition mu of n whose module `_module_block` holds every
     shape or its conjugate (each lam has lam >= mu or lam' >= mu in the
@@ -183,11 +199,19 @@ def _module_block(G: WeightedGraph, mu: tuple[int, ...]) -> sp.csr_matrix:
     fit in 64 bits (l^n >= 2^63).
 
     The words grow a letter at a time, each by every label it still has
-    copies of, in ascending order, which keeps the codes sorted. The swap
-    (i j) of vertices i < j, whose labels are c_i and c_j, moves a code
-    by (c_j - c_i)(l^(n-i) - l^(n-j)), so one binary search of the codes
-    per edge fills that edge's column of the CSR index table, and the row
-    pointers are a multiple of the row number.
+    copies of, in ascending order, which keeps the codes sorted. The
+    label of each letter is then kept as one byte per row, and each code
+    is split at its last h = floor(n/2) letters into head * l^h + low.
+    The words of one head are the rows first[head], first[head] + 1, ...,
+    and their tails are every arrangement of one multiset, in ascending
+    order, so the row of a word is first[head] + tail[low], where tail
+    numbers the arrangements of a tail's multiset; the two tables hold
+    l^(n-h) + l^h entries, fewer than the rows of every covering mu from
+    n = 6 on. The swap (i j) of vertices i < j, whose labels are c_i and
+    c_j, moves the code by (c_j - c_i)(l^(n-i) - l^(n-j)), which adds a
+    multiple of c_j - c_i to the head, to the tail or to both, so two
+    gathers and an add per edge fill that edge's column of the CSR index
+    table, and the row pointers are a multiple of the row number.
     Off the diagonal no entry is duplicated: a word and the word it
     swaps to differ at exactly the two letters of the swap. B_mu equals
     its transpose, entry for entry, since (i j) is its own inverse.
@@ -218,13 +242,35 @@ def _module_block(G: WeightedGraph, mu: tuple[int, ...]) -> sp.csr_matrix:
     del left, parent, label
     count = len(codes)
     index = np.int32 if count * len(edges) < 2**31 else np.int64
-    table = np.empty((count, len(edges)), dtype=index)  # row x: its entries' columns
     power = size ** np.arange(n - 1, -1, -1, dtype=np.int64)  # l^(n-1-letter)
-    for c, (i, j, _) in enumerate(edges):
-        a, b = power[i - 1], power[j - 1]
-        swapped = (codes // b % size - codes // a % size) * (a - b) + codes
-        table[:, c] = np.searchsorted(codes, swapped)
+    labels = np.empty((n, count), dtype=np.int8)  # labels[k]: the label of letter k
+    for k in range(n):
+        labels[k] = codes // power[k] % size
+    # a word's row is first[head] + tail[low]
+    h = n // 2
+    head, low = np.divmod(codes, size**h)
     del codes
+    first = np.empty(size ** (n - h), dtype=index)
+    starts = np.flatnonzero(np.diff(head, prepend=-1))
+    first[head[starts]] = starts
+    del starts
+    first_row = first[head]
+    tail_row = np.arange(count, dtype=index)
+    tail_row -= first_row
+    tail = np.empty(size**h, dtype=index)
+    tail[low] = tail_row
+    # the place value of each letter in the head and in the tail
+    head_power, low_power = np.divmod(power, size**h)
+    table = np.empty((count, len(edges)), dtype=index)  # row x: its entries' columns
+    for c, (i, j, _) in enumerate(edges):
+        delta = labels[j - 1] - labels[i - 1]
+        up, down = head_power[i - 1] - head_power[j - 1], low_power[i - 1] - low_power[j - 1]
+        np.add(
+            first[np.multiply(delta, up, dtype=np.int64) + head] if up else first_row,
+            tail[np.multiply(delta, down, dtype=np.int64) + low] if down else tail_row,
+            out=table[:, c],
+        )
+    del labels, head, low, first, tail, first_row, tail_row
     data = np.tile(np.array([w for _, _, w in edges], dtype=float), count)
     indptr = np.arange(count + 1, dtype=index) * len(edges)
     B = sp.csr_matrix((data, table.reshape(-1), indptr), shape=(count, count))

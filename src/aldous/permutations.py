@@ -5,8 +5,8 @@ means "apply b first". Ranks are indices into the lexicographic order of
 one-line words (factorial number system). The explicit interchange
 route ranks nothing here: it keeps each state as the word of its
 letters' block labels, coded in base len(mu), and finds where a letter
-swap takes it by a binary search of the sorted codes
-(`interchange._module_block`).
+swap takes it from two tables indexed by the codes of the word's first
+and last letters (`interchange._module_block`).
 """
 
 from __future__ import annotations

@@ -312,6 +312,34 @@ def loop_module_rates(G, mu):
     return rates
 
 
+def searchsorted_module_block(G, mu):
+    """`aldous.interchange._module_block` as it was when each edge's column
+    came from one binary search of the sorted codes: the code of the word
+    that the swap (i j) reaches is found with `np.searchsorted`. The
+    library's table lookup must give the same CSR arrays bit for bit."""
+    n, size = G.n, len(mu)
+    edges = [(i, j, w) for (i, j), w in sorted(G.weights.items()) if w != 0]
+    codes, left = np.zeros(1, dtype=np.int64), np.array([mu], dtype=np.min_scalar_type(n))
+    for _ in range(n):
+        parent, label = np.nonzero(left)
+        left = left[parent]
+        left[np.arange(len(label)), label] -= 1
+        codes = codes[parent] * size + label
+    count = len(codes)
+    index = np.int32 if count * len(edges) < 2**31 else np.int64
+    table = np.empty((count, len(edges)), dtype=index)
+    power = size ** np.arange(n - 1, -1, -1, dtype=np.int64)  # l^(n-1-letter)
+    for c, (i, j, _) in enumerate(edges):
+        a, b = power[i - 1], power[j - 1]
+        swapped = (codes // b % size - codes // a % size) * (a - b) + codes
+        table[:, c] = np.searchsorted(codes, swapped)
+    data = np.tile(np.array([w for _, _, w in edges], dtype=float), count)
+    indptr = np.arange(count + 1, dtype=index) * len(edges)
+    B = sp.csr_matrix((data, table.reshape(-1), indptr), shape=(count, count))
+    B.sort_indices()
+    return B
+
+
 # ---------------------------------------------------------------------------
 # Reference searches: the O(n^2)-per-collapse, one-frame-per-step versions
 # that the library's searches must match bit for bit.

@@ -45,6 +45,7 @@ from helpers import (
     loop_module_rates,
     loop_interchange_laplacian,
     no_convergence,
+    searchsorted_module_block,
     signed_graphs,
     wrong_eigenpair,
 )
@@ -349,6 +350,21 @@ class TestEvenOddBlock:
         word is built."""
         with pytest.raises(ValueError, match="beyond 64 bits"):
             interchange._module_block(WeightedGraph(19, {(1, 2): 1.0}), hook(19, 10))
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    @settings(max_examples=4, deadline=None)
+    @given(data=st.data())
+    def test_ranks_match_the_binary_search(self, n, data):
+        """On every partition mu of n, including one label (mu = (n)), odd
+        n and a one-letter tail (n = 2, 3), the two-table ranks give the
+        same CSR arrays, bit for bit, as a binary search of the sorted
+        codes, for signed rates with zero ones among them."""
+        edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        weight = st.one_of(st.just(0.0), st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False))
+        weights = data.draw(st.lists(weight, min_size=len(edges), max_size=len(edges)))
+        G = SignedWeightedGraph(n, dict(zip(edges, weights)))
+        for lam in enumerate_partitions(n):
+            assert_same_csr(interchange._module_block(G, lam.parts), searchsorted_module_block(G, lam.parts))
 
 
 def covered(values, targets, tol=1e-10):
@@ -802,6 +818,22 @@ class TestMemoryGuard:
         need, peak = self.traced_estimate(monkeypatch, interchange_spectrum, family(n))
         half = math.factorial(n) // 2
         assert peak <= need - 8 * half * (half + 34) - 2**25 <= 1.5 * peak
+
+    @pytest.mark.parametrize("n", range(7, 11))
+    @pytest.mark.parametrize("family", [path_graph, wheel_graph, complete_graph])
+    def test_block_footprint_bounds_the_traced_peak(self, n, family):
+        """The peak of `_block_footprint` is at least the peak that
+        `tracemalloc` sees while `_module_block` alone runs and at most 1.5
+        times it, on the covering mu and on the hook (3, 1^(n-3))."""
+        G = family(n)
+        for mu in (interchange._covering_shape(n), hook(n, 3)):
+            tracemalloc.start()
+            try:
+                interchange._module_block(G, mu)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= interchange._block_footprint(G, mu)[0] <= 1.5 * peak, mu
 
     def test_spectrum_refuses_above_the_dense_limit(self, monkeypatch):
         def build(G):
