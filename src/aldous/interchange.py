@@ -57,10 +57,11 @@ mu for which that is every shape, on the fewest rows n!/(mu_1! mu_2!
 ...): (3, 2, 1, 1) and 420 rows at n = 7, (3, 3, 1, 1) and 1120 at
 n = 8, (4, 3, 1, 1, 1) and 25200 at n = 10. That mu is never (1^n), so
 the trivial eigenvalue W of B_mu occurs once, and the gap of the double
-is the gap of L. L (2W I - L) = W^2 I - A^2 with A^2 = B B^T (+) B^T B
-for the double's B = B_mu, so the gap is W - sigma_2(B), which
-`spectral.bipartite_laplacian_gap` finds from the smallest nontrivial
-eigenvalue of W^2 I - B B^T on the module. On a 2-vCPU x86 host with
+is the gap of L. L (2W I - L) = W^2 I - A^2 with A^2 = B^2 (+) B^2 for
+the double's B = B_mu, so the gap is W - sigma_2(B), sigma_2 the
+second-largest |beta|, which `spectral.bipartite_laplacian_gap` finds
+from the smallest nontrivial eigenvalue of W^2 I - B^2 on the module.
+On a 2-vCPU x86 host with
 two OpenBLAS threads, each in a fresh process, `gap_interchange` takes
 5.7-9.2 ms at n = 8 on paths, wheels, complete and random graphs
 (6.0-10.6 ms when a binary search of the codes gave each edge's
@@ -78,24 +79,26 @@ minimum of shape (4, 2), where the gap is about 0), and their spectrum
 is `interchange_spectrum`'s. When the positive rates do not connect the
 vertices, the chain is reducible and the gap is 0.0, without a solve.
 
-There is no fixed cap on n. Before it builds anything, each explicit
-function passes one estimate to `yor._require_bytes`: the larger of
-what the block's builder maps at its peak (`_block_footprint`) and the
-block beside what its solve holds, counted array by array (the dense
-block and what `eigvalsh` maps for `_double_spectrum`,
+There is no fixed cap on n. Before it builds a block, the explicit
+route passes an estimate for its module to `yor._require_bytes`: the
+larger of what the block's builder maps at its peak (`_block_footprint`)
+and the block beside what its solve holds, counted array by array (the
+dense block and what `eigvalsh` maps for `_double_spectrum`,
 `spectral.iterative_solve_bytes` for `gap_interchange`), so a graph
 whose solve would not fit is refused with ValueError before anything
-is allocated; the fallback of `gap_interchange` frees its block and
-then makes the estimate of `_double_spectrum`. `gap_interchange`
-first checks the estimate of the fewest rows that any mu of its search
-can have, so a huge n is refused before its partitions are searched:
-the s x s box, s = 1 + isqrt(n - 1), holds a shape of n boxes whose
-first row and first column are at most s, so the parts of that mu are
-at most s and it has at least the rows of (s, ..., s, n mod s). Rows
-are counted by `_rows`, which stops at 200! like `yor._states`. The
-per-shape route (`spectrum_via_irreps`, `aldous_check`) makes one
-`yor.shape_spectra` pass, which refuses the same way a graph whose
-blocks would not fit.
+is allocated. `_double_spectrum` passes one estimate. `gap_interchange`
+passes up to three. First comes that of the fewest rows that any mu of
+its search can have, so a huge n is refused before its partitions are
+searched: the s x s box, s = 1 + isqrt(n - 1), holds a shape of n boxes
+whose first row and first column are at most s, so the parts of that
+mu are at most s and it has at least the rows of (s, ..., s, n mod s).
+Then comes that of the covering mu, and, on the fallback, after the
+block is freed, the dense estimate of `_double_spectrum`. A refusal
+names the module in the exponent syntax of `tableaux.parse_partition`
+(M^(6^5) at n = 30). Rows are counted by `_rows`, which stops at 200!
+like `yor._states`. The per-shape route (`spectrum_via_irreps`,
+`aldous_check`) makes one `yor.shape_spectra` pass, which refuses the
+same way a graph whose blocks would not fit.
 """
 
 from __future__ import annotations
@@ -103,6 +106,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -126,10 +130,14 @@ __all__ = [
 ]
 
 
-def _subject(G: WeightedGraph) -> str:
-    """What the explicit route builds, for its refusal messages."""
+def _subject(G: WeightedGraph, mu: tuple[int, ...]) -> str:
+    """What the explicit route builds on the module M^mu, for its refusal
+    messages: mu in the exponent syntax of `tableaux.parse_partition`,
+    so a huge n prints M^(10000^10000), not 10000 parts."""
     edges = sum(1 for w in G.weights.values() if w != 0)
-    return f"the {G.n}! states of the interchange Laplacian of a {G.n}-vertex graph with {edges} edges"
+    runs = ((part, len(list(copies))) for part, copies in groupby(mu))
+    module = ",".join(f"{part}^{count}" if count > 1 else str(part) for part, count in runs)
+    return f"the block of the Young module M^({module}) for a {G.n}-vertex graph with {edges} edges"
 
 
 def _rows(n: int, mu: tuple[int, ...]) -> int:
@@ -284,7 +292,7 @@ def _require_gap_solve(G: WeightedGraph, mu: tuple[int, ...]) -> None:
     `bipartite_laplacian_gap` maps would not fit in memory."""
     peak, held = _block_footprint(G, mu)
     solve = held + iterative_solve_bytes(_rows(G.n, mu))
-    _require_bytes(max(peak, solve), _subject(G) + " and its eigensolve")
+    _require_bytes(max(peak, solve), _subject(G, mu) + " and its eigensolve")
 
 
 def _double_spectrum(G: WeightedGraph, mu: tuple[int, ...]) -> np.ndarray:
@@ -302,7 +310,7 @@ def _double_spectrum(G: WeightedGraph, mu: tuple[int, ...]) -> np.ndarray:
     # block size of its tridiagonal reduction) and the work buffer that
     # OpenBLAS maps on its first call
     solve = held + 8 * rows * (2 * rows + 34) + BLAS_BUFFER_BYTES
-    _require_bytes(max(peak, solve), _subject(G) + " and its dense eigensolve")
+    _require_bytes(max(peak, solve), _subject(G, mu) + " and its dense eigensolve")
     beta = np.linalg.eigvalsh(_module_block(G, mu).toarray())
     total = float(sum(G.weights.values()))
     return np.sort(np.concatenate([total - beta, total + beta]))

@@ -1,17 +1,14 @@
-"""Permutations in one-line notation with lexicographic ranking.
+"""Permutations in one-line notation: the group elements that
+`yor.rho_sigma` and `aldous rep` represent.
 
 Composition is right to left: ``(a * b)(i) == a(b(i))``, so ``a * b``
-means "apply b first". Ranks are indices into the lexicographic order of
-one-line words (factorial number system). The explicit interchange
-route ranks nothing here: it keeps each state as the word of its
-letters' block labels, coded in base len(mu), and finds where a letter
-swap takes it from two tables indexed by the codes of the word's first
-and last letters (`interchange._module_block`).
+means "apply b first". The explicit interchange route uses no
+permutation: its states are words of block labels on a Young module,
+sorted by their codes (`interchange._module_block`).
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
@@ -62,33 +59,6 @@ class Permutation:
         images = list(range(1, n + 1))
         images[i - 1], images[j - 1] = j, i
         return cls(tuple(images))
-
-    @property
-    def rank(self) -> int:
-        """Index of the one-line word in lexicographic order, 0..n!-1."""
-        r = 0
-        n = self.n
-        for i, v in enumerate(self.images):
-            smaller_later = sum(1 for w in self.images[i + 1 :] if w < v)
-            r += smaller_later * math.factorial(n - 1 - i)
-        return r
-
-    @classmethod
-    def from_rank(cls, n: int, rank: int) -> Permutation:
-        if not 0 <= rank < math.factorial(n):
-            raise ValueError(f"rank out of range for n={n}: {rank}")
-        available = list(range(1, n + 1))
-        images = []
-        for i in range(n):
-            f = math.factorial(n - 1 - i)
-            idx, rank = divmod(rank, f)
-            images.append(available.pop(idx))
-        return cls(tuple(images))
-
-    def swap_values(self, a: int, b: int) -> Permutation:
-        """Left-multiply by the transposition (a b)."""
-        table = {a: b, b: a}
-        return Permutation(tuple(table.get(v, v) for v in self.images))
 
     def adjacent_factorization(self) -> list[int]:
         """Indices i meaning (i, i+1), left-to-right product order.

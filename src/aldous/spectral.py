@@ -6,8 +6,9 @@ operation here matches eigenvectors.
 
 `bipartite_laplacian_gap` finds the gap of a Laplacian whose moves all
 cross between two halves of its states, as the interchange process's
-do, by running ARPACK on the first half only, on W^2 I - B B^T with its
-all-ones kernel direction shifted away; `interchange.gap_interchange`
+do, by running ARPACK on one half only, on W^2 I - B^2 for the
+symmetric block B between the halves, with its all-ones kernel
+direction shifted away; `interchange.gap_interchange`
 hands it the block of the smallest Young module that holds every shape
 or its conjugate, which keeps the gap, at every n. A dense `eigvalsh`
 of that block is quicker only up to its 60 rows at n = 6 (2-vCPU x86
@@ -167,29 +168,32 @@ class NoConvergence(ValueError):
 
 
 def bipartite_laplacian_gap(B, total: float) -> float:
-    """Second-smallest eigenvalue mu of L = [[W I, -B], [-B^T, W I]] for a
-    square sparse B >= 0 of at least two rows whose rows and columns all
-    sum to W = `total` > 0: the Laplacian of a chain whose moves all cross
+    """Second-smallest eigenvalue mu of L = [[W I, -B], [-B, W I]] for a
+    symmetric sparse B >= 0 of at least two rows whose rows all sum to
+    W = `total` > 0: the Laplacian of a chain whose moves all cross
     between two halves of its states, as every transposition flips the
     parity of a word. B may hold diagonal entries, as the Young-module
     blocks that `interchange.gap_interchange` passes do wherever a swap
-    exchanges two identical labels.
+    exchanges two identical labels; those blocks equal their transposes
+    entry for entry (`interchange._module_block`).
 
-    L has the eigenvalues W -+ sigma for the singular values sigma of B,
-    so mu = W - sigma_2. ARPACK finds the smallest eigenvalue m of
-    W^2 I - B B^T on the first half, with its all-ones kernel direction
-    shifted up out of the way, and mu = m / (W + sqrt(W^2 - m)) =
-    W - sqrt(W^2 - m), because L (2W I - L) = W^2 I - A^2 for A = W I - L
-    and A^2 is B B^T (+) B^T B. The map mu -> mu (2W - mu) folds the
-    spectrum of L about W and stretches its low end, so the gap is about
-    four times as large against the width of the spectrum, and Lanczos
-    converges in fewer steps than on L, with vectors half as long.
+    L has the eigenvalues W -+ beta for the eigenvalues beta of B, so
+    mu = W - sigma_2, sigma_2 being the second-largest |beta|, the second
+    singular value of B. ARPACK finds the smallest eigenvalue m of
+    W^2 I - B^2 on one half, with its all-ones kernel direction shifted
+    up out of the way, and mu = m / (W + sqrt(W^2 - m)) =
+    W - sqrt(W^2 - m), because L (2W I - L) = W^2 I - A^2 for
+    A = W I - L and A^2 is B^2 (+) B^2. The map mu -> mu (2W - mu) folds
+    the spectrum of L about W and stretches its low end, so the gap is
+    about four times as large against the width of the spectrum, and
+    Lanczos converges in fewer steps than on L, with vectors half as
+    long.
 
     The solve starts from a fixed vector, but on a restart, as on a
     reducible chain, ARPACK asks for a random one, which scipy 1.17
     (`eigsh(rng=None)`) draws from OS entropy: a zero gap's rounding
     noise (about 1e-16) can then differ between processes. The
-    eigenvector v is lifted to L as (v, B^T v / (W - mu)), and mu is
+    eigenvector v is lifted to L as (v, B v / (W - mu)), and mu is
     accepted only when that pair's residual ||Lx - mu x|| / ||x||, which
     bounds the distance from mu to the spectrum of L, is at most
     SOLVER_TOL * (1 + |W|). Anything else, any stop of ARPACK included,
@@ -206,12 +210,11 @@ def bipartite_laplacian_gap(B, total: float) -> float:
     # twice as wide and took more products on 47 of 66 random graphs at
     # n = 7-8 (fewer on none)
     shift = 1.0 + square
-    BT = B.T
 
     def matvec(x):
-        # W^2 x - B B^T x + shift * mean(x), formed in place as the
-        # negation of B B^T x - W^2 x - shift * mean(x): the same bits
-        y = B @ (BT @ x)
+        # W^2 x - B B x + shift * mean(x), formed in place as the
+        # negation of B B x - W^2 x - shift * mean(x): the same bits
+        y = B @ (B @ x)
         y -= square * x
         y -= shift * (x.sum() / half)
         return np.negative(y, out=y)
@@ -230,10 +233,11 @@ def bipartite_laplacian_gap(B, total: float) -> float:
         root = math.sqrt(max(square - vals[0], 0.0))  # sigma_2 = W - mu
         mu = float(vals[0]) / (total + root)
         v = vecs[:, 0]
-        # sigma_2 = 0 (B of rank one) puts v in the kernel of B^T
-        u = (BT @ v) / root if root > 0 else np.zeros(half)
+        Bv = B @ v
+        # sigma_2 = 0 (B of rank one) puts v in the kernel of B
+        u = Bv / root if root > 0 else np.zeros(half)
         even = total * v - B @ u - mu * v
-        odd = root * u - BT @ v
+        odd = root * u - Bv
         # sums of squares, not `@`: numpy's BLAS dot would wait for the CPUs
         # that scipy's OpenBLAS threads spin on after eigsh (module docstring)
         lifted = np.square(even).sum() + np.square(odd).sum()

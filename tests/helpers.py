@@ -28,6 +28,7 @@ from aldous.reduction import (
     _edge_key,
     apply_rule,
 )
+from aldous.spectral import KRYLOV_VECTORS, SOLVER_TOL, NoConvergence
 from aldous.tableaux import Partition, f_dim
 from aldous.yor import _adjacent_table, _corner_groups
 
@@ -338,6 +339,50 @@ def searchsorted_module_block(G, mu):
     B = sp.csr_matrix((data, table.reshape(-1), indptr), shape=(count, count))
     B.sort_indices()
     return B
+
+
+def transpose_bipartite_laplacian_gap(B, total):
+    """`aldous.spectral.bipartite_laplacian_gap` as it was when it took a
+    general square block B and multiplied by B^T through a CSC view of B:
+    the operator W^2 x - B (B^T x) + shift * mean(x), the lift
+    u = B^T v / sigma_2 and the residual through B^T. On the symmetric
+    Young-module blocks the library's one-operand solve must give the
+    same gap bit for bit."""
+    half = B.shape[0]
+    if half < 2 or not total > 0:
+        raise ValueError("need at least two rows and a positive total rate")
+    square = total * total
+    shift = 1.0 + square
+    BT = B.T
+
+    def matvec(x):
+        y = B @ (BT @ x)
+        y -= square * x
+        y -= shift * (x.sum() / half)
+        return np.negative(y, out=y)
+
+    op = spla.LinearOperator((half, half), matvec=matvec, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(half)
+    try:
+        vals, vecs = spla.eigsh(
+            op, k=1, which="SA", tol=SOLVER_TOL, maxiter=20000, v0=v0, ncv=min(KRYLOV_VECTORS, half)
+        )
+    except spla.ArpackError:
+        residual = math.inf
+    else:
+        root = math.sqrt(max(square - vals[0], 0.0))
+        mu = float(vals[0]) / (total + root)
+        v = vecs[:, 0]
+        u = (BT @ v) / root if root > 0 else np.zeros(half)
+        even = total * v - B @ u - mu * v
+        odd = root * u - BT @ v
+        lifted = np.square(even).sum() + np.square(odd).sum()
+        residual = math.sqrt(lifted / (np.square(v).sum() + np.square(u).sum()))
+    if residual <= SOLVER_TOL * (1.0 + abs(total)):
+        return mu
+    raise NoConvergence(
+        f"iterative eigensolve of dimension {2 * half} did not converge: residual {residual:.3g}"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 see the per-criterion pass lines. Tolerances are fixed here, not
 configurable."""
 
-import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -207,8 +206,8 @@ def test_criterion_8_representation_kernel():
             n = int(rng.integers(2, 8))
             options = enumerate_partitions(n)
             lam = options[int(rng.integers(0, len(options)))]
-            sigma = Permutation.from_rank(n, int(rng.integers(0, math.factorial(n))))
-            tau = Permutation.from_rank(n, int(rng.integers(0, math.factorial(n))))
+            sigma = Permutation(tuple(rng.permutation(n) + 1))
+            tau = Permutation(tuple(rng.permutation(n) + 1))
             Ms, Mt = rho_sigma(lam, sigma), rho_sigma(lam, tau)
             assert np.abs(Ms @ Mt - rho_sigma(lam, sigma * tau)).max() <= 1e-10
             assert np.abs(Ms.T @ Ms - np.eye(len(Ms))).max() <= 1e-10

@@ -126,8 +126,10 @@ class TestGap:
             [*range(160000, 196000, 8000), 196000, 260000],
         ),
         (["--format", "json", "decompose"], range(160000, 220001, 10000)),
+        (["--format", "csv", "decompose"], range(160000, 260001, 10000)),
+        (["certify", "--k", "3"], range(160000, 260001, 20000)),
     ],
-    ids=["gap", "rep-json", "rep-csv", "check-conjecture", "decompose-json"],
+    ids=["gap", "rep-json", "rep-csv", "check-conjecture", "decompose-json", "decompose-csv", "certify"],
 )
 def test_address_space_ladder_gives_refusal_or_result(capsys, tmp_path, argv, limits):
     """Under `ulimit -v` limits (in KB) around what each run needs, the
@@ -136,14 +138,19 @@ def test_address_space_ladder_gives_refusal_or_result(capsys, tmp_path, argv, li
     numpy's first solve, whose OpenBLAS buffer its estimate counts, and
     `aldous rep` never dies in its text, which it makes a row at a time.
     `check-conjecture` at k = 10 and `decompose` on the 9-vertex wheel make
-    the same per-shape pass with the same estimate. Below about 150000 KB
-    the interpreter dies inside `import numpy`, before any check can run."""
+    the same per-shape pass with the same estimate; the CSV `decompose`
+    also counts the merged spectrum and its text. `certify` on the
+    1500-vertex path fits at every rung. Below about 150000 KB the
+    interpreter dies inside `import numpy`, before any check can run."""
     import resource
 
     if argv == ["gap"]:
         argv = ["gap", seed3_wheel10(capsys, tmp_path)]
     elif argv[-1] == "decompose":
         assert main(["generate", "wheel", "9"]) == 0
+        argv = [*argv, write_graph(tmp_path, json.loads(capsys.readouterr().out))]
+    elif argv[0] == "certify":
+        assert main(["generate", "path", "1500"]) == 0
         argv = [*argv, write_graph(tmp_path, json.loads(capsys.readouterr().out))]
     full = run_fresh(argv)
     assert full.returncode == 0 and full.stdout, full.stderr

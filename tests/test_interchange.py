@@ -47,6 +47,7 @@ from helpers import (
     no_convergence,
     searchsorted_module_block,
     signed_graphs,
+    transpose_bipartite_laplacian_gap,
     wrong_eigenpair,
 )
 
@@ -495,6 +496,24 @@ class TestEvenHalfSolve:
         G = random_connected_graph(8, np.random.default_rng(3), extra_edge_prob=0.3)
         assert gap_interchange(G).hex() == gap_interchange(G).hex()
 
+    @pytest.mark.parametrize("family, n", [(f, n) for f, n in gap_cases(3, 10) if f != "one_edge"])
+    def test_one_operand_solve_matches_the_transpose_kernel(self, family, n):
+        """The solve multiplies by the symmetric B_mu alone and gives the
+        gap bit for bit as the kernel that multiplied by a CSC view of its
+        transpose (`helpers.transpose_bipartite_laplacian_gap`): both sum
+        each row in ascending column order. On the covering shape, (2,
+        1^(n-2)) and (3, 1^(n-3)); the hooks only up to n = 9, as at n = 10
+        their 0.6-1.8 million rows take seconds a solve."""
+        G = GAP_FAMILIES[family](n)
+        total = float(sum(G.weights.values()))
+        shapes = [interchange._covering_shape(n)] + ([hook(n, 2), hook(n, 3)] if n <= 9 else [])
+        for mu in shapes:
+            if interchange._rows(n, mu) < 2:
+                continue
+            B = interchange._module_block(G, mu)
+            gap = bipartite_laplacian_gap(B, total)
+            assert gap.hex() == transpose_bipartite_laplacian_gap(B, total).hex(), mu
+
     @pytest.mark.parametrize("family, n", gap_cases(3, 8))
     def test_answers_without_the_dense_fallback(self, monkeypatch, family, n):
         """The iterative solve, with its Krylov space of KRYLOV_VECTORS or
@@ -745,7 +764,7 @@ class TestMemoryGuard:
 
     def test_gap_interchange_refuses_exactly_above_the_estimate(self, monkeypatch):
         G = wheel_graph(6)
-        subject = "interchange Laplacian of a 6-vertex graph with 10 edges and its eigensolve"
+        subject = r"M\^\(3,2,1\) for a 6-vertex graph with 10 edges and its eigensolve"
         # the block on the 60 label words of (3, 2, 1): int32 columns,
         # float64 values and row pointers, two freed int64 temporaries per
         # row; beside it 30 float64 per row (10 Lanczos and 10 Ritz vectors,
@@ -875,7 +894,10 @@ class TestMemoryGuard:
                 run(G)
         with pytest.raises(ValueError, match=r"limited to 6000 states; a 1000000-vertex graph has 1000000! states"):
             interchange_spectrum(G)
-        subject = r"the 1000000! states .* with 1 edges and its eigensolve need about inf GiB"
+        subject = (
+            r"M\^\(1000\^1000\) for a 1000000-vertex graph with 1 edges"
+            r" and its eigensolve need about inf GiB"
+        )
         with pytest.raises(ValueError, match=subject):
             gap_interchange(G)
 
@@ -894,9 +916,10 @@ class TestMemoryGuard:
 
     def test_thirty_vertices_refused_without_a_cap(self, monkeypatch):
         monkeypatch.setattr(interchange, "enumerate_partitions", self.refuse_to_enumerate)
-        for run in (gap_interchange, interchange_spectrum):
-            with pytest.raises(ValueError, match="30-vertex graph"):
-                run(complete_graph(30))
+        with pytest.raises(ValueError, match=r"the Young module M\^\(6\^5\) for a 30-vertex graph"):
+            gap_interchange(complete_graph(30))
+        with pytest.raises(ValueError, match="30-vertex graph"):
+            interchange_spectrum(complete_graph(30))
 
 
 _UNDER_LIMIT = """

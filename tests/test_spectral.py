@@ -103,18 +103,31 @@ class TestShiftBound:
 
 def cycle_block(m):
     """Block of the cycle on 2m vertices between its even vertices (rows)
-    and odd ones (columns): vertex 2k meets 2k + 1 and 2k - 1. Every row
-    and column sums to 2, and the gap is 2 - 2 cos(pi / m)."""
-    return sp.csr_matrix(sp.eye(m) + sp.eye(m, k=-1) + sp.eye(m, k=m - 1))
+    and odd ones (columns), the columns in reverse order: the circulant C
+    in which vertex 2k meets 2k + 1 and 2k - 1, times the reversal
+    permutation J of k -> -k mod m. J C J = C^T makes C J symmetric, and
+    it has the singular values of C. Every row sums to 2, and the gap is
+    2 - 2 cos(pi / m)."""
+    reversal = sp.csr_matrix((np.ones(m), (np.arange(m), -np.arange(m) % m)), shape=(m, m))
+    return sp.csr_matrix((sp.eye(m) + sp.eye(m, k=-1) + sp.eye(m, k=m - 1)) @ reversal)
 
 
 def random_block(m, moves, rng):
-    """A sum of `moves` random m x m permutation matrices with random
-    weights: each row and column sums to the total weight, as in the
-    interchange block. Returns the block and that total."""
+    """A sum of `moves` random m x m involution matrices with random
+    weights, each swapping m // 2 or m // 2 - 1 disjoint pairs of rows and
+    fixing the rest, which puts entries on the diagonal: symmetric, with
+    each row summing to the total weight, as in the interchange block.
+    Returns the block and that total."""
     weights = rng.uniform(0.5, 1.5, size=moves)
-    B = sum(w * sp.csr_matrix(np.eye(m)[rng.permutation(m)]) for w in weights)
-    return sp.csr_matrix(B), float(weights.sum())
+
+    def involution():
+        order, pairs = rng.permutation(m), m // 2 - int(rng.integers(0, 2))
+        a, b = order[:pairs], order[pairs : 2 * pairs]
+        image = np.arange(m)
+        image[a], image[b] = b, a
+        return sp.csr_matrix(np.eye(m)[image])
+
+    return sp.csr_matrix(sum(w * involution() for w in weights)), float(weights.sum())
 
 
 def dense_gap(B, total):

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 import weakref
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -176,8 +177,8 @@ class TestRhoSigma:
         rng = np.random.default_rng(11)
         lam = Partition((3, 2))
         for _ in range(25):
-            sigma = Permutation.from_rank(5, int(rng.integers(0, 120)))
-            tau = Permutation.from_rank(5, int(rng.integers(0, 120)))
+            sigma = Permutation(tuple(rng.permutation(5) + 1))
+            tau = Permutation(tuple(rng.permutation(5) + 1))
             lhs = rho_sigma(lam, sigma) @ rho_sigma(lam, tau)
             rhs = rho_sigma(lam, sigma * tau)
             assert np.abs(lhs - rhs).max() <= 1e-10
@@ -197,8 +198,8 @@ class TestRhoSigma:
             for lam in shapes:
                 characters.append(
                     [
-                        float(np.trace(rho_sigma(lam, Permutation.from_rank(n, r))))
-                        for r in range(math.factorial(n))
+                        float(np.trace(rho_sigma(lam, Permutation(word))))
+                        for word in permutations(range(1, n + 1))
                     ]
                 )
             for a, chi_a in enumerate(characters):
@@ -430,7 +431,7 @@ class TestSparseKernel:
 
     def test_rho_sigma_matches_dense_product(self):
         lam = Partition((3, 2, 1))
-        sigma = Permutation.from_rank(6, 417)
+        sigma = Permutation((4, 3, 2, 5, 6, 1))
         M = np.eye(f_dim(lam))
         for i in sigma.adjacent_factorization():
             M = M @ dense_adjacent_oracle(lam, i)
