@@ -23,6 +23,9 @@ tail[low] for two tables of l^(n-h) and l^h entries. The swap (i j)
 moves head and low by multiples of c_j - c_i, c_i and c_j being the
 labels of letters i and j, so two gathers and an add per edge fill that
 edge's column of the CSR index table, with no code shared with `yor`.
+Only the rates depend on the graph: the words, their codes and the two
+tables are built once per module (`_module_words`) and kept for the
+latest one, so a sweep over many graphs of one n builds them once.
 B_mu equals its transpose, its rows sum to the total rate W, and the
 double [[W I, -B_mu], [-B_mu, W I]] has the eigenvalues W -+ beta over
 the eigenvalues beta of B_mu.
@@ -61,14 +64,15 @@ is the gap of L. L (2W I - L) = W^2 I - A^2 with A^2 = B^2 (+) B^2 for
 the double's B = B_mu, so the gap is W - sigma_2(B), sigma_2 the
 second-largest |beta|, which `spectral.bipartite_laplacian_gap` finds
 from the smallest nontrivial eigenvalue of W^2 I - B^2 on the module.
-On a 2-vCPU x86 host with
-two OpenBLAS threads, each in a fresh process, `gap_interchange` takes
-5.7-9.2 ms at n = 8 on paths, wheels, complete and random graphs
-(6.0-10.6 ms when a binary search of the codes gave each edge's
-column), 44-50 ms at 68 MB peak RSS on K_9 (61-75 ms), and 0.12-0.15 s
-at 79 MB on K_10 (0.16-0.22 s); in one process the two tables build the
-block 1.5 times as fast as that search at n = 8 and 2.1-2.5 times as
-fast at n = 9-12. The dense double of the same block (`_double_spectrum`)
+On a 2-vCPU x86 host with two OpenBLAS threads, each in a fresh process,
+`gap_interchange` takes 5.7-9.2 ms at n = 8 on paths, wheels, complete
+and random graphs (6.0-10.6 ms when a binary search of the codes gave
+each edge's column), 44-50 ms at 68 MB peak RSS on K_9 (61-75 ms), and
+0.12-0.15 s at 79 MB on K_10 (0.16-0.22 s); in one process the two
+tables build the block 1.5 times as fast as that search at n = 8 and
+2.1-2.5 times as fast at n = 9-12, and a block on the module of the call
+before, whose words are held, takes 0.35 ms at n = 8 against 0.67 ms.
+The dense double of the same block (`_double_spectrum`)
 gives the gap on the one row of (2) at n = 2, where ARPACK cannot run,
 and when the solve raises NoConvergence (ARPACK stopped, or its pair
 failed the residual check) on at most `spectral.DENSE_LIMIT` states of
@@ -86,7 +90,11 @@ and the block beside what its solve holds, counted array by array (the
 dense block and what `eigvalsh` maps for `_double_spectrum`,
 `spectral.iterative_solve_bytes` for `gap_interchange`), so a graph
 whose solve would not fit is refused with ValueError before anything
-is allocated. `_double_spectrum` passes one estimate. `gap_interchange`
+is allocated. The words of the module count only when the call builds
+them, since the ones it keeps are already mapped, and the work buffer
+of scipy's OpenBLAS only until an ARPACK solve has mapped it; so a
+second graph on the same module is not refused for memory the first
+one left mapped. `_double_spectrum` passes one estimate. `gap_interchange`
 passes up to three. First comes that of the fewest rows that any mu of
 its search can have, so a huge n is refused before its partitions are
 searched: the s x s box, s = 1 + isqrt(n - 1), holds a shape of n boxes
@@ -154,30 +162,43 @@ def _block_footprint(G: WeightedGraph, mu: tuple[int, ...]) -> tuple[int, int]:
     With E edges, h rows (`_rows`) and int32 indices (int64 from 2^31
     entries on), it returns E columns and E float64 values per row and
     the row pointers, beside two freed h-long int64 temporaries the
-    allocator may keep mapped. Before that it holds, per row: while the
-    words grow, at their last letter, the old and the new codes, the two
-    indices of the labels left, a row index and len(mu) one-byte counts
-    of those labels; while the columns are filled, the n one-byte labels,
-    the head and tail codes, the row's two ranks, the column table and,
-    for the edge at hand, its label differences, one gathered rank and a
-    moved code with its int64 product, beside the two rank tables of
-    l^(n - floor(n/2)) + l^floor(n/2) indices (n counted as 200 past it,
-    like `_rows`). The peak adds 8 KiB of Python objects and small
-    arrays: `tracemalloc` saw 0-8 bytes per row less than the larger of
-    these at 420-1814400 rows (n = 7-10, E = 1-45, on (2, 1^(n-2)), (3,
-    1^(n-3)) and `_covering_shape(n)`), and 4-12 KiB on one to twelve
-    rows.
+    allocator may keep mapped. Before that, while the columns are filled,
+    it holds the column table and, for the edge at hand, its label
+    differences, two moved codes with their int64 products and two
+    gathered ranks per row. The words of `_module_words` count only when
+    the call builds them, as `_words_held` tells: then its peak is also
+    that of their build, at the last letter the old and the new codes,
+    the two indices of the labels left, a row index and len(mu) one-byte
+    counts of those labels per row, and the n labels, head and low codes,
+    and two ranks per row that it keeps, with the two rank tables of
+    l^(n - floor(n/2)) + l^floor(n/2) entries (n counted as 200 past it,
+    like `_rows`), are mapped and still held when it returns. The peak
+    adds 8 KiB of Python objects and small arrays. At n = 7-10, on path,
+    wheel and complete graphs with the covering mu, (3, 1^(n-3)) and (2,
+    1^(n-2)), this peak was 1.02-1.23 times the one that `tracemalloc`
+    saw in a call that built the words and 1.02-1.34 times in one that
+    reused them; on a single edge it was up to 1.67 times at 420 rows
+    and 1.53 times at 0.06-1.8 million.
     """
     n, size = G.n, len(mu)
     rows = _rows(n, mu)
     edges = sum(1 for w in G.weights.values() if w != 0)
     index = 4 if rows * edges < 2**31 else 8
-    m = min(n, 200)
-    tables = size ** (m - m // 2) + size ** (m // 2)
-    words = rows * (40 + size)
-    columns = rows * (33 + n + (edges + 3) * index) + index * tables
     held = rows * (edges * (index + 8) + index + 16) + index
-    return max(words, columns, held) + 2**13, held
+    rank = _width(rows - 1)
+    columns = rows * (17 + 2 * rank + edges * index)
+    if _words_held(n, mu):
+        return max(columns, held) + 2**13, held
+    m = min(n, 200)
+    heads, lows = size ** (m - m // 2), size ** (m // 2)
+    words = rows * (m + _width(heads - 1) + _width(lows - 1) + 2 * rank) + rank * (heads + lows)
+    build = rows * (40 + size)
+    return max(build, columns + words, held + words) + 2**13, held + words
+
+
+def _width(value: int) -> int:
+    """Bytes of the narrowest unsigned integer type that holds value."""
+    return np.min_scalar_type(min(value, 2**64 - 1)).itemsize
 
 
 @lru_cache(maxsize=None)
@@ -192,6 +213,63 @@ def _covering_shape(n: int) -> tuple[int, ...]:
     conjugates = [shapes.index(lam.conjugate()) for lam in shapes]
     covers = np.all(dominates | dominates[conjugates], axis=0)
     return min((mu.parts for mu, c in zip(shapes, covers) if c), key=lambda mu: _rows(n, mu))
+
+
+@lru_cache(maxsize=1)
+def _module_words(n: int, mu: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """What `_module_block(G, mu)` needs of n and mu alone, for the latest
+    (n, mu) only, as read-only arrays: the labels (n x rows, int8; row k
+    holds the label of letter k in every word), each word's head and low
+    codes, the rank tables first and tail, and each word's own first[head]
+    and tail[low]. Codes and ranks are held in the narrowest unsigned type
+    that holds them: at n = 8 and mu = (3, 3, 1, 1) the 1120 words take 8
+    bytes of labels, a byte each of head and low code and two bytes each
+    of rank, 16.7 KB with the tables; at n = 12, 831,600 words take 20
+    MB. Raises ValueError when the codes would not fit in 64 bits (l^n >=
+    2^63)."""
+    size = len(mu)
+    if size**n >= 2**63:
+        raise ValueError(f"the words of {size} labels on {n} letters have codes beyond 64 bits")
+    # left[x, c]: the copies of label c that word x has still to place
+    codes, left = np.zeros(1, dtype=np.int64), np.array([mu], dtype=np.min_scalar_type(n))
+    for _ in range(n):
+        parent, label = np.nonzero(left)
+        left = left[parent]
+        left[np.arange(len(label)), label] -= 1
+        codes = codes[parent]
+        codes *= size
+        codes += label
+    del left, parent, label
+    count, h = len(codes), n // 2
+    labels = np.empty((n, count), dtype=np.int8)  # labels[k]: the label of letter k
+    for k in range(n):
+        labels[k] = codes // size ** (n - 1 - k) % size
+    # a word's row is first[head] + tail[low]
+    head, low = np.divmod(codes, size**h)
+    del codes
+    rank = np.min_scalar_type(count - 1)
+    first = np.empty(size ** (n - h), dtype=rank)
+    starts = np.flatnonzero(np.diff(head, prepend=-1))
+    first[head[starts]] = starts
+    del starts
+    first_row = first[head]
+    tail_row = np.arange(count, dtype=rank)
+    tail_row -= first_row
+    tail = np.empty(size**h, dtype=rank)
+    tail[low] = tail_row
+    head = head.astype(np.min_scalar_type(len(first) - 1))
+    low = low.astype(np.min_scalar_type(len(tail) - 1))
+    words = labels, head, low, first, tail, first_row, tail_row
+    for a in words:
+        a.flags.writeable = False
+    _module_words.held = n, mu
+    return words
+
+
+def _words_held(n: int, mu: tuple[int, ...]) -> bool:
+    """Whether `_module_words` holds the words of (n, mu) from an earlier
+    call, so that `_module_block` builds nothing but the graph's part."""
+    return _module_words.cache_info().currsize > 0 and getattr(_module_words, "held", None) == (n, mu)
 
 
 def _module_block(G: WeightedGraph, mu: tuple[int, ...]) -> sp.csr_matrix:
@@ -224,6 +302,18 @@ def _module_block(G: WeightedGraph, mu: tuple[int, ...]) -> sp.csr_matrix:
     swaps to differ at exactly the two letters of the swap. B_mu equals
     its transpose, entry for entry, since (i j) is its own inverse.
 
+    The graph enters only through its edges and rates, so the words, their
+    labels, codes and ranks and both tables come from `_module_words`,
+    built once per (n, mu) and kept for the latest module, and a call on
+    the module of the call before builds only the E columns, the values,
+    the row pointers and the sort of each row. In one process (2-vCPU x86
+    host, medians over random graphs) a block of the covering mu takes
+    0.35-0.36 ms at n = 8, 2.6-2.8 ms at n = 9 and 9.4-11.6 ms at n = 10
+    when the words are held, 0.67-0.70, 4.9-5.5 and 13.8-19.4 ms when it
+    builds them, and 0.63-0.70, 4.3-4.8 and 13.7-14.8 ms as one builder
+    that made its words on every call; `wheel_graph(12, seed=1)` takes
+    0.45-0.50 s with its words held against 0.66-1.01 s.
+
     At mu = (2, 1^(n-2)) each word is the pair of one even and one odd
     permutation, which differ by the swap of the two places of label 0,
     and B_mu is the block of the interchange rates from the even
@@ -235,40 +325,13 @@ def _module_block(G: WeightedGraph, mu: tuple[int, ...]) -> sp.csr_matrix:
     import scipy.sparse as sp  # only the explicit route needs scipy
 
     n, size = G.n, len(mu)
-    if size**n >= 2**63:
-        raise ValueError(f"the words of {size} labels on {n} letters have codes beyond 64 bits")
+    labels, head, low, first, tail, first_row, tail_row = _module_words(n, mu)
     edges = [(i, j, w) for (i, j), w in sorted(G.weights.items()) if w != 0]
-    # left[x, c]: the copies of label c that word x has still to place
-    codes, left = np.zeros(1, dtype=np.int64), np.array([mu], dtype=np.min_scalar_type(n))
-    for _ in range(n):
-        parent, label = np.nonzero(left)
-        left = left[parent]
-        left[np.arange(len(label)), label] -= 1
-        codes = codes[parent]
-        codes *= size
-        codes += label
-    del left, parent, label
-    count = len(codes)
+    count = len(head)
     index = np.int32 if count * len(edges) < 2**31 else np.int64
     power = size ** np.arange(n - 1, -1, -1, dtype=np.int64)  # l^(n-1-letter)
-    labels = np.empty((n, count), dtype=np.int8)  # labels[k]: the label of letter k
-    for k in range(n):
-        labels[k] = codes // power[k] % size
-    # a word's row is first[head] + tail[low]
-    h = n // 2
-    head, low = np.divmod(codes, size**h)
-    del codes
-    first = np.empty(size ** (n - h), dtype=index)
-    starts = np.flatnonzero(np.diff(head, prepend=-1))
-    first[head[starts]] = starts
-    del starts
-    first_row = first[head]
-    tail_row = np.arange(count, dtype=index)
-    tail_row -= first_row
-    tail = np.empty(size**h, dtype=index)
-    tail[low] = tail_row
     # the place value of each letter in the head and in the tail
-    head_power, low_power = np.divmod(power, size**h)
+    head_power, low_power = np.divmod(power, size ** (n // 2))
     table = np.empty((count, len(edges)), dtype=index)  # row x: its entries' columns
     for c, (i, j, _) in enumerate(edges):
         delta = labels[j - 1] - labels[i - 1]
@@ -278,7 +341,6 @@ def _module_block(G: WeightedGraph, mu: tuple[int, ...]) -> sp.csr_matrix:
             tail[np.multiply(delta, down, dtype=np.int64) + low] if down else tail_row,
             out=table[:, c],
         )
-    del labels, head, low, first, tail, first_row, tail_row
     data = np.tile(np.array([w for _, _, w in edges], dtype=float), count)
     indptr = np.arange(count + 1, dtype=index) * len(edges)
     B = sp.csr_matrix((data, table.reshape(-1), indptr), shape=(count, count))

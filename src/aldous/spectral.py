@@ -8,9 +8,14 @@ operation here matches eigenvectors.
 cross between two halves of its states, as the interchange process's
 do, by running ARPACK on one half only, on W^2 I - B^2 for the
 symmetric block B between the halves, with its all-ones kernel
-direction shifted away; `interchange.gap_interchange`
-hands it the block of the smallest Young module that holds every shape
-or its conjugate, which keeps the gap, at every n. A dense `eigvalsh`
+direction shifted away. The chain must be irreducible: on a reducible
+one, the kernel has more than the all-ones direction, ARPACK can stop
+at a wrong nonzero eigenvalue, and the residual check cannot tell,
+since it only shows that the value is some eigenvalue.
+`interchange.gap_interchange` returns 0.0 for a reducible chain without
+a solve, and otherwise hands the kernel the block of the smallest Young
+module that holds every shape or its conjugate, which keeps the gap, at
+every n. A dense `eigvalsh`
 of that block is quicker only up to its 60 rows at n = 6 (2-vCPU x86
 host, two OpenBLAS threads, median per call on random graphs: 0.28-1.01
 ms against 0.78-2.51 ms here at n = 3-6, but 15.9 against 4.3 ms at
@@ -79,12 +84,16 @@ KRYLOV_VECTORS = 10  # ARPACK's Lanczos basis in the iterative gap solve (module
 # Address space that an OpenBLAS maps for its work buffer on its first
 # large call and keeps for the life of the process: numpy's on its first
 # `eigvalsh` (32.0 MiB on a 20- to 1000-row matrix, with one, two and
-# four threads), scipy's on ARPACK's first matrix-vector product of more
-# than a few hundred rows. `aldous gap` on `--seed 3` wheel 10 needed
-# 45.3-46.2 MiB beside what was mapped at its check (two threads), where
-# the blocks were estimated at 14.5 MiB; without this term it passed its
-# check and died in the solve.
+# four threads), scipy's on ARPACK's first solve of more than a few
+# hundred rows. `aldous gap` on `--seed 3` wheel 10 needed 45.3-46.2 MiB
+# beside what was mapped at its check (two threads), where the blocks
+# were estimated at 14.5 MiB; without this term it passed its check and
+# died in the solve.
 BLAS_BUFFER_BYTES = 2**25
+# Set once an ARPACK solve of `bipartite_laplacian_gap` has returned on
+# vectors longer than 2 KiB, which maps scipy's buffer for good
+# (`iterative_solve_bytes`).
+_arpack_buffer_mapped = False
 
 
 def _require_symmetric(M: np.ndarray) -> np.ndarray:
@@ -158,9 +167,18 @@ def iterative_solve_bytes(rows: int) -> int:
     the residual check (`tracemalloc` measured 208-211 bytes per row at
     2520-181440 rows with 10 Lanczos vectors, and 368-373 with 20);
     three more cover freed vectors that the allocator keeps mapped.
-    BLAS_BUFFER_BYTES is the work buffer of the OpenBLAS behind ARPACK.
+
+    BLAS_BUFFER_BYTES, the work buffer of the OpenBLAS behind ARPACK, is
+    counted until this process is known to have mapped it. ARPACK's
+    Lanczos steps call dgemv, which takes its work (one float64 per row
+    and a few more) from the stack up to 2 KiB and from that buffer
+    beyond: a first solve on 230 rows grew the mapped size by nothing and
+    one on 240 rows by 32 MiB, which later solves reuse. So the buffer is
+    known to be mapped once a solve of more than 256 rows has returned;
+    until then, and after any other use of scipy's BLAS, it is counted.
     """
-    return (2 * KRYLOV_VECTORS + 10) * 8 * rows + BLAS_BUFFER_BYTES
+    buffer = 0 if _arpack_buffer_mapped else BLAS_BUFFER_BYTES
+    return (2 * KRYLOV_VECTORS + 10) * 8 * rows + buffer
 
 
 class NoConvergence(ValueError):
@@ -170,9 +188,13 @@ class NoConvergence(ValueError):
 def bipartite_laplacian_gap(B, total: float) -> float:
     """Second-smallest eigenvalue mu of L = [[W I, -B], [-B, W I]] for a
     symmetric sparse B >= 0 of at least two rows whose rows all sum to
-    W = `total` > 0: the Laplacian of a chain whose moves all cross
-    between two halves of its states, as every transposition flips the
-    parity of a word. B may hold diagonal entries, as the Young-module
+    W = `total` > 0: the Laplacian of an irreducible chain whose moves
+    all cross between two halves of its states, as every transposition
+    flips the parity of a word. On a reducible chain mu is 0, but the
+    solve can return a wrong nonzero value and accept it (the residual
+    check only shows that it is some eigenvalue of L), so the caller must
+    decide reducibility first, as `interchange.gap_interchange` does from
+    the graph. B may hold diagonal entries, as the Young-module
     blocks that `interchange.gap_interchange` passes do wherever a swap
     exchanges two identical labels; those blocks equal their transposes
     entry for entry (`interchange._module_block`).
@@ -230,6 +252,8 @@ def bipartite_laplacian_gap(B, total: float) -> float:
     except spla.ArpackError:  # ArpackNoConvergence among them: with k = 1 it holds no pair
         residual = math.inf
     else:
+        global _arpack_buffer_mapped
+        _arpack_buffer_mapped = _arpack_buffer_mapped or 8 * half > 2048
         root = math.sqrt(max(square - vals[0], 0.0))  # sigma_2 = W - mu
         mu = float(vals[0]) / (total + root)
         v = vecs[:, 0]

@@ -34,6 +34,7 @@ from aldous.interchange import (
 )
 import aldous.conjecture as conjecture
 import aldous.interchange as interchange
+import aldous.spectral as spectral
 import aldous.yor as yor
 from aldous.conjecture import check_conjecture, comparison_weights
 from aldous.spectral import bipartite_laplacian_gap, iterative_solve_bytes, multiset_equal
@@ -240,14 +241,30 @@ class TestGaps:
             gap_interchange(G)
         assert abs(interchange_spectrum(G)[0]) <= 1e-12 * (1.0 + float(sum(G.weights.values())))
 
-    def test_reducible_chain_has_zero_gap(self):
-        """Exactly 0.0, with no solver's rounding: one edge, and two paths
-        with no edge between them."""
-        assert gap_interchange(WeightedGraph(3, {(1, 2): 1.0})) == 0.0
+    @staticmethod
+    def reducible_graphs():
+        """One edge, and two paths with no edge between them."""
+        yield WeightedGraph(3, {(1, 2): 1.0})
         for n in (5, 6, 7, 8):
-            assert gap_interchange(WeightedGraph(n, {(1, n): 1.3})) == 0.0
-            halves = {(i, i + 1): 0.7 + 0.1 * i for i in range(1, n) if i != n // 2}
-            assert gap_interchange(WeightedGraph(n, halves)) == 0.0
+            yield WeightedGraph(n, {(1, n): 1.3})
+            yield WeightedGraph(n, {(i, i + 1): 0.7 + 0.1 * i for i in range(1, n) if i != n // 2})
+
+    def test_reducible_chain_has_zero_gap(self):
+        """Exactly 0.0, with no solver's rounding."""
+        for G in self.reducible_graphs():
+            assert gap_interchange(G) == 0.0
+
+    def test_reducible_chain_never_reaches_the_kernel(self, monkeypatch):
+        """`bipartite_laplacian_gap` needs an irreducible chain (it can
+        accept a wrong nonzero gap on a reducible one), so gap_interchange
+        decides reducibility from the graph and never calls it there."""
+
+        def kernel(B, total):
+            raise AssertionError("solved a reducible chain")
+
+        monkeypatch.setattr(interchange, "bipartite_laplacian_gap", kernel)
+        for G in self.reducible_graphs():
+            assert gap_interchange(G) == 0.0
 
     def test_iterative_solver_matches_dense_on_interchange_matrix(self):
         rng = np.random.default_rng(55)
@@ -366,6 +383,41 @@ class TestEvenOddBlock:
         G = SignedWeightedGraph(n, dict(zip(edges, weights)))
         for lam in enumerate_partitions(n):
             assert_same_csr(interchange._module_block(G, lam.parts), searchsorted_module_block(G, lam.parts))
+
+
+class TestModuleWords:
+    def test_latest_module_only_and_read_only(self):
+        """Alternating modules and n (7, 8, 7; the covering mu, (3,
+        1^(n-3)) and (2, 1^(n-2))), each built twice: the first build of a
+        module misses the cache and the second hits it, the cache holds one
+        module, its arrays are read-only and of the narrowest unsigned type
+        for their values, and the CSR arrays are those of the binary search
+        (`helpers.searchsorted_module_block`) either way."""
+        words = interchange._module_words
+        words.cache_clear()
+        for n in (7, 8, 7):
+            G = random_connected_graph(n, np.random.default_rng(n), extra_edge_prob=0.3)
+            for mu in (interchange._covering_shape(n), hook(n, 3), pairs(n)):
+                for hit in (False, True):
+                    assert interchange._words_held(n, mu) is hit
+                    before = words.cache_info()
+                    assert_same_csr(interchange._module_block(G, mu), searchsorted_module_block(G, mu))
+                    after = words.cache_info()
+                    assert (after.hits - before.hits, after.misses - before.misses) == (hit, not hit)
+                    assert after.currsize == 1 and interchange._words_held(n, mu)
+                labels, head, low, first, tail, first_row, tail_row = words(n, mu)
+                assert not any(a.flags.writeable for a in (labels, head, low, first, tail, first_row, tail_row))
+                assert labels.dtype == np.int8 and labels.shape == (n, interchange._rows(n, mu))
+                assert head.dtype == np.min_scalar_type(len(first) - 1)
+                assert low.dtype == np.min_scalar_type(len(tail) - 1)
+                rank = np.min_scalar_type(interchange._rows(n, mu) - 1)
+                assert first.dtype == tail.dtype == first_row.dtype == tail_row.dtype == rank
+
+    def test_cleared_cache_is_not_held(self):
+        interchange._module_block(path_graph(6), pairs(6))
+        assert interchange._words_held(6, pairs(6))
+        interchange._module_words.cache_clear()
+        assert not interchange._words_held(6, pairs(6))
 
 
 def covered(values, targets, tol=1e-10):
@@ -763,20 +815,41 @@ class TestMemoryGuard:
         assert yor._available_bytes() > 0
 
     def test_gap_interchange_refuses_exactly_above_the_estimate(self, monkeypatch):
-        G = wheel_graph(6)
-        subject = r"M\^\(3,2,1\) for a 6-vertex graph with 10 edges and its eigensolve"
-        # the block on the 60 label words of (3, 2, 1): int32 columns,
+        """A cold call, which builds the words of the module and is the
+        first ARPACK solve of this process, and a warm one after it, which
+        builds neither the words nor the BLAS buffer again."""
+        G = wheel_graph(8)
+        subject = r"M\^\(3\^2,1\^2\) for a 8-vertex graph with 14 edges and its eigensolve"
+        # the block on the 1120 label words of (3, 3, 1, 1): int32 columns,
         # float64 values and row pointers, two freed int64 temporaries per
         # row; beside it 30 float64 per row (10 Lanczos and 10 Ritz vectors,
-        # and ten more) and the BLAS buffer
-        half, edges = 60, 10
-        block = half * (edges * 12 + 4 + 16) + 4
-        need = block + 240 * half + 2**25
-        monkeypatch.setattr(yor, "_available_bytes", lambda: need)
-        gap_interchange(G)
-        monkeypatch.setattr(yor, "_available_bytes", lambda: need - 1)
-        with pytest.raises(ValueError, match=subject):
-            gap_interchange(G)
+        # and ten more)
+        half, edges = 1120, 14
+        warm = half * (edges * 12 + 4 + 16) + 4 + 240 * half
+        # cold, also the words: 8 labels, one-byte head and low codes and
+        # two two-byte ranks per word, the rank tables of 4^4 + 4^4 entries,
+        # and the BLAS buffer
+        cold = warm + half * (8 + 1 + 1 + 2 * 2) + 2 * (4**4 + 4**4) + 2**25
+        monkeypatch.setattr(spectral, "_arpack_buffer_mapped", False)
+        interchange._module_words.cache_clear()
+        for need in (cold, warm):
+            monkeypatch.setattr(yor, "_available_bytes", lambda: need - 1)
+            with pytest.raises(ValueError, match=subject):
+                gap_interchange(G)
+            monkeypatch.setattr(yor, "_available_bytes", lambda: need)
+            assert gap_interchange(G) == pytest.approx(gap_rw(G), rel=1e-9)
+            assert spectral._arpack_buffer_mapped and interchange._words_held(8, (3, 3, 1, 1))
+
+    def test_small_solves_keep_counting_the_blas_buffer(self, monkeypatch):
+        """ARPACK on at most 256 rows need not map the buffer (230 rows
+        mapped nothing), so it stays counted after the 60-row module of
+        wheel 6."""
+        monkeypatch.setattr(spectral, "_arpack_buffer_mapped", False)
+        gap_interchange(wheel_graph(6))
+        assert not spectral._arpack_buffer_mapped
+        assert iterative_solve_bytes(0) == 2**25
+        gap_interchange(wheel_graph(7))
+        assert spectral._arpack_buffer_mapped and iterative_solve_bytes(0) == 0
 
     @pytest.mark.parametrize(
         "G, edges",
@@ -786,30 +859,38 @@ class TestMemoryGuard:
     def test_spectrum_refuses_exactly_above_the_estimate(self, monkeypatch, G, edges):
         """The block between the 360 even and 360 odd words as above; beside
         it the dense block, eigvalsh's copy of it, LAPACK's work array of
-        34 float64 per row and the BLAS buffer."""
+        34 float64 per row and numpy's BLAS buffer. A cold call also builds
+        the words of (2, 1^4): 6 labels, one-byte head and low codes and two
+        two-byte ranks per word, and the rank tables of 5^3 + 5^3 entries."""
         half = 360
-        block = half * (edges * 12 + 4 + 16) + 4
-        need = block + 8 * half * half + 8 * half * (half + 34) + 2**25
-        monkeypatch.setattr(yor, "_available_bytes", lambda: need)
-        assert interchange_spectrum(G).shape == (720,)
-        monkeypatch.setattr(yor, "_available_bytes", lambda: need - 1)
+        warm = half * (edges * 12 + 4 + 16) + 4 + 8 * half * half + 8 * half * (half + 34) + 2**25
+        cold = warm + half * (6 + 1 + 1 + 2 * 2) + 2 * (5**3 + 5**3)
         subject = f"6-vertex graph with {edges} edges and its dense eigensolve"
-        with pytest.raises(ValueError, match=subject):
-            interchange_spectrum(G)
+        interchange._module_words.cache_clear()
+        for need in (cold, warm):
+            monkeypatch.setattr(yor, "_available_bytes", lambda: need - 1)
+            with pytest.raises(ValueError, match=subject):
+                interchange_spectrum(G)
+            monkeypatch.setattr(yor, "_available_bytes", lambda: need)
+            assert interchange_spectrum(G).shape == (720,)
 
     @staticmethod
     def refuse_to_enumerate(n):
         raise AssertionError(f"searched the partitions of {n}")
 
     @staticmethod
-    def traced_estimate(monkeypatch, run, G):
+    def traced_estimate(monkeypatch, run, G, cold):
         """The last estimate `run(G)` passes to `_require_bytes`, the one of
         the block it builds, and the peak that `tracemalloc` sees in a
-        second run (scipy is loaded by the first, outside the traced run)."""
+        second run (scipy is loaded by the first, outside the traced run),
+        which builds the words of the module again when `cold` and reuses
+        those of the first run otherwise."""
         needs = []
         monkeypatch.setattr(interchange, "_require_bytes", lambda need, what: needs.append(need))
         run(G)
         needs.clear()
+        if cold:
+            interchange._module_words.cache_clear()
         tracemalloc.start()
         try:
             run(G)
@@ -818,23 +899,26 @@ class TestMemoryGuard:
             tracemalloc.stop()
         return needs[-1], peak
 
-    @pytest.mark.parametrize("n", [7, 8])
+    @pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
+    @pytest.mark.parametrize("n", range(7, 11))
     @pytest.mark.parametrize("family", [path_graph, complete_graph])
-    def test_estimates_bound_the_traced_peak(self, monkeypatch, n, family):
+    def test_estimates_bound_the_traced_peak(self, monkeypatch, n, family, cold):
         """The estimate of gap_interchange is at least the peak that
-        `tracemalloc` sees and at most 1.5 times it. tracemalloc cannot see
-        the BLAS work buffer, the part of the solve's memory that does not
-        grow with the states, so it is left out."""
-        need, peak = self.traced_estimate(monkeypatch, gap_interchange, family(n))
+        `tracemalloc` sees and at most 1.5 times it, for a call that builds
+        the words of its module and for one that reuses them. tracemalloc
+        cannot see the BLAS work buffer, the part of the solve's memory
+        that does not grow with the states, so it is left out."""
+        need, peak = self.traced_estimate(monkeypatch, gap_interchange, family(n), cold)
         assert peak <= need - iterative_solve_bytes(0) <= 1.5 * peak
 
+    @pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
     @pytest.mark.parametrize("n", [6, 7])
     @pytest.mark.parametrize("family", [path_graph, complete_graph])
-    def test_spectrum_estimate_bounds_the_traced_peak(self, monkeypatch, n, family):
+    def test_spectrum_estimate_bounds_the_traced_peak(self, monkeypatch, n, family, cold):
         """The same for interchange_spectrum, once what eigvalsh maps outside
         Python's allocator (its copy of the dense block, LAPACK's work array
-        of 34 float64 per row, the BLAS buffer) is left out."""
-        need, peak = self.traced_estimate(monkeypatch, interchange_spectrum, family(n))
+        of 34 float64 per row, numpy's BLAS buffer) is left out."""
+        need, peak = self.traced_estimate(monkeypatch, interchange_spectrum, family(n), cold)
         half = math.factorial(n) // 2
         assert peak <= need - 8 * half * (half + 34) - 2**25 <= 1.5 * peak
 
@@ -843,16 +927,22 @@ class TestMemoryGuard:
     def test_block_footprint_bounds_the_traced_peak(self, n, family):
         """The peak of `_block_footprint` is at least the peak that
         `tracemalloc` sees while `_module_block` alone runs and at most 1.5
-        times it, on the covering mu and on the hook (3, 1^(n-3))."""
+        times it, on the covering mu and on the hook (3, 1^(n-3)), for a
+        call that builds the words of the module and for the next one,
+        which reuses them."""
         G = family(n)
         for mu in (interchange._covering_shape(n), hook(n, 3)):
-            tracemalloc.start()
-            try:
-                interchange._module_block(G, mu)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= interchange._block_footprint(G, mu)[0] <= 1.5 * peak, mu
+            interchange._module_words.cache_clear()
+            for cold in (True, False):
+                assert interchange._words_held(n, mu) is not cold
+                footprint = interchange._block_footprint(G, mu)[0]
+                tracemalloc.start()
+                try:
+                    interchange._module_block(G, mu)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= footprint <= 1.5 * peak, (mu, cold)
 
     def test_spectrum_refuses_above_the_dense_limit(self, monkeypatch):
         def build(G):
