@@ -20,16 +20,17 @@ import math
 import sys
 from collections.abc import Iterator
 from itertools import chain
+from typing import TYPE_CHECKING
 
-from .conjecture import check_conjecture
 from .graphs import _FAMILIES, WeightedGraph, generate, generated_edges
 from .graphs import graph_from_json_dict, graph_to_json_dict
 from .interchange import _merged_spectrum, aldous_check, interchange_spectrum, spectrum_via_irreps
-from .permutations import parse_permutation
-from .reduction import EliminationCertificate, certify_elimination, replay_elimination
 from .spectral import BLAS_BUFFER_BYTES, DEFAULT_TOL, DENSE_LIMIT, multiset_equal
 from .tableaux import Partition, enumerate_syt, parse_partition
 from .yor import _require_bytes, _states, rho_sigma, shape_spectra
+
+if TYPE_CHECKING:
+    from .reduction import EliminationCertificate
 
 # Peak bytes per state while `decompose` makes its CSV: the per-shape
 # spectra tiled, their concatenation, its sorted copy and the sort's
@@ -75,6 +76,8 @@ def _cmd_gap(args) -> tuple[str, int]:
 
 
 def _cmd_check_conjecture(args) -> tuple[str, int]:
+    from .conjecture import check_conjecture
+
     gamma = tuple(float(tok) for tok in args.gamma.split(","))
     report = check_conjecture(args.k, gamma, tol=args.tol)
     payload = {
@@ -116,6 +119,8 @@ def _certificate_step(step) -> tuple[int, int]:
 
 
 def _cmd_certify(args) -> tuple[str, int]:
+    from .reduction import EliminationCertificate, certify_elimination, replay_elimination
+
     if args.replay:
         with open(args.graph, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -183,6 +188,8 @@ def _cmd_decompose(args) -> tuple[str | Iterator[str], int]:
 
 
 def _cmd_rep(args) -> tuple[Iterator[str], int]:
+    from .permutations import parse_permutation
+
     lam = parse_partition(args.partition)
     sigma = parse_permutation(args.sigma, lam.n)
     # rho_sigma's check is the only refusal: the text is made and written

@@ -92,10 +92,11 @@ dense block and what `eigvalsh` maps for `_double_spectrum`,
 whose solve would not fit is refused with ValueError before anything
 is allocated. The words of the module count only when the call builds
 them, since the ones it keeps are already mapped, and the work buffer
-of scipy's OpenBLAS only until an ARPACK solve has mapped it; so a
-second graph on the same module is not refused for memory the first
-one left mapped. `_double_spectrum` passes one estimate. `gap_interchange`
-passes up to three. First comes that of the fewest rows that any mu of
+of scipy's OpenBLAS only until an ARPACK solve has mapped it, as that of
+numpy's only until a dense solve has; so a second graph on the same
+module is not refused for memory the first one left mapped.
+`_double_spectrum` passes one estimate. `gap_interchange` passes up to
+three. First comes that of the fewest rows that any mu of
 its search can have, so a huge n is refused before its partitions are
 searched: the s x s box, s = 1 + isqrt(n - 1), holds a shape of n boxes
 whose first row and first column are at most s, so the parts of that
@@ -120,7 +121,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .graphs import WeightedGraph, is_connected, rw_laplacian
-from .spectral import BLAS_BUFFER_BYTES, DEFAULT_TOL, DENSE_LIMIT, NoConvergence
+from .spectral import DEFAULT_TOL, DENSE_LIMIT, NoConvergence, _dense_buffer_bytes, _eigvalsh
 from .spectral import bipartite_laplacian_gap, iterative_solve_bytes
 from .tableaux import Partition, enumerate_partitions, f_dim
 from .yor import _require_bytes, _states, shape_spectra
@@ -370,10 +371,10 @@ def _double_spectrum(G: WeightedGraph, mu: tuple[int, ...]) -> np.ndarray:
     # beside the block: its dense copy, eigvalsh's copy of that, LAPACK's
     # work array (dsyevd asks for 2 + 32 float64 per row, 32 being the
     # block size of its tridiagonal reduction) and the work buffer that
-    # OpenBLAS maps on its first call
-    solve = held + 8 * rows * (2 * rows + 34) + BLAS_BUFFER_BYTES
+    # numpy's OpenBLAS maps on its first call
+    solve = held + 8 * rows * (2 * rows + 34) + _dense_buffer_bytes()
     _require_bytes(max(peak, solve), _subject(G, mu) + " and its dense eigensolve")
-    beta = np.linalg.eigvalsh(_module_block(G, mu).toarray())
+    beta = _eigvalsh(_module_block(G, mu).toarray())
     total = float(sum(G.weights.values()))
     return np.sort(np.concatenate([total - beta, total + beta]))
 

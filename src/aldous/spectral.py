@@ -65,10 +65,20 @@ right after `eigsh` took 6.8 ms (median, up to 16 ms), against 0.03 ms
 with one thread and 0.07 ms as a sum of squares. So
 `bipartite_laplacian_gap` makes no numpy BLAS call after `eigsh`; only
 the dense fallback of `gap_interchange`, which runs `eigvalsh` right
-after a failed ARPACK, pays the wait. Two threads
-wait too whenever anything else holds the second CPU: 100-row solves in
-processes that never ran ARPACK took 10-16 ms through one run out of
-eight, and never above 1.1 ms with one thread.
+after a failed ARPACK, pays the wait. Two threads wait too whenever
+anything else holds the second CPU: 100-row solves in processes that
+never ran ARPACK took 10-16 ms through one run out of eight, and never
+above 1.1 ms with one thread. The same wait shows in a cold `aldous
+gap` at n = 9. In fresh processes running `aldous_check` on the
+16-edge graph of the benchmark's `cli_cold` workload, its 16 per-shape
+`eigvalsh` calls (up to 216 rows) took 7.8-11.5 ms in 22 of 24
+processes with two threads and 307-315 ms in the other 2, against
+7.6-10.7 ms in all 24 with one thread, the thread counts alternating.
+Of 30 more processes with two threads, 2 took 313-315 ms, three or
+four calls of 105-189 rows taking 21-36 ms each and the 216-row one
+171 ms; no call of the other 28 took over 20 ms. The thread count is
+part of the configuration behind byte-identical output (`aldous.cli`),
+so it is left to the caller.
 """
 
 from __future__ import annotations
@@ -84,12 +94,15 @@ KRYLOV_VECTORS = 10  # ARPACK's Lanczos basis in the iterative gap solve (module
 # Address space that an OpenBLAS maps for its work buffer on its first
 # large call and keeps for the life of the process: numpy's on its first
 # `eigvalsh` (32.0 MiB on a 20- to 1000-row matrix, with one, two and
-# four threads), scipy's on ARPACK's first solve of more than a few
-# hundred rows. `aldous gap` on `--seed 3` wheel 10 needed 45.3-46.2 MiB
+# four threads, and from 3 rows up with one and two), scipy's on
+# ARPACK's first solve of more than a few hundred rows. `aldous gap` on `--seed 3` wheel 10 needed 45.3-46.2 MiB
 # beside what was mapped at its check (two threads), where the blocks
 # were estimated at 14.5 MiB; without this term it passed its check and
 # died in the solve.
 BLAS_BUFFER_BYTES = 2**25
+# Set once `_eigvalsh` has returned on at least 20 rows, which maps
+# numpy's buffer for good (`_dense_buffer_bytes`).
+_numpy_buffer_mapped = False
 # Set once an ARPACK solve of `bipartite_laplacian_gap` has returned on
 # vectors longer than 2 KiB, which maps scipy's buffer for good
 # (`iterative_solve_bytes`).
@@ -104,6 +117,25 @@ def _require_symmetric(M: np.ndarray) -> np.ndarray:
     if np.abs(M - M.T).max() > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
     return M
+
+
+def _dense_buffer_bytes() -> int:
+    """BLAS_BUFFER_BYTES, the work buffer of numpy's OpenBLAS, until this
+    process is known to have mapped it, and 0 after. A first `eigvalsh`
+    maps it from 3 rows up (one and two threads; nothing on 1 or 2 rows)
+    and later solves reuse it, so it is known to be mapped once a solve of
+    at least 20 rows through `_eigvalsh` has returned. Until then it is
+    counted, even where another numpy BLAS call may have mapped it."""
+    return 0 if _numpy_buffer_mapped else BLAS_BUFFER_BYTES
+
+
+def _eigvalsh(M: np.ndarray) -> np.ndarray:
+    """`np.linalg.eigvalsh(M)` for the dense solves whose estimates count
+    numpy's buffer (`_dense_buffer_bytes`), noting when it is mapped."""
+    global _numpy_buffer_mapped
+    vals = np.linalg.eigvalsh(M)
+    _numpy_buffer_mapped = _numpy_buffer_mapped or len(M) >= 20
+    return vals
 
 
 def is_psd(M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

@@ -67,11 +67,11 @@ import math
 import os
 from collections.abc import Iterator
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .permutations import Permutation
-from .spectral import BLAS_BUFFER_BYTES
+from .spectral import _dense_buffer_bytes, _eigvalsh
 from .tableaux import (
     Partition,
     _dictionary_positions,
@@ -80,6 +80,9 @@ from .tableaux import (
     f_dim,
     last_letter_rows,
 )
+
+if TYPE_CHECKING:
+    from .permutations import Permutation
 
 
 def _words(R: np.ndarray) -> np.ndarray:
@@ -256,6 +259,8 @@ def _require_matrices(lam: Partition, stacked: bool = False) -> None:
 
 def rho_adjacent(lam: Partition, i: int) -> np.ndarray:
     """Matrix of the adjacent transposition (i, i+1)."""
+    from .permutations import Permutation
+
     if not 1 <= i <= lam.n - 1:
         raise ValueError(f"adjacent index must be in 1..{lam.n - 1}, got {i}")
     return rho_sigma(lam, Permutation.transposition(lam.n, i, i + 1))
@@ -385,22 +390,23 @@ def shape_spectra(graph) -> list[tuple[Partition, np.ndarray, float]]:
     # Beside the stacks, `_rho_sums` holds two arrays of the largest top
     # dimension squared: the block being built and the conjugation's
     # scratch array, then the block and the eigensolver's copy of it; the
-    # first solve maps numpy's OpenBLAS buffer too. The stacks alone are
-    # checked first: finding the largest dimension enumerates the
-    # partitions of n, which takes minutes at n = 70.
+    # first solve maps numpy's OpenBLAS buffer too, counted until a solve
+    # is known to have mapped it (`spectral._dense_buffer_bytes`). The
+    # stacks alone are checked first: finding the largest dimension
+    # enumerates the partitions of n, which takes minutes at n = 70.
     edges = sum(1 for w in graph.weights.values() if w != 0)
     what = f"the per-shape blocks of a {graph.n}-vertex graph with {edges} edges"
     need = _stacks_bytes(graph.n)
     _require_bytes(need, what)
     shapes, conjugate, solve, largest = _shape_table(graph.n)
-    _require_bytes(need + 2 * largest**2 * 8 + BLAS_BUFFER_BYTES, what)
+    _require_bytes(need + 2 * largest**2 * 8 + _dense_buffer_bytes(), what)
     solved = {}
     for parts, L in _rho_sums(graph.n, graph.weights, solve):
         if parts == solve[0]:  # the one-row shape comes first: its sum is W
             total = L[0, 0]
         np.negative(L, out=L)
         L.flat[:: len(L) + 1] += total
-        vals = np.linalg.eigvalsh(L)
+        vals = _eigvalsh(L)
         diag = L.diagonal().copy()
         np.fill_diagonal(L, 0.0)
         solved[parts] = (vals, float(np.abs(L).max()), diag)
@@ -439,6 +445,8 @@ def branching_check(
     multiplies adjacent tables, so the check is independent of the
     branching-rule builder `_rho_sums` that it is a property of.
     """
+    from .permutations import Permutation
+
     n = lam.n
     if not 1 <= i < j < n:
         raise ValueError(f"need 1 <= i < j < {n}, got ({i}, {j})")
